@@ -19,6 +19,16 @@ There is no mutable index to corrupt and no coherence protocol to get
 wrong — the only delete paths are the explicit ``invalidate`` operation
 and the discard of an entry that fails schema validation on read.
 
+The dependency fingerprint itself needs every file's import names, and
+those are cached the same way, under ``imports/<content-sha256>.json``.
+An import list is a pure function of the file's bytes, so its key holds
+nothing else — no path, no config, no dependencies — and the store is
+not an index either: an entry can be missing (the file is scanned again)
+but never stale, because different bytes have a different name.  Two
+files with equal bytes share one entry, which is correct for the same
+reason.  A warm pass therefore parses only the files whose bytes
+changed.
+
 Entries are single JSON files written atomically (temp file +
 ``os.replace``) with sorted keys, so concurrent writers (worker
 processes, parallel CI jobs) can only ever race to write *identical
@@ -38,8 +48,9 @@ import hashlib
 import json
 import os
 import pathlib
+import shutil
 import tempfile
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from ..trace import core as _trace
 
@@ -85,6 +96,10 @@ def stats() -> dict[str, int]:
 
 def reset_stats() -> None:
     STATS.reset()
+
+
+#: Version of the ``imports/`` entry format; any other value is discarded.
+IMPORTS_SCHEMA_VERSION = 1
 
 
 def content_hash(data: bytes) -> str:
@@ -137,19 +152,7 @@ class AnalysisCache:
     def put(self, key: str, envelope: dict) -> None:
         """Atomically write ``envelope`` (sorted keys: byte-deterministic,
         so racing writers of the same key write identical files)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(envelope, sort_keys=True, indent=None,
-                             separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._entry_path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        _write_atomic(self._entry_path(key), envelope)
         STATS.stores += 1
         self._trace_event("store", key)
 
@@ -163,6 +166,38 @@ class AnalysisCache:
         STATS.discards += 1
         self._trace_event("discard", key)
 
+    # -- import store --------------------------------------------------------
+
+    def _imports_path(self, content_sha: str) -> pathlib.Path:
+        return self.root / "imports" / f"{content_sha}.json"
+
+    def get_imports(self, content_sha: str) -> Optional[list[str]]:
+        """The stored import names of the file whose bytes hash to
+        ``content_sha``, or ``None``.  An entry of another version or
+        shape is discarded, never half-read."""
+        path = self._imports_path(content_sha)
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            entry = None
+        if isinstance(entry, dict) \
+                and entry.get("schema_version") == IMPORTS_SCHEMA_VERSION:
+            names = entry.get("names")
+            if isinstance(names, list) \
+                    and all(isinstance(n, str) for n in names):
+                return names
+        with contextlib.suppress(OSError):
+            path.unlink()
+        return None
+
+    def put_imports(self, content_sha: str, names: Iterable[str]) -> None:
+        _write_atomic(self._imports_path(content_sha), {
+            "schema_version": IMPORTS_SCHEMA_VERSION,
+            "names": sorted(names),
+        })
+
     # -- maintenance ---------------------------------------------------------
 
     def entries(self) -> Iterator[pathlib.Path]:
@@ -173,10 +208,13 @@ class AnalysisCache:
     def invalidate(self, paths: Optional[list[str]] = None) -> int:
         """Remove entries.  With ``paths`` given, only entries whose
         recorded source path matches one of them (by resolved path);
-        otherwise everything.  Returns the number removed."""
+        otherwise everything, the import store included.  Returns the
+        number of result entries removed."""
         wanted = None
         if paths is not None:
             wanted = {str(pathlib.Path(p).resolve()) for p in paths}
+        else:
+            shutil.rmtree(self.root / "imports", ignore_errors=True)
         removed = 0
         for entry in self.entries():
             if wanted is not None:
@@ -208,3 +246,22 @@ class AnalysisCache:
         if tr is not None:
             tr.event("analysis.cache", cat="analysis", outcome=outcome,
                      key=key)
+
+
+def _write_atomic(path: pathlib.Path, document: Any) -> None:
+    """Write ``document`` as canonical JSON (sorted keys, so racing
+    writers of one name write identical bytes) via a temp file in the
+    same directory and ``os.replace``: a reader sees all or nothing."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = json.dumps(document, sort_keys=True, indent=None,
+                         separators=(",", ":"))
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -17,6 +17,11 @@ analyzed set (``src/repro/lint/driver.py`` answers to
 imports are matched by their trailing module names.  A false edge only
 costs an unnecessary re-analysis; a missed edge would serve stale
 results — so ties break toward more invalidation.
+
+A file's import names depend on its bytes alone, so a caller with a
+store of them (the analysis session keeps one in its cache directory,
+see :mod:`repro.analysis.cache`) passes ``names_of`` and only the files
+it has not seen before get parsed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import pathlib
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 #: Registering every dotted suffix of a deep path would be quadratic in
 #: path depth for no benefit; real imports rarely spell more than this
@@ -75,11 +80,20 @@ def imported_names(source: str) -> set[str]:
     return names
 
 
+#: Maps a file to the names it imports (see :func:`imported_names`).
+NamesOf = Callable[[pathlib.Path], Iterable[str]]
+
+
 def dependency_graph(
     files: Iterable[pathlib.Path], sources: dict[pathlib.Path, str],
+    names_of: Optional[NamesOf] = None,
 ) -> dict[pathlib.Path, set[pathlib.Path]]:
     """Direct same-project import edges among ``files`` (file -> files it
-    imports).  ``sources`` maps each file to its already-read text."""
+    imports).  ``sources`` maps each file to its already-read text;
+    ``names_of``, when given, answers in place of parsing it."""
+    if names_of is None:
+        def names_of(f: pathlib.Path) -> Iterable[str]:
+            return imported_names(sources.get(f, ""))
     alias_to_files: dict[str, set[pathlib.Path]] = {}
     files = list(files)
     for f in files:
@@ -88,10 +102,9 @@ def dependency_graph(
     graph: dict[pathlib.Path, set[pathlib.Path]] = {}
     for f in files:
         deps: set[pathlib.Path] = set()
-        for name in imported_names(sources.get(f, "")):
-            for target in alias_to_files.get(name, ()):
-                if target != f:
-                    deps.add(target)
+        for name in names_of(f):
+            deps.update(alias_to_files.get(name, ()))
+        deps.discard(f)
         graph[f] = deps
     return graph
 
@@ -119,20 +132,27 @@ def dependency_fingerprints(
     files: Iterable[pathlib.Path],
     sources: dict[pathlib.Path, str],
     hashes: dict[pathlib.Path, str],
+    names_of: Optional[NamesOf] = None,
 ) -> dict[pathlib.Path, str]:
     """Per-file digest over the (path-stem, content-hash) pairs of the
     file's transitive same-project imports.  Stems rather than full
     paths keep the fingerprint stable when the same tree is analyzed
-    from a different working directory."""
-    closure = transitive_closure(dependency_graph(files, sources))
+    from a different working directory.  ``names_of`` is passed on to
+    :func:`dependency_graph`; it changes what is parsed, never the
+    digest."""
+    graph = dependency_graph(files, sources, names_of)
+    # The closure runs over indices: ints hash in C, paths in Python.
+    nodes = list(graph)
+    index = {f: i for i, f in enumerate(nodes)}
+    closure = transitive_closure(
+        {index[f]: {index[d] for d in deps} for f, deps in graph.items()})
+    items = [f"{f.name}:{hashes.get(f, '')}" for f in nodes]
     out: dict[pathlib.Path, str] = {}
-    for f, deps in closure.items():
+    for i, deps in closure.items():
         if not deps:
-            out[f] = ""
+            out[nodes[i]] = ""
             continue
-        items = sorted(
-            f"{d.name}:{hashes.get(d, '')}" for d in deps if d != f
-        )
-        blob = "\x1f".join(items).encode("utf-8")
-        out[f] = hashlib.sha256(blob).hexdigest()[:16]
+        blob = "\x1f".join(
+            sorted(items[d] for d in deps if d != i)).encode("utf-8")
+        out[nodes[i]] = hashlib.sha256(blob).hexdigest()[:16]
     return out

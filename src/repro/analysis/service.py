@@ -81,10 +81,12 @@ class AnalysisService:
         if paths is None:
             return self._error("lint needs a non-empty 'paths' list")
         fail_on = request.get("fail_on", self.session.config.fail_on)
+        before = dict(self.session.counters)
         report = self.session.lint_paths(paths)
         return {
             "exit_code": lint_exit_code(report, fail_on),
             "report": report.to_dict(),
+            **_lint_counts(before, self.session.counters),
         }
 
     def _op_optimize(self, request: dict) -> dict:
@@ -140,6 +142,19 @@ class AnalysisService:
         return 0
 
 
+def _lint_counts(before: dict, after: dict) -> dict:
+    """What one lint pass did: files analyzed or served from the cache,
+    and import lists parsed or served from the import store."""
+    return {
+        "analyzed": after["lint_analyzed"] - before["lint_analyzed"],
+        "from_cache": after["lint_from_cache"] - before["lint_from_cache"],
+        "imports_scanned":
+            after["imports_scanned"] - before["imports_scanned"],
+        "imports_from_cache":
+            after["imports_from_cache"] - before["imports_from_cache"],
+    }
+
+
 def watch(
     session: AnalysisSession,
     paths: Sequence[str],
@@ -167,11 +182,8 @@ def watch(
         out_stream.write(json.dumps({
             "cycle": cycle,
             "exit_code": exit_code,
-            "analyzed": session.counters["lint_analyzed"]
-            - before["lint_analyzed"],
-            "from_cache": session.counters["lint_from_cache"]
-            - before["lint_from_cache"],
             "findings": len(report.findings),
+            **_lint_counts(before, session.counters),
         }, sort_keys=True) + "\n")
         out_stream.flush()
         cycle += 1

@@ -122,6 +122,8 @@ class AnalysisSession:
             "optimize_from_cache": 0,
             "facts_analyzed": 0,
             "facts_from_cache": 0,
+            "imports_scanned": 0,
+            "imports_from_cache": 0,
         }
 
     # -- shared plumbing -----------------------------------------------------
@@ -147,8 +149,21 @@ class AnalysisSession:
             if read is not None:
                 sources[f], hashes[f] = read
         fingerprints = _deps.dependency_fingerprints(
-            list(sources), sources, hashes)
+            list(sources), sources, hashes,
+            names_of=lambda f: self._imports_of(sources[f], hashes[f]))
         return sources, hashes, fingerprints
+
+    def _imports_of(self, source: str, sha: str):
+        """A file's import names, from the content-addressed import store
+        when its bytes were scanned before, else parsed and stored."""
+        names = self.cache.get_imports(sha)
+        if names is not None:
+            self.counters["imports_from_cache"] += 1
+            return names
+        names = _deps.imported_names(source)
+        self.counters["imports_scanned"] += 1
+        self.cache.put_imports(sha, names)
+        return names
 
     def _get_cached(self, kind: str, path: pathlib.Path, sha: str,
                     deps_fp: str, source: Optional[str] = None):

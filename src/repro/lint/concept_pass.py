@@ -25,7 +25,7 @@ import ast
 import builtins
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.stllint.diagnostics import Severity
 
@@ -63,12 +63,13 @@ class _WhereInfo:
 
 
 class _ImportMap:
-    """Name resolution through the module's import statements."""
+    """Name resolution through the module's import statements (given in
+    :func:`ast.walk` order: a later binding of an alias wins)."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, imports: Iterable[ast.stmt]) -> None:
         # alias -> ("module", dotted) or ("attr", module, attr)
         self._entries: dict[str, tuple] = {}
-        for node in ast.walk(tree):
+        for node in imports:
             if isinstance(node, ast.Import):
                 for a in node.names:
                     alias = a.asname or a.name.split(".")[0]
@@ -187,9 +188,17 @@ def _infer_type(
 def run_concept_pass(
     tree: ast.Module,
     registry: Optional[Any] = None,
+    imports: Optional[Iterable[ast.stmt]] = None,
 ) -> list[ConceptFinding]:
-    """Lint a parsed module; returns concept-conformance findings."""
-    imports = _ImportMap(tree)
+    """Lint a parsed module; returns concept-conformance findings.
+
+    ``imports`` are the module's ``Import``/``ImportFrom`` nodes in
+    :func:`ast.walk` order, for a caller that has already walked the
+    tree; by default the tree is walked for them."""
+    if imports is None:
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imports = _ImportMap(imports)
     constrained: dict[str, _WhereInfo] = {}
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):

@@ -19,6 +19,7 @@ import ast
 import json
 import pathlib
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -207,20 +208,63 @@ def _container_annotated(arg: ast.arg) -> bool:
     return False
 
 
-def _is_lintable(fn: ast.FunctionDef) -> bool:
-    """A function is checked when it declares tracked container state:
-    a container-annotated parameter, or a container-annotated local."""
-    if any(_container_annotated(a) for a in fn.args.args):
-        return True
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.AnnAssign)
-            and isinstance(node.annotation, ast.Constant)
-            and isinstance(node.annotation.value, str)
-            and node.annotation.value.lower() in CONTAINER_SPECS
-        ):
-            return True
-    return False
+def _container_local(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.AnnAssign)
+        and isinstance(node.annotation, ast.Constant)
+        and isinstance(node.annotation.value, str)
+        and node.annotation.value.lower() in CONTAINER_SPECS
+    )
+
+
+#: The node types that can hold statements below them.
+_BLOCK_NODES = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _scan_module(
+    tree: ast.Module,
+) -> tuple[list[ast.FunctionDef], list[ast.stmt]]:
+    """The functions to check and the import statements, from one walk.
+
+    A function is checked when it declares tracked container state: a
+    container-annotated parameter, or a container-annotated local
+    anywhere below it (nested defs included).  Both lists come in
+    :func:`ast.walk` order, so which functions are checked, and in
+    which order, is what a per-function walk would give.
+
+    Defs, imports and annotated locals are statements, and statements
+    only occur below statements, ``except`` handlers and ``case``
+    clauses, so the walk never enters an expression.  Breadth-first over
+    that skeleton keeps every statement at its :func:`ast.walk` depth
+    and sibling order."""
+    functions: list[ast.FunctionDef] = []
+    imports: list[ast.stmt] = []
+    enclosing: dict[ast.FunctionDef, Optional[ast.FunctionDef]] = {}
+    declares: set[ast.FunctionDef] = set()
+    todo: deque = deque([(tree, None)])
+    while todo:
+        node, fn = todo.popleft()
+        if isinstance(node, ast.FunctionDef):
+            functions.append(node)
+            enclosing[node] = fn
+            fn = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
+        elif _container_local(node):
+            # Mark every enclosing def; a marked def's ancestors are
+            # already marked.
+            while fn is not None and fn not in declares:
+                declares.add(fn)
+                fn = enclosing[fn]
+            continue              # an AnnAssign holds no statement
+        todo.extend((child, fn) for child in ast.iter_child_nodes(node)
+                    if isinstance(child, _BLOCK_NODES))
+    lintable = [
+        f for f in functions
+        if f in declares
+        or any(_container_annotated(a) for a in f.args.args)
+    ]
+    return lintable, imports
 
 
 def _lint_source_impl(
@@ -297,10 +341,9 @@ def _lint_source_impl(
         # are summarized once per argument shape and reused across all
         # callers in the module.
         summaries = SummaryTable()
+    lintable, imports = _scan_module(tree)
     seen: set[tuple[int, str]] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.FunctionDef) or not _is_lintable(node):
-            continue
+    for node in lintable:
         if deadline is not None and deadline.expired():
             internal(LINT_TIMEOUT, (
                 f"file analysis budget of {config.timeout_s:g}s exhausted; "
@@ -342,10 +385,11 @@ def _lint_source_impl(
 
         try:
             if tr is None:
-                pass_findings = run_concept_pass(tree)
+                pass_findings = run_concept_pass(tree, imports=imports)
             else:
                 with tr.span("lint.concept-pass", cat="lint", path=path):
-                    pass_findings = list(run_concept_pass(tree))
+                    pass_findings = list(
+                        run_concept_pass(tree, imports=imports))
         except Exception as exc:  # noqa: BLE001 - crash isolation
             pass_findings = []
             internal(LINT_INTERNAL, (

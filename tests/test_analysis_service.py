@@ -340,6 +340,125 @@ class TestDeps:
         a, b = (f.resolve() for f in files)
         assert b in closure[a] and a in closure[b]
 
+    @staticmethod
+    def fresh_fingerprints(files):
+        """Reference: the fingerprint algorithm before the import store
+        (parse every file, close over paths), kept verbatim so that the
+        digests, and with them every cache key, stay byte-identical."""
+        import hashlib
+
+        sources = {f: f.read_text() for f in files}
+        hashes = {f: analysis_cache.content_hash(f.read_bytes())
+                  for f in files}
+        alias_to_files = {}
+        for f in files:
+            for alias in analysis_deps.module_aliases(f):
+                alias_to_files.setdefault(alias, set()).add(f)
+        graph = {}
+        for f in files:
+            graph[f] = {
+                target
+                for name in analysis_deps.imported_names(sources[f])
+                for target in alias_to_files.get(name, ()) if target != f}
+        out = {}
+        for f, deps in analysis_deps.transitive_closure(graph).items():
+            if not deps:
+                out[f] = ""
+                continue
+            items = sorted(
+                f"{d.name}:{hashes.get(d, '')}" for d in deps if d != f)
+            blob = "\x1f".join(items).encode("utf-8")
+            out[f] = hashlib.sha256(blob).hexdigest()[:16]
+        return out
+
+    def test_store_fingerprints_equal_fresh_parse(self, tmp_path, config):
+        import pathlib
+        import shutil
+
+        from repro.lint.driver import discover_files
+
+        src = pathlib.Path(analysis_deps.__file__).resolve().parents[1]
+        tree = tmp_path / "tree" / "repro"
+        shutil.copytree(src, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        files = discover_files([tree])
+        graph = analysis_deps.dependency_graph(
+            files, {f: f.read_text() for f in files})
+        # An import cycle puts a file in its own closure, which the
+        # digest must leave out.
+        closure = analysis_deps.transitive_closure(graph)
+        assert any(f in deps for f, deps in closure.items())
+        # Cold store: each distinct content is scanned once (equal bytes
+        # share an entry).  Warm store: nothing is scanned.
+        distinct = len({f.read_bytes() for f in files})
+        for scanned in (distinct, 0):
+            session = AnalysisSession(config)
+            _, _, fingerprints = session._project_state(files)
+            assert fingerprints == self.fresh_fingerprints(files)
+            assert session.counters["imports_scanned"] == scanned
+            assert session.counters["imports_from_cache"] == \
+                len(files) - scanned
+
+        # a hub edit: the most-imported module gains an import
+        hub = max(files, key=lambda f: sum(f in d for d in graph.values()))
+        before = self.fresh_fingerprints(files)
+        hub.write_text(hub.read_text() + "\nimport repro.lint.driver\n")
+        session = AnalysisSession(config)
+        _, _, fingerprints = session._project_state(files)
+        assert fingerprints == self.fresh_fingerprints(files)
+        assert fingerprints != before
+        assert session.counters["imports_scanned"] == 1
+
+    def test_warm_pass_scans_nothing(self, tmp_path, config, monkeypatch):
+        proj = write_project(tmp_path / "p", a="import b\n" + CALLS,
+                             b="import c\n" + CLEAN, c=BUGGY)
+        first = AnalysisSession(config).lint_paths([proj])
+
+        def no_parse(source):
+            raise AssertionError("warm pass parsed imports")
+
+        monkeypatch.setattr(analysis_deps, "imported_names", no_parse)
+        s = AnalysisSession(config)
+        again = s.lint_paths([proj])
+        assert again.to_dict() == first.to_dict()
+        assert s.counters["imports_scanned"] == 0
+        assert s.counters["imports_from_cache"] == 3
+        assert s.stats()["session"]["imports_from_cache"] == 3
+
+    def test_bad_import_entries_rescanned(self, tmp_path, config):
+        proj = write_project(tmp_path / "p", a="import b\n" + CALLS,
+                             b="import c\n" + CLEAN, c=BUGGY,
+                             d="import a\n")
+        first = AnalysisSession(config).lint_paths([proj])
+        store = tmp_path / "cache" / "imports"
+        entries = sorted(store.glob("*.json"))
+        assert len(entries) == 4
+        originals = [e.read_bytes() for e in entries]
+        wrong_version = json.loads(entries[0].read_text())
+        wrong_version["schema_version"] += 1
+        entries[0].write_text(json.dumps(wrong_version))
+        entries[1].write_text('{"schema_version": 1, "names": [1]}')
+        entries[2].write_text('{"schema_version": 1, "nam')
+        s = AnalysisSession(config)
+        assert s.lint_paths([proj]).to_dict() == first.to_dict()
+        assert s.counters["imports_scanned"] == 3
+        assert s.counters["imports_from_cache"] == 1
+        assert s.counters["lint_from_cache"] == 4  # fingerprints unchanged
+        assert [e.read_bytes() for e in entries] == originals
+
+    def test_invalidate_all_empties_import_store(self, tmp_path, config):
+        proj = write_project(tmp_path / "p", a="import b\n", b=CLEAN)
+        s = AnalysisSession(config)
+        s.lint_paths([proj])
+        store = tmp_path / "cache" / "imports"
+        assert len(list(store.glob("*.json"))) == 2
+        assert s.invalidate([str(proj / "a.py")]) == 1
+        assert len(list(store.glob("*.json"))) == 2   # path-free entries
+        results = len(s.cache)
+        assert results >= 1
+        assert s.invalidate() == results   # result entries only
+        assert not list(store.glob("*.json"))
+
 
 class TestParallel:
     def test_jobs_output_bit_identical(self, tmp_path):
@@ -428,6 +547,18 @@ class TestServiceProtocol:
         assert lint2["report"] == lint1["report"]
         assert stats["stats"]["session"]["lint_from_cache"] == 1
         assert bye["stopping"]
+
+    def test_lint_response_counts_import_scans(self, tmp_path, config):
+        proj = write_project(tmp_path / "p", a="import b\n", b=CLEAN)
+        cold, warm = self.run(AnalysisSession(config), [
+            {"op": "lint", "paths": [str(proj)]},
+            {"op": "lint", "paths": [str(proj)]},
+        ])
+        assert (cold["imports_scanned"], cold["imports_from_cache"]) == \
+            (2, 0)
+        assert (warm["imports_scanned"], warm["imports_from_cache"]) == \
+            (0, 2)
+        assert (warm["analyzed"], warm["from_cache"]) == (0, 2)
 
     def test_optimize_op_check_semantics(self, tmp_path, config):
         proj = write_project(tmp_path / "p", m=OPTIMIZABLE)
@@ -529,6 +660,13 @@ class TestAnalysisCLI:
              "--cache-dir", cache_dir]) == 0
         assert json.loads(
             capsys.readouterr().out)["invalidated"] == 1
+
+    def test_stats_lists_import_counters(self, tmp_path, capsys):
+        assert analysis_main(
+            ["stats", "--cache-dir", str(tmp_path / "cache")]) == 0
+        session = json.loads(capsys.readouterr().out)["session"]
+        assert session["imports_scanned"] == 0
+        assert session["imports_from_cache"] == 0
 
     def test_lint_json_output(self, tmp_path, capsys):
         proj = write_project(tmp_path / "p", a=BUGGY)

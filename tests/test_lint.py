@@ -3,7 +3,9 @@ relies on (for-loop desugaring, tuple assignment, try/except havoc,
 interprocedural inlining), suppression comments, and the concept-
 conformance pass over ``@where`` call sites."""
 
+import ast
 import json
+import pathlib
 import textwrap
 
 import pytest
@@ -660,3 +662,86 @@ class TestCrashIsolation:
         codes = all_check_codes()
         assert "LINT-INTERNAL" in codes
         assert "LINT-TIMEOUT" in codes
+
+
+# A copy of the per-function predicate the driver used before it learned
+# to collect everything in one walk; the one-walk scan must pick the
+# same functions in the same order.
+def _old_is_lintable(fn):
+    from repro.lint.driver import _container_annotated
+    from repro.stllint.specs import CONTAINER_SPECS
+
+    if any(_container_annotated(a) for a in fn.args.args):
+        return True
+    for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.annotation, ast.Constant)
+            and isinstance(node.annotation.value, str)
+            and node.annotation.value.lower() in CONTAINER_SPECS
+        ):
+            return True
+    return False
+
+
+def _old_scan_module(tree):
+    nodes = list(ast.walk(tree))
+    return (
+        [n for n in nodes
+         if isinstance(n, ast.FunctionDef) and _old_is_lintable(n)],
+        [n for n in nodes if isinstance(n, (ast.Import, ast.ImportFrom))],
+    )
+
+
+NESTED_SRC = '''
+import os
+def outer(x):
+    def inner():
+        try:
+            pass
+        except ValueError:
+            def in_handler():
+                acc: "vector" = make()
+        import json
+    async def coro():
+        v: "list" = make()
+    return inner
+class K:
+    def meth(self, v: "deque"):
+        match v:
+            case 1:
+                def in_case():
+                    w: "vector" = make()
+            case _:
+                from os import path as os
+def plain(x):
+    lam = lambda: x
+    return lam
+'''
+
+
+class TestOneWalkScan:
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+    DIRS = (ROOT / "src" / "repro", ROOT / "examples")
+
+    def test_scan_matches_per_function_walks(self):
+        from repro.lint.driver import _scan_module, discover_files
+
+        sources = [NESTED_SRC] + [
+            f.read_text() for f in discover_files(self.DIRS)]
+        for source in sources:
+            tree = ast.parse(source)
+            assert _scan_module(tree) == _old_scan_module(tree)
+        tree = ast.parse(NESTED_SRC)
+        names = [f.name for f in _scan_module(tree)[0]]
+        assert names == ["outer", "inner", "meth", "in_handler", "in_case"]
+
+    def test_reports_match_per_function_walks(self, monkeypatch):
+        from repro.analysis import AnalysisSession
+        from repro.lint import driver as lint_driver
+
+        new = AnalysisSession().lint_paths(self.DIRS).to_dict()
+        monkeypatch.setattr(lint_driver, "_scan_module", _old_scan_module)
+        old = AnalysisSession().lint_paths(self.DIRS).to_dict()
+        assert new == old
+        assert new["summary"]["functions_checked"] > 0
