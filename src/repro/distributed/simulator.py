@@ -86,6 +86,9 @@ class Simulator:
         #: rank -> construction-time state snapshot, taken before on_start
         #: for every churned rank (recovery = restore + on_recover).
         self._churn_snapshots: dict[int, dict] = {}
+        #: rank -> the one Context every event of that rank is handed
+        #: during a run (emptied when run() returns).
+        self._contexts: dict[int, Context] = {}
 
     # -- internal API used by Context ----------------------------------------
 
@@ -174,7 +177,12 @@ class Simulator:
     # -- execution -------------------------------------------------------------
 
     def _context(self, rank: int) -> Context:
-        return Context(self, rank)
+        # A Context holds only (simulator, rank), so one per rank can
+        # serve every event of the run.
+        ctx = self._contexts.get(rank)
+        if ctx is None:
+            ctx = self._contexts[rank] = Context(self, rank)
+        return ctx
 
     def _deliver(self, msg: Message) -> None:
         if self.failures.crashed(msg.dst, self.now) or msg.dst in self._halted:
@@ -216,15 +224,20 @@ class Simulator:
             self.tracer if self.tracer is not None else _trace.ACTIVE
         )
         tr = self._tracer
-        if tr is None:
-            return self._run()
-        with tr.span("sim.run", cat="sim", n=self.topology.n,
-                     timing=type(self.timing).__name__) as sp:
-            metrics = self._run()
-            sp.set("messages", metrics.messages_sent)
-            sp.set("rounds", metrics.rounds)
-            sp.set("truncated", metrics.truncated)
-        return metrics
+        try:
+            if tr is None:
+                return self._run()
+            with tr.span("sim.run", cat="sim", n=self.topology.n,
+                         timing=type(self.timing).__name__) as sp:
+                metrics = self._run()
+                sp.set("messages", metrics.messages_sent)
+                sp.set("rounds", metrics.rounds)
+                sp.set("truncated", metrics.truncated)
+            return metrics
+        finally:
+            # Each Context points back at this simulator: dropping them
+            # here leaves no cycle for the garbage collector to find.
+            self._contexts.clear()
 
     def _recover(self, rank: int) -> None:
         """Revive a churned process: state rolls back to the construction

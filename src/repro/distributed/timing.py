@@ -12,6 +12,7 @@ synchronous delay is arbitrary but bounded by Δ.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -34,8 +35,6 @@ class Synchronous(TimingModel):
 
     def delay(self, msg: Message, now: float) -> float:
         # Deliver at the next integer round boundary.
-        import math
-
         nxt = math.floor(now) + 1.0
         return nxt - now
 
