@@ -2,7 +2,8 @@
 
 The tentpole claim of ``repro.analysis`` is that whole-program linting
 becomes *incremental*: a warm re-run costs hashing plus cache reads, an
-edit re-analyzes only the edited file and its transitive dependents, and
+edit re-analyzes only the edited file and the files whose analysis reads
+it (see ``repro.analysis.deps``), and
 the worker pool changes wall time but never output.  This bench checks
 all three on a synthetic project (pytest mode) and on a scratch copy of
 ``src/repro`` itself (standalone mode), plus a smoke pass over the
@@ -13,8 +14,9 @@ Standalone mode (the CI analysis-service smoke job)::
     PYTHONPATH=src python benchmarks/bench_analysis_service.py --quick
 
 writes ``benchmarks/out/analysis_service.json`` and exits nonzero if a
-warm run re-analyzes anything, an edit re-analyzes more than the edited
-file plus its dependents, or parallel findings differ from serial.
+warm run re-analyzes anything, an edit re-analyzes other than the edited
+file plus the files that read it, a served report differs from a
+cacheless lint, or parallel findings differ from serial.
 """
 
 import io
@@ -55,6 +57,15 @@ def purge_{i}(students: "vector", fails: "vector"):
             students.remove(s)
 '''
 
+READER = '''
+import helpers
+
+
+@helpers.grade(1)
+def hook():
+    pass
+'''
+
 
 def make_project(root: pathlib.Path, n_leaves: int) -> None:
     root.mkdir(parents=True, exist_ok=True)
@@ -78,7 +89,7 @@ def run_cycle(config, paths):
 
 def test_cold_warm_edit_cycle(record):
     """Cold analyzes all; warm analyzes none; an edit re-analyzes the
-    edited file plus exactly its transitive dependents."""
+    edited file plus exactly the files whose reads reach it."""
     n = 8
     with tempfile.TemporaryDirectory(prefix="bench-svc-") as td:
         root = pathlib.Path(td) / "proj"
@@ -102,13 +113,26 @@ def test_cold_warm_edit_cycle(record):
         assert c_leaf["lint_analyzed"] == 1
         assert c_leaf["lint_from_cache"] == n
 
-        # Edit the shared helper: every leaf imports it, so the whole
-        # project re-analyzes — transitive invalidation, no index.
+        # Edit the shared helper: every leaf imports it, but linting a
+        # leaf reads nothing from it (no decorator resolves through an
+        # import), so only the helper re-analyzes.
         helper = root / "helpers.py"
         helper.write_text(helper.read_text() + "\n# touched\n")
-        _, c_helper, _ = run_cycle(config, [root])
-        assert c_helper["lint_analyzed"] == n + 1
-        assert c_helper["lint_from_cache"] == 0
+        after_helper, c_helper, _ = run_cycle(config, [root])
+        assert c_helper["lint_analyzed"] == \
+            _expected_dirty(_files(root), helper) == 1
+        assert c_helper["lint_from_cache"] == n
+
+        # A module that reads the helper through a decorator re-analyzes
+        # with it, and nothing else does.
+        (root / "reader.py").write_text(READER)
+        run_cycle(config, [root])
+        helper.write_text(helper.read_text() + "\n# touched again\n")
+        after_reader, c_reader, _ = run_cycle(config, [root])
+        assert c_reader["lint_analyzed"] == \
+            _expected_dirty(_files(root), helper) == 2
+        uncached, _, _ = run_cycle(AnalysisConfig(), [root])
+        assert after_reader.to_dict() == uncached.to_dict()
 
     record(
         "analysis_service_cycle",
@@ -122,7 +146,9 @@ def test_cold_warm_edit_cycle(record):
         f"{c_leaf['lint_from_cache']} from cache "
         f"in {t_leaf * 1e3:.1f} ms\n"
         f"  helper edit: {c_helper['lint_analyzed']} re-analyzed "
-        "(every leaf depends on it)",
+        "(every leaf imports it, none reads it)\n"
+        f"  helper edit with a reader: {c_reader['lint_analyzed']} "
+        "re-analyzed (the helper and the module that reads it)",
     )
 
 
@@ -186,27 +212,32 @@ def test_protocol_smoke():
 # ---------------------------------------------------------------------------
 
 
+def _files(root: pathlib.Path) -> list:
+    from repro.lint.driver import discover_files
+
+    return discover_files([root])
+
+
 def _expected_dirty(files, edited: pathlib.Path) -> int:
-    """1 + the number of files whose transitive imports reach ``edited``."""
-    sources = {}
+    """1 + the number of files whose read-name closure reaches
+    ``edited``: the files their read names match, and everything those
+    import, transitively."""
+    scans = {}
     for f in files:
         try:
-            sources[f] = f.read_text(encoding="utf-8")
+            scans[f] = analysis_deps.scan_imports(
+                f.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError):
             pass
-    graph = analysis_deps.dependency_graph(list(sources), sources)
-    closure = analysis_deps.transitive_closure(graph)
+    graph = analysis_deps.dependency_graph(scans, lambda f: scans[f][0])
+    reads = analysis_deps.dependency_graph(scans, lambda f: scans[f][1])
     edited = edited.resolve()
-    return 1 + sum(
-        1 for f, deps in closure.items()
-        if f != edited and edited in deps
-    )
+    return 1 + sum(edited in analysis_deps.reachable(graph, reads[f])
+                   for f in scans if f != edited)
 
 
 def _measure() -> dict:
     """Cold -> warm -> one-file-edit over a scratch copy of src/repro."""
-    from repro.lint.driver import discover_files
-
     result = {"workload": "copy of src/repro"}
     with tempfile.TemporaryDirectory(prefix="bench-svc-") as td:
         tree = pathlib.Path(td) / "repro"
@@ -217,12 +248,12 @@ def _measure() -> dict:
         cold, c_cold, t_cold = run_cycle(config, [tree])
         warm, c_warm, t_warm = run_cycle(config, [tree])
 
-        # Touch one real module; only it and its transitive importers
-        # may re-analyze.
+        # Touch one real module; only it and the files whose read-name
+        # closure reaches it may re-analyze.
         edited = tree / "optimize" / "cli.py"
         edited.write_text(edited.read_text(encoding="utf-8")
                           + "\n# touched by bench\n", encoding="utf-8")
-        files = discover_files([tree])
+        files = _files(tree)
         expected_dirty = _expected_dirty(files, edited)
         after, c_edit, t_edit = run_cycle(config, [tree])
 
@@ -245,6 +276,7 @@ def _measure() -> dict:
         result["serial_ms"] = t_serial * 1e3
         result["parallel_ms"] = t_parallel * 1e3
         result["parallel_identical"] = serial.to_json() == parallel.to_json()
+        result["edit_identical"] = after.to_dict() == serial.to_dict()
 
         # Protocol smoke against the warmed cache.
         in_stream = io.StringIO("\n".join(json.dumps(r) for r in [
@@ -269,6 +301,7 @@ def _measure() -> dict:
         and result["warm_hits"] == result["files"]
         and result["warm_analyzed"] == 0
         and result["edit_analyzed"] == result["edit_expected_dirty"]
+        and result["edit_identical"]
         and result["edit_analyzed"] < result["files"]
         and result["parallel_identical"]
         and result["protocol_ok"]
@@ -283,8 +316,9 @@ def _render(m: dict) -> str:
         f"warm: {m['warm_ms']:.1f} ms ({m['warm_hits']} hits)   "
         f"edit: {m['edit_ms']:.1f} ms",
         f"  one-file edit re-analyzed {m['edit_analyzed']} file(s) "
-        f"(expected {m['edit_expected_dirty']}: the file + its "
-        "transitive importers)",
+        f"(expected {m['edit_expected_dirty']}: the file + the files "
+        "whose reads reach it); served report equals a cacheless lint: "
+        f"{m['edit_identical']}",
         f"  serial {m['serial_ms']:.1f} ms vs 2 workers "
         f"{m['parallel_ms']:.1f} ms — identical output: "
         f"{m['parallel_identical']}",
@@ -309,8 +343,9 @@ def main(argv=None) -> int:
     print(f"summary written to {args.json}")
     if not m["ok"]:
         print("FAIL: warm run re-analyzed files, edit invalidation drifted "
-              "from the dependency closure, parallel output diverged, or "
-              "the protocol smoke failed")
+              "from the read-name closure, a served report differed from "
+              "a cacheless lint, parallel output diverged, or the "
+              "protocol smoke failed")
         return 1
     return 0
 

@@ -6,28 +6,30 @@ result for one file is a pure function of
 - the file's **content hash**,
 - the **config fingerprint** (engine + the semantic knobs, see
   :meth:`repro.analysis.config.AnalysisConfig.fingerprint`),
-- the **dependency fingerprint** (the content hashes of the file's
-  transitive same-project imports, see :mod:`repro.analysis.deps`), and
+- the **dependency fingerprint** (the content hashes of the
+  same-project files the analysis reads through the concept pass's
+  imports, and of their transitive imports, see
+  :mod:`repro.analysis.deps`), and
 - the **schema version** of the serialized payload,
 
 so all four are folded into the cache *key*.  Invalidation is therefore
 by construction, never by bookkeeping: editing a file, switching
 engines, changing a semantically relevant knob, upgrading the payload
-schema, or editing any transitive callee's module each produce a
+schema, or editing a module the analysis reads each produce a
 different key, and the stale entry is simply never looked up again.
 There is no mutable index to corrupt and no coherence protocol to get
 wrong — the only delete paths are the explicit ``invalidate`` operation
 and the discard of an entry that fails schema validation on read.
 
-The dependency fingerprint itself needs every file's import names, and
-those are cached the same way, under ``imports/<content-sha256>.json``.
-An import list is a pure function of the file's bytes, so its key holds
-nothing else — no path, no config, no dependencies — and the store is
-not an index either: an entry can be missing (the file is scanned again)
-but never stale, because different bytes have a different name.  Two
-files with equal bytes share one entry, which is correct for the same
-reason.  A warm pass therefore parses only the files whose bytes
-changed.
+The dependency fingerprint itself needs every file's imported and read
+names, and those are cached the same way, under
+``imports/<content-sha256>.json``.  Both lists are a pure function of
+the file's bytes, so the key holds nothing else — no path, no config,
+no dependencies — and the store is not an index either: an entry can be
+missing (the file is scanned again) but never stale, because different
+bytes have a different name.  Two files with equal bytes share one
+entry, which is correct for the same reason.  A warm pass therefore
+parses only the files whose bytes changed.
 
 Entries are single JSON files written atomically (temp file +
 ``os.replace``) with sorted keys, so concurrent writers (worker
@@ -99,7 +101,7 @@ def reset_stats() -> None:
 
 
 #: Version of the ``imports/`` entry format; any other value is discarded.
-IMPORTS_SCHEMA_VERSION = 1
+IMPORTS_SCHEMA_VERSION = 2
 
 
 def content_hash(data: bytes) -> str:
@@ -171,10 +173,13 @@ class AnalysisCache:
     def _imports_path(self, content_sha: str) -> pathlib.Path:
         return self.root / "imports" / f"{content_sha}.json"
 
-    def get_imports(self, content_sha: str) -> Optional[list[str]]:
-        """The stored import names of the file whose bytes hash to
-        ``content_sha``, or ``None``.  An entry of another version or
-        shape is discarded, never half-read."""
+    def get_imports(
+        self, content_sha: str,
+    ) -> Optional[tuple[list[str], list[str]]]:
+        """The stored ``(imported, read)`` names (see
+        :func:`repro.analysis.deps.scan_imports`) of the file whose bytes
+        hash to ``content_sha``, or ``None``.  An entry of another
+        version or shape is discarded, never half-read."""
         path = self._imports_path(content_sha)
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
@@ -184,18 +189,21 @@ class AnalysisCache:
             entry = None
         if isinstance(entry, dict) \
                 and entry.get("schema_version") == IMPORTS_SCHEMA_VERSION:
-            names = entry.get("names")
-            if isinstance(names, list) \
-                    and all(isinstance(n, str) for n in names):
-                return names
+            scan = entry.get("names"), entry.get("reads")
+            if all(isinstance(names, list)
+                   and all(isinstance(n, str) for n in names)
+                   for names in scan):
+                return scan
         with contextlib.suppress(OSError):
             path.unlink()
         return None
 
-    def put_imports(self, content_sha: str, names: Iterable[str]) -> None:
+    def put_imports(self, content_sha: str,
+                    scan: tuple[Iterable[str], Iterable[str]]) -> None:
         _write_atomic(self._imports_path(content_sha), {
             "schema_version": IMPORTS_SCHEMA_VERSION,
-            "names": sorted(names),
+            "names": sorted(scan[0]),
+            "reads": sorted(scan[1]),
         })
 
     # -- maintenance ---------------------------------------------------------

@@ -1,27 +1,50 @@
 """Same-project import dependencies, for cross-file cache invalidation.
 
-STLlint's interprocedural reasoning is summary-based
-(:mod:`repro.stllint.summaries`): a caller's findings can depend on the
-bodies of the functions it calls.  Today those summaries are scoped to
-one module, but a *sound* cache has to be built for the day they cross
-files — so a file's cache key folds in a **dependency fingerprint**: the
-content hashes of every file it (transitively) imports from within the
-analyzed project.  Editing a callee's module then changes the dependency
-fingerprint of every direct and transitive importer, forcing exactly
-those files to re-analyze while the rest of the project stays warm.
+A cached lint or optimize result must change when anything it read
+changes.  Within its own file that is the content hash; across files a
+result reads exactly one thing.  The concept pass
+(:mod:`repro.lint.concept_pass`) imports, with :mod:`importlib`, the
+modules named by the linted file's absolute imports, to resolve
+``@where`` decorators, their concepts and the classes built at call
+sites.  It does so only when
+:func:`~repro.lint.concept_pass.reads_imports` holds: a top-level
+``def`` has a call decorator rooted at an import alias.  Otherwise it
+returns before resolving any name.  STLlint's interprocedural summaries
+are module-local (:func:`repro.stllint.interpreter.module_function_table`),
+and the optimizer reads other modules only through the lint it runs to
+verify its rewrites, which add no imports or decorators.
+
+So a file's **read names** are all of its imported names when the
+predicate holds, and none otherwise (:func:`scan_imports`).  Importing a
+module runs it, and with it everything it imports, so a file's
+**dependency fingerprint** folds in the content hashes of its read
+names' files and of their transitive imports.  A file that reads
+nothing gets the empty fingerprint.  Editing a module re-analyzes it and
+only those files whose read names reach it; a comment edit to a hub
+that many files import, none of them through a resolvable decorator,
+re-analyzes the hub alone.  The predicate is the concept pass's own
+gate, so widening what the pass resolves widens the keys with it.
+
+A ``@where`` user that imports ``where`` relatively (``from .where
+import where``, as the library's own algorithms do) reads nothing: the
+concept pass never resolves relative imports, so such call sites go
+unchecked, with or without the cache.  That false negative predates the
+narrower keys.
 
 Resolution is deliberately an **over-approximation**: an import is
 matched against every dotted-suffix spelling of every file in the
 analyzed set (``src/repro/lint/driver.py`` answers to
-``repro.lint.driver``, ``lint.driver`` and ``driver``), and relative
-imports are matched by their trailing module names.  A false edge only
-costs an unnecessary re-analysis; a missed edge would serve stale
-results — so ties break toward more invalidation.
+``repro.lint.driver``, ``lint.driver`` and ``driver``), relative
+imports are matched by their trailing module names, and importing
+``a.b`` also names ``a``.  A false edge only costs an unnecessary
+re-analysis; a missed edge would serve stale results, so ties break
+toward more invalidation.  Modules the import system finds outside the
+analyzed set are not tracked.
 
-A file's import names depend on its bytes alone, so a caller with a
-store of them (the analysis session keeps one in its cache directory,
-see :mod:`repro.analysis.cache`) passes ``names_of`` and only the files
-it has not seen before get parsed.
+A file's names depend on its bytes alone, so a caller with a store of
+them (the analysis session keeps one in its cache directory, see
+:mod:`repro.analysis.cache`) passes a ``scan_of`` that parses only the
+files it has not seen before.
 """
 
 from __future__ import annotations
@@ -29,7 +52,9 @@ from __future__ import annotations
 import ast
 import hashlib
 import pathlib
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
+
+from repro.lint.concept_pass import reads_imports
 
 #: Registering every dotted suffix of a deep path would be quadratic in
 #: path depth for no benefit; real imports rarely spell more than this
@@ -55,45 +80,47 @@ def module_aliases(path: pathlib.Path) -> set[str]:
     return aliases
 
 
-def imported_names(source: str) -> set[str]:
-    """Dotted names mentioned by ``import``/``from-import`` statements,
-    including the ``from X import Y`` spelling of submodule imports.
+def scan_imports(source: str) -> tuple[set[str], set[str]]:
+    """A file's ``(imported, read)`` dotted names, from one parse.
+
+    *Imported* names are what executing the file imports: every name an
+    ``import``/``from-import`` statement spells, with its dotted prefixes
+    (importing ``a.b`` runs ``a`` first) and the ``from X import Y``
+    spelling of submodule imports.  *Read* names are what linting the
+    file imports: all of them when
+    :func:`~repro.lint.concept_pass.reads_imports` holds, none otherwise.
     Unparseable sources import nothing (the parse error itself is the
     analysis result, and it only depends on the file's own content)."""
     try:
         tree = ast.parse(source)
     except SyntaxError:
-        return set()
+        return set(), set()
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
     names: set[str] = set()
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
+            dotted = [alias.name for alias in node.names]
+        else:
             base = node.module or ""
-            if base:
-                names.add(base)
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                names.add(f"{base}.{alias.name}" if base else alias.name)
-    return names
+            dotted = [f"{base}.{a.name}" if base else a.name
+                      for a in node.names if a.name != "*"] + [base]
+        for name in filter(None, dotted):
+            parts = name.split(".")
+            names.update(".".join(parts[:n])
+                         for n in range(1, len(parts) + 1))
+    return names, set(names) if reads_imports(tree, imports) else set()
 
 
-#: Maps a file to the names it imports (see :func:`imported_names`).
+#: Maps a file to one of its name sets (see :func:`scan_imports`).
 NamesOf = Callable[[pathlib.Path], Iterable[str]]
 
 
 def dependency_graph(
-    files: Iterable[pathlib.Path], sources: dict[pathlib.Path, str],
-    names_of: Optional[NamesOf] = None,
+    files: Iterable[pathlib.Path], names_of: NamesOf,
 ) -> dict[pathlib.Path, set[pathlib.Path]]:
-    """Direct same-project import edges among ``files`` (file -> files it
-    imports).  ``sources`` maps each file to its already-read text;
-    ``names_of``, when given, answers in place of parsing it."""
-    if names_of is None:
-        def names_of(f: pathlib.Path) -> Iterable[str]:
-            return imported_names(sources.get(f, ""))
+    """Same-project import edges among ``files``: each file maps to the
+    other files that its ``names_of`` names match."""
     alias_to_files: dict[str, set[pathlib.Path]] = {}
     files = list(files)
     for f in files:
@@ -109,50 +136,43 @@ def dependency_graph(
     return graph
 
 
-def transitive_closure(
-    graph: dict[pathlib.Path, set[pathlib.Path]],
-) -> dict[pathlib.Path, set[pathlib.Path]]:
-    """Reachability (excluding the node itself unless it sits on a
-    cycle); iterative DFS, robust to import cycles."""
-    closure: dict[pathlib.Path, set[pathlib.Path]] = {}
-    for start in graph:
-        seen: set[pathlib.Path] = set()
-        stack = list(graph[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
+def reachable(graph, roots: Iterable) -> set:
+    """``roots`` and every node reachable from them; iterative DFS,
+    robust to import cycles."""
+    seen: set = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
             seen.add(node)
-            stack.extend(graph.get(node, ()))
-        closure[start] = seen
-    return closure
+            stack.extend(graph[node])
+    return seen
 
 
 def dependency_fingerprints(
     files: Iterable[pathlib.Path],
-    sources: dict[pathlib.Path, str],
     hashes: dict[pathlib.Path, str],
-    names_of: Optional[NamesOf] = None,
+    scan_of: Callable[[pathlib.Path], tuple[Iterable[str], Iterable[str]]],
 ) -> dict[pathlib.Path, str]:
     """Per-file digest over the (path-stem, content-hash) pairs of the
-    file's transitive same-project imports.  Stems rather than full
-    paths keep the fingerprint stable when the same tree is analyzed
-    from a different working directory.  ``names_of`` is passed on to
-    :func:`dependency_graph`; it changes what is parsed, never the
-    digest."""
-    graph = dependency_graph(files, sources, names_of)
-    # The closure runs over indices: ints hash in C, paths in Python.
+    files linting it reads: its read names' files and everything they
+    import, transitively; ``""`` when it reads none.  Stems rather than
+    full paths keep the fingerprint stable when the same tree is
+    analyzed from a different working directory.  ``scan_of`` gives a
+    file's :func:`scan_imports`, from a store or a fresh parse alike."""
+    scans = {f: scan_of(f) for f in files}
+    graph = dependency_graph(scans, lambda f: scans[f][0])
+    reads = dependency_graph(scans, lambda f: scans[f][1])
+    # The search runs over indices: ints hash in C, paths in Python.
     nodes = list(graph)
     index = {f: i for i, f in enumerate(nodes)}
-    closure = transitive_closure(
-        {index[f]: {index[d] for d in deps} for f, deps in graph.items()})
+    edges = [[index[d] for d in graph[f]] for f in nodes]
     items = [f"{f.name}:{hashes.get(f, '')}" for f in nodes]
     out: dict[pathlib.Path, str] = {}
-    for i, deps in closure.items():
-        if not deps:
-            out[nodes[i]] = ""
-            continue
-        blob = "\x1f".join(
-            sorted(items[d] for d in deps if d != i)).encode("utf-8")
-        out[nodes[i]] = hashlib.sha256(blob).hexdigest()[:16]
+    for i, f in enumerate(nodes):
+        deps = reachable(edges, [index[d] for d in reads[f]])
+        deps.discard(i)
+        out[f] = hashlib.sha256("\x1f".join(
+            sorted(items[d] for d in deps)).encode("utf-8")
+        ).hexdigest()[:16] if deps else ""
     return out

@@ -8,8 +8,9 @@ two things a *service* needs that a batch CLI does not:
 
 - **incrementality** — per-file results are served from the
   content-hash-keyed on-disk cache (:mod:`repro.analysis.cache`) when
-  the file, its transitive same-project imports, the engine, and the
-  semantic config are all unchanged;
+  the file, the same-project modules its analysis reads (see
+  :mod:`repro.analysis.deps`), the engine, and the semantic config are
+  all unchanged;
 - **parallelism** — cache misses are sharded across a
   ``multiprocessing`` pool (``config.jobs``), and because every file's
   analysis is independent and results are merged back in discovery
@@ -149,21 +150,22 @@ class AnalysisSession:
             if read is not None:
                 sources[f], hashes[f] = read
         fingerprints = _deps.dependency_fingerprints(
-            list(sources), sources, hashes,
-            names_of=lambda f: self._imports_of(sources[f], hashes[f]))
+            list(sources), hashes,
+            lambda f: self._imports_of(sources[f], hashes[f]))
         return sources, hashes, fingerprints
 
     def _imports_of(self, source: str, sha: str):
-        """A file's import names, from the content-addressed import store
-        when its bytes were scanned before, else parsed and stored."""
-        names = self.cache.get_imports(sha)
-        if names is not None:
+        """A file's imported and read names, from the content-addressed
+        import store when its bytes were scanned before, else parsed and
+        stored."""
+        scan = self.cache.get_imports(sha)
+        if scan is not None:
             self.counters["imports_from_cache"] += 1
-            return names
-        names = _deps.imported_names(source)
+            return scan
+        scan = _deps.scan_imports(source)
         self.counters["imports_scanned"] += 1
-        self.cache.put_imports(sha, names)
-        return names
+        self.cache.put_imports(sha, scan)
+        return scan
 
     def _get_cached(self, kind: str, path: pathlib.Path, sha: str,
                     deps_fp: str, source: Optional[str] = None):

@@ -104,6 +104,35 @@ class _ImportMap:
         except Exception:  # noqa: BLE001 - unresolvable import: skip
             return None
 
+    def may_import(self, tree: ast.Module) -> bool:
+        """Whether :func:`run_concept_pass` may import anything for
+        ``tree``: some top-level ``def`` has a call decorator whose
+        callee is rooted at one of this map's aliases.  Otherwise no
+        decorator resolves to ``@where`` and the pass returns before it
+        resolves any other name."""
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    if isinstance(dec, ast.Call) \
+                            and _root_name(dec.func) in self._entries:
+                        return True
+        return False
+
+
+def _root_name(node: ast.expr) -> Optional[str]:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def reads_imports(tree: ast.Module, imports: Iterable[ast.stmt]) -> bool:
+    """Whether linting ``tree`` may import the modules its ``imports``
+    (its ``Import``/``ImportFrom`` nodes in :func:`ast.walk` order) name.
+    This is everything the lint driver reads from other modules, so the
+    analysis cache keys a file's results on its imports only when this
+    holds (see :mod:`repro.analysis.deps`)."""
+    return _ImportMap(imports).may_import(tree)
+
 
 def _where_functions() -> tuple[Any, Any]:
     from repro.concepts.where import where, where_multi
@@ -199,6 +228,8 @@ def run_concept_pass(
         imports = [node for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom))]
     imports = _ImportMap(imports)
+    if not imports.may_import(tree):
+        return []
     constrained: dict[str, _WhereInfo] = {}
     for node in tree.body:
         if not isinstance(node, ast.FunctionDef):

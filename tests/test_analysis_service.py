@@ -76,6 +76,24 @@ def write_project(root, **modules):
     return root
 
 
+def read_fingerprint_deps(files):
+    """Reference for the cache's dependency keys, from a fresh parse of
+    every file: the files its read names match, plus everything those
+    import, transitively (the file itself excluded)."""
+    scans = {f: analysis_deps.scan_imports(f.read_text()) for f in files}
+    graph = analysis_deps.dependency_graph(files, lambda f: scans[f][0])
+    reads = analysis_deps.dependency_graph(files, lambda f: scans[f][1])
+    return {f: analysis_deps.reachable(graph, reads[f]) - {f}
+            for f in files}
+
+
+def expected_dirty(files, edited):
+    """1 + every file whose read-name closure reaches ``edited``."""
+    edited = edited.resolve()
+    deps = read_fingerprint_deps([f.resolve() for f in files])
+    return 1 + sum(edited in d for d in deps.values())
+
+
 class TestSessionCaching:
     def test_cold_then_warm(self, tmp_path, config):
         proj = write_project(tmp_path / "p", a=BUGGY, b=CLEAN)
@@ -131,29 +149,33 @@ class TestSessionCaching:
 
     def test_transitive_dep_edit_invalidates_importers(self, tmp_path,
                                                        config):
-        """a imports b imports c: editing c re-analyzes all three;
-        editing a re-analyzes only a."""
+        """a imports b imports c, and r reads b through a decorator:
+        editing c re-analyzes c and r, whose read closure reaches it;
+        the plain importers a and b stay cached.  Editing a re-analyzes
+        only a.  Every served report equals a cacheless lint."""
         proj = write_project(
             tmp_path / "p",
             a="import b\n" + CLEAN,
             b="import c\n" + CLEAN.replace("total", "total_b"),
             c=CLEAN.replace("total", "total_c"),
+            r="import b\n\n@b.deco(1)\ndef hook():\n    pass\n" + CALLS,
             lone=BUGGY,
         )
         AnalysisSession(config).lint_paths([proj])
 
-        (proj / "c.py").write_text(
-            CLEAN.replace("total", "total_c") + "\n# touched\n")
-        s = AnalysisSession(config)
-        s.lint_paths([proj])
-        assert s.counters["lint_analyzed"] == 3   # a, b, c
-        assert s.counters["lint_from_cache"] == 1  # lone
-
-        (proj / "a.py").write_text("import b\n" + CLEAN + "\n# touched\n")
-        s = AnalysisSession(config)
-        s.lint_paths([proj])
-        assert s.counters["lint_analyzed"] == 1
-        assert s.counters["lint_from_cache"] == 3
+        for name, text in (
+                ("c", CLEAN.replace("total", "total_c") + "\n# touched\n"),
+                ("a", "import b\n" + CLEAN + "\n# touched\n")):
+            (proj / f"{name}.py").write_text(text)
+            files = sorted(proj.glob("*.py"))
+            s = AnalysisSession(config)
+            report = s.lint_paths([proj])
+            dirty = expected_dirty(files, proj / f"{name}.py")
+            assert dirty == {"c": 2, "a": 1}[name]
+            assert s.counters["lint_analyzed"] == dirty
+            assert s.counters["lint_from_cache"] == len(files) - dirty
+            assert report.to_dict() == \
+                AnalysisSession().lint_paths([proj]).to_dict()
 
     def test_identical_content_files_do_not_alias(self, tmp_path, config):
         proj = write_project(tmp_path / "p", a=BUGGY, b=BUGGY)
@@ -322,8 +344,9 @@ class TestSchema:
 class TestDeps:
     def test_imported_names_and_aliases(self, tmp_path):
         src = "import x.y\nfrom a.b import c\n"
-        assert "x.y" in analysis_deps.imported_names(src)
-        assert "a.b.c" in analysis_deps.imported_names(src)
+        names, reads = analysis_deps.scan_imports(src)
+        assert {"x", "x.y", "a", "a.b", "a.b.c"} <= names
+        assert reads == set()      # no decorator: linting imports nothing
         f = tmp_path / "pkg" / "mod.py"
         f.parent.mkdir()
         f.write_text("")
@@ -334,41 +357,27 @@ class TestDeps:
         proj = write_project(tmp_path / "p",
                              a="import b\n", b="import a\n")
         files = [proj / "a.py", proj / "b.py"]
-        sources = {f: f.read_text() for f in files}
-        graph = analysis_deps.dependency_graph(files, sources)
-        closure = analysis_deps.transitive_closure(graph)
-        a, b = (f.resolve() for f in files)
-        assert b in closure[a] and a in closure[b]
+        scans = {f: analysis_deps.scan_imports(f.read_text())
+                 for f in files}
+        graph = analysis_deps.dependency_graph(
+            files, lambda f: scans[f][0])
+        a, b = files
+        assert graph == {a: {b}, b: {a}}
+        assert analysis_deps.reachable(graph, graph[a]) == {a, b}
 
     @staticmethod
     def fresh_fingerprints(files):
-        """Reference: the fingerprint algorithm before the import store
-        (parse every file, close over paths), kept verbatim so that the
-        digests, and with them every cache key, stay byte-identical."""
+        """Reference: parse every file afresh and digest the (name,
+        content hash) pairs of its read closure."""
         import hashlib
 
-        sources = {f: f.read_text() for f in files}
-        hashes = {f: analysis_cache.content_hash(f.read_bytes())
-                  for f in files}
-        alias_to_files = {}
-        for f in files:
-            for alias in analysis_deps.module_aliases(f):
-                alias_to_files.setdefault(alias, set()).add(f)
-        graph = {}
-        for f in files:
-            graph[f] = {
-                target
-                for name in analysis_deps.imported_names(sources[f])
-                for target in alias_to_files.get(name, ()) if target != f}
         out = {}
-        for f, deps in analysis_deps.transitive_closure(graph).items():
-            if not deps:
-                out[f] = ""
-                continue
+        for f, deps in read_fingerprint_deps(files).items():
             items = sorted(
-                f"{d.name}:{hashes.get(d, '')}" for d in deps if d != f)
-            blob = "\x1f".join(items).encode("utf-8")
-            out[f] = hashlib.sha256(blob).hexdigest()[:16]
+                f"{d.name}:{analysis_cache.content_hash(d.read_bytes())}"
+                for d in deps)
+            out[f] = hashlib.sha256("\x1f".join(items).encode(
+                "utf-8")).hexdigest()[:16] if items else ""
         return out
 
     def test_store_fingerprints_equal_fresh_parse(self, tmp_path, config):
@@ -383,11 +392,11 @@ class TestDeps:
                         ignore=shutil.ignore_patterns("__pycache__"))
         files = discover_files([tree])
         graph = analysis_deps.dependency_graph(
-            files, {f: f.read_text() for f in files})
+            files, lambda f: analysis_deps.scan_imports(f.read_text())[0])
         # An import cycle puts a file in its own closure, which the
         # digest must leave out.
-        closure = analysis_deps.transitive_closure(graph)
-        assert any(f in deps for f, deps in closure.items())
+        assert any(f in analysis_deps.reachable(graph, graph[f])
+                   for f in files)
         # Cold store: each distinct content is scanned once (equal bytes
         # share an entry).  Warm store: nothing is scanned.
         distinct = len({f.read_bytes() for f in files})
@@ -399,15 +408,29 @@ class TestDeps:
             assert session.counters["imports_from_cache"] == \
                 len(files) - scanned
 
-        # a hub edit: the most-imported module gains an import
+        # A hub edit (the most-imported module gains an import) changes
+        # no fingerprint: no file reads the hub through a decorator.
         hub = max(files, key=lambda f: sum(f in d for d in graph.values()))
         before = self.fresh_fingerprints(files)
         hub.write_text(hub.read_text() + "\nimport repro.lint.driver\n")
         session = AnalysisSession(config)
         _, _, fingerprints = session._project_state(files)
-        assert fingerprints == self.fresh_fingerprints(files)
-        assert fingerprints != before
+        assert fingerprints == self.fresh_fingerprints(files) == before
         assert session.counters["imports_scanned"] == 1
+        # A leaf that starts reading the hub does change, and so does
+        # its fingerprint after the next hub edit.
+        leaf = next(f for f in files
+                    if not any(f in d for d in graph.values()))
+        dotted = ".".join(hub.relative_to(tree.parent).with_suffix("").parts)
+        dotted = dotted.removesuffix(".__init__")
+        leaf.write_text(leaf.read_text() + f"\nimport {dotted}\n\n"
+                        f"@{dotted}.anything()\ndef _hook():\n    pass\n")
+        _, _, reading = AnalysisSession(config)._project_state(files)
+        assert reading[leaf] and reading == self.fresh_fingerprints(files)
+        hub.write_text(hub.read_text() + "\n# touched\n")
+        _, _, edited = AnalysisSession(config)._project_state(files)
+        assert edited == self.fresh_fingerprints(files)
+        assert [f for f in files if edited[f] != reading[f]] == [leaf]
 
     def test_warm_pass_scans_nothing(self, tmp_path, config, monkeypatch):
         proj = write_project(tmp_path / "p", a="import b\n" + CALLS,
@@ -417,7 +440,7 @@ class TestDeps:
         def no_parse(source):
             raise AssertionError("warm pass parsed imports")
 
-        monkeypatch.setattr(analysis_deps, "imported_names", no_parse)
+        monkeypatch.setattr(analysis_deps, "scan_imports", no_parse)
         s = AnalysisSession(config)
         again = s.lint_paths([proj])
         assert again.to_dict() == first.to_dict()
@@ -437,8 +460,10 @@ class TestDeps:
         wrong_version = json.loads(entries[0].read_text())
         wrong_version["schema_version"] += 1
         entries[0].write_text(json.dumps(wrong_version))
-        entries[1].write_text('{"schema_version": 1, "names": [1]}')
-        entries[2].write_text('{"schema_version": 1, "nam')
+        version = analysis_cache.IMPORTS_SCHEMA_VERSION
+        entries[1].write_text(
+            f'{{"schema_version": {version}, "names": [], "reads": [1]}}')
+        entries[2].write_text(f'{{"schema_version": {version}, "nam')
         s = AnalysisSession(config)
         assert s.lint_paths([proj]).to_dict() == first.to_dict()
         assert s.counters["imports_scanned"] == 3

@@ -450,6 +450,36 @@ class TestConceptPass:
         )
         assert not report.findings
 
+    @pytest.mark.parametrize("source, reads", [
+        (CONCEPT_SRC, True),
+        ("import functools\n@functools.lru_cache(1)\ndef f(): pass\n",
+         True),
+        # where imported relatively, as the library's algorithms do
+        ("from ..concepts import where\nfrom ..graphs import G\n"
+         "@where(g=G)\ndef f(g): pass\nf(1)\n", False),
+        ("import functools\n@functools.cache\ndef f(): pass\n", False),
+        ("import functools\nclass C:\n    @functools.lru_cache(1)\n"
+         "    def f(self): pass\n", False),
+        ("import os\ndef deco(x): return x\n@deco(os)\ndef f(): pass\n",
+         False),
+    ])
+    def test_imports_only_what_reads_imports_admits(self, source, reads,
+                                                    monkeypatch):
+        """The analysis cache keys a file on its imports only when
+        reads_imports holds, so otherwise the pass must import nothing."""
+        from repro.lint import concept_pass
+
+        tree = ast.parse(source)
+        imports = [n for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imported = []
+        with monkeypatch.context() as m:
+            m.setattr(concept_pass.importlib, "import_module",
+                      lambda name: imported.append(name))
+            run_concept_pass(tree, imports=imports)
+        assert concept_pass.reads_imports(tree, imports) is reads
+        assert bool(imported) is reads
+
 
 # ---------------------------------------------------------------------------
 # Driver: discovery, reports, JSON, CLI
