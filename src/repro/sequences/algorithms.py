@@ -492,12 +492,18 @@ def _note_sorted(container: Any, less: Callable[[Any, Any], bool]) -> None:
         container.assert_fact("sorted", check=False)
 
 
-def _quicksort_indices(c: Any, lo: int, hi: int, less: Callable) -> None:
-    """Median-of-three quicksort with insertion sort below a cutoff,
-    operating through ``at``/``set_at`` (Random Access Container)."""
+def _quicksort(buf: list, lo: int, hi: int, less: Callable) -> None:
+    """Median-of-three quicksort with insertion sort below a cutoff, in
+    place on the list ``buf``.
+
+    Under a comparator that is not a strict weak order, indexing keeps a
+    bounds-checked ``at``'s behaviour: running off the right end raises
+    ``IndexError`` as ``list`` does, and so does ``j`` reaching -1, which
+    would otherwise wrap around to ``buf[-1]``.  A partition that leaves
+    its range unchanged raises ``ValueError`` instead of looping."""
     while hi - lo > 16:
         mid = (lo + hi) // 2
-        a, b, m = c.at(lo), c.at(hi - 1), c.at(mid)
+        a, b, m = buf[lo], buf[hi - 1], buf[mid]
         # median of three
         if less(m, a):
             a, m = m, a
@@ -508,31 +514,37 @@ def _quicksort_indices(c: Any, lo: int, hi: int, less: Callable) -> None:
         pivot = m
         i, j = lo, hi - 1
         while i <= j:
-            while less(c.at(i), pivot):
+            while less(buf[i], pivot):
                 i += 1
-            while less(pivot, c.at(j)):
+            while less(pivot, buf[j]):
                 j -= 1
+                if j < 0:
+                    raise IndexError("quicksort ran off the left end: the "
+                                     "comparator is not a strict weak order")
             if i <= j:
-                vi, vj = c.at(i), c.at(j)
-                c.set_at(i, vj)
-                c.set_at(j, vi)
+                buf[i], buf[j] = buf[j], buf[i]
                 i += 1
                 j -= 1
+        if i == lo or j == hi - 1:
+            # Nothing was swapped and one side is the whole range again:
+            # the next pass would repeat this one forever.
+            raise ValueError("quicksort partition made no progress: the "
+                             "comparator is not a strict weak order")
         # Recurse into the smaller side, loop on the larger (O(log n) stack).
         if j - lo < hi - i:
-            _quicksort_indices(c, lo, j + 1, less)
+            _quicksort(buf, lo, j + 1, less)
             lo = i
         else:
-            _quicksort_indices(c, i, hi, less)
+            _quicksort(buf, i, hi, less)
             hi = j + 1
     # insertion sort for the small tail
     for i in range(lo + 1, hi):
-        v = c.at(i)
+        v = buf[i]
         j = i - 1
-        while j >= lo and less(v, c.at(j)):
-            c.set_at(j + 1, c.at(j))
+        while j >= lo and less(v, buf[j]):
+            buf[j + 1] = buf[j]
             j -= 1
-        c.set_at(j + 1, v)
+        buf[j + 1] = v
 
 
 @sort.overload(requires=[(Sequence, 0)], name="sort<Sequence> (merge sort)")
@@ -579,8 +591,27 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
 )
 def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_less) -> Any:
     """"If they can be accessed efficiently via indexing (as with an array)
-    we can apply the more-efficient quicksort algorithm" (Section 2.1)."""
-    _quicksort_indices(container, 0, container.size(), less)
+    we can apply the more-efficient quicksort algorithm" (Section 2.1).
+
+    The n elements are read once through ``at`` and quicksorted in a
+    list; ``set_at`` then writes back only the positions whose element
+    changed (by identity: elements that compare equal may still differ).
+    The comparator sees exactly the calls an element-swapping quicksort
+    through ``at``/``set_at`` would make, but a sort costs n reads and at
+    most n writes, and an already-sorted container is not written at all
+    (its epoch does not move).
+
+    A comparator that raises, and a broken comparator's ``IndexError`` or
+    ``ValueError`` (see :func:`_quicksort`), leave the container
+    untouched: contents, epoch and facts are as before the call."""
+    at = container.at
+    before = [at(k) for k in range(container.size())]
+    buf = before.copy()
+    _quicksort(buf, 0, len(buf), less)
+    set_at = container.set_at
+    for k, value in enumerate(buf):
+        if value is not before[k]:
+            set_at(k, value)
     _note_sorted(container, less)
     return container
 
@@ -602,11 +633,11 @@ sort.overload(
 )
 def _sort_backend(container: Any,
                   less: Callable[[Any, Any], bool] = _default_less) -> Any:
-    """On a persistent backend, element-swapping quicksort pays a round
-    trip per access; pushing the whole reorder to the backend (one
-    ORDER BY renumbering) costs O(1) trips.  Only the default order can
-    be delegated — a custom comparator falls back to the generic
-    quicksort through the container interface."""
+    """On a persistent backend, the generic quicksort pays a round trip
+    per element read and per element written back; pushing the whole
+    reorder to the backend (one ORDER BY renumbering) costs O(1) trips.
+    Only the default order can be delegated — a custom comparator falls
+    back to the generic quicksort through the container interface."""
     if less is not _default_less:
         return _sort_indexed(container, less)
     container.backend_sort()

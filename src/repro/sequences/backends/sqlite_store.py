@@ -185,10 +185,16 @@ class SqliteStorage(Storage):
     def backend_sort(self) -> None:
         """Reorder the whole sequence inside the database: one window-
         function renumbering instead of n log n round-tripping element
-        swaps."""
+        swaps.  ``_order`` is keyed on the old position, so the
+        correlated lookup below is an O(log n) primary-key search per row
+        rather than a scan of ``_order`` per row (O(n²) inside sqlite);
+        ties keep their position order."""
         self._execute(
-            "CREATE TEMP TABLE _order AS SELECT pos, "
-            "ROW_NUMBER() OVER (ORDER BY value, pos) - 1 AS newpos FROM seq"
+            "CREATE TEMP TABLE _order (pos INTEGER PRIMARY KEY, newpos)"
+        )
+        self._execute(
+            "INSERT INTO _order (pos, newpos) SELECT pos, "
+            "ROW_NUMBER() OVER (ORDER BY value, pos) - 1 FROM seq"
         )
         self._execute(
             "UPDATE seq SET pos = -(SELECT newpos FROM _order "
