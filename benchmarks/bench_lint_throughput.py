@@ -8,18 +8,15 @@ mixed with buggy Fig.-4-style purgers, reporting functions/second and
 confirming the driver's precision does not drift (every planted bug is
 found, every clean function stays clean).
 
-Both analysis engines run side by side: the CFG + worklist ``fixpoint``
-engine (the default) and the legacy bounded-inlining ``inline`` engine
-(kept as a differential oracle).  Standalone mode (the CI analysis-bench
-smoke job)::
+Standalone mode (the CI analysis-bench smoke job)::
 
     PYTHONPATH=src python benchmarks/bench_lint_throughput.py --quick
 
-times a whole-repo self-lint per engine, then a cold → warm incremental
-pass through the analysis service's result cache, and writes
-``benchmarks/out/lint_throughput.json``; it exits nonzero if the engines
-disagree on findings, the fixpoint engine falls far behind, or the warm
-cached pass fails to beat the cold one by :data:`MAX_WARM_RATIO`.
+times a whole-repo self-lint, then a cold → warm incremental pass
+through the analysis service's result cache, and writes
+``benchmarks/out/lint_throughput.json``; it exits nonzero if any loop
+hits the fixpoint engine's safety cap or the warm cached pass fails to
+beat the cold one by :data:`MAX_WARM_RATIO`.
 """
 
 import json
@@ -33,13 +30,6 @@ HERE = pathlib.Path(__file__).parent
 EXAMPLES = HERE.parent / "examples"
 SRC = HERE.parent / "src" / "repro"
 OUT_JSON = HERE / "out" / "lint_throughput.json"
-
-ENGINES = ("fixpoint", "inline")
-
-#: Standalone-mode budget: the fixpoint engine must stay within this
-#: factor of the legacy engine on the whole-repo self-lint (measured
-#: comfortably *faster* in practice; the slack absorbs CI timer noise).
-MAX_FIXPOINT_SLOWDOWN = 1.5
 
 #: A warm (all-cached) re-lint of src/repro must take at most this
 #: fraction of the cold wall time (measured far below; slack for CI).
@@ -98,44 +88,35 @@ def test_lint_examples_directory(record):
 
 
 def test_lint_throughput_sweep(record):
-    """Functions/second as the synthetic project grows, per engine."""
+    """Functions/second as the synthetic project grows."""
     rows = ["T-lint: synthetic project sweep (clean scanners + buggy purgers)",
-            f"{'functions':>10} {'buggy':>6} "
-            f"{'fixpoint ms':>12} {'inline ms':>10} {'fix/inl':>8} "
-            f"{'fn/s (fix)':>11}"]
+            f"{'functions':>10} {'buggy':>6} {'ms':>10} {'fn/s':>11}"]
     throughputs = []
     for n_clean, n_buggy in [(5, 1), (20, 4), (60, 12)]:
         src = synthetic_module(n_clean, n_buggy)
-        elapsed = {}
-        for engine in ENGINES:
-            session = AnalysisSession(AnalysisConfig(engine=engine))
-            t0 = time.perf_counter()
-            report = session.lint_source(
-                src, path=f"synthetic_{n_clean + n_buggy}.py",
-            )
-            elapsed[engine] = time.perf_counter() - t0
+        session = AnalysisSession(AnalysisConfig())
+        t0 = time.perf_counter()
+        report = session.lint_source(
+            src, path=f"synthetic_{n_clean + n_buggy}.py",
+        )
+        elapsed = time.perf_counter() - t0
 
-            # Precision must not drift with scale or engine: every
-            # planted bug is caught (advance + deref per buggy function,
-            # at the for line), and no clean scanner is flagged.
-            singular = [
-                f for f in report.findings if "singular" in f.message
-            ]
-            assert len(singular) == 2 * n_buggy, (engine, report.path)
-            assert report.functions_checked == n_clean + n_buggy
-            assert all(
-                "purge_" in f.function for f in report.findings
-                if f.severity in ("error", "warning")
-            )
+        # Precision must not drift with scale: every planted bug is
+        # caught (advance + deref per buggy function, at the for line),
+        # and no clean scanner is flagged.
+        singular = [f for f in report.findings if "singular" in f.message]
+        assert len(singular) == 2 * n_buggy, report.path
+        assert report.functions_checked == n_clean + n_buggy
+        assert all(
+            "purge_" in f.function for f in report.findings
+            if f.severity in ("error", "warning")
+        )
 
-        fps = report.functions_checked / elapsed["fixpoint"]
+        fps = report.functions_checked / elapsed
         throughputs.append(fps)
         rows.append(
             f"{n_clean + n_buggy:>10} {n_buggy:>6} "
-            f"{elapsed['fixpoint'] * 1e3:>12.1f} "
-            f"{elapsed['inline'] * 1e3:>10.1f} "
-            f"{elapsed['fixpoint'] / elapsed['inline']:>8.2f} "
-            f"{fps:>11.0f}"
+            f"{elapsed * 1e3:>10.1f} {fps:>11.0f}"
         )
 
     # Loose floor: symbolic execution of these small functions should
@@ -161,54 +142,32 @@ def test_lint_single_function_cost(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _finding_set(report):
-    return {
-        (f.path, f.line, f.check) for f in report.findings
-        if f.severity in ("error", "warning", "suggestion")
-    }
-
-
 def _measure(repeats: int) -> dict:
-    """Whole-repo self-lint (src/repro + examples) timed per engine."""
+    """Whole-repo self-lint (src/repro + examples), best of ``repeats``."""
     from repro.stllint.dataflow import reset_stats, stats
 
     paths = [SRC, EXAMPLES]
-    result = {"workload": [str(SRC), str(EXAMPLES)], "engines": {}}
-    findings = {}
-    for engine in ENGINES:
-        if engine == "fixpoint":
-            reset_stats()
-        best = None
-        for _ in range(repeats):
-            session = AnalysisSession(AnalysisConfig(engine=engine))
-            t0 = time.perf_counter()
-            report = session.lint_paths(paths)
-            elapsed = time.perf_counter() - t0
-            best = elapsed if best is None else min(best, elapsed)
-        findings[engine] = _finding_set(report)
-        s = report.summary()
-        entry = {
-            "best_ms": best * 1e3,
-            "files": s["files"],
-            "errors": s["errors"],
-            "warnings": s["warnings"],
-            "suggestions": s["suggestions"],
-        }
-        if engine == "fixpoint":
-            entry["fixpoint_stats"] = stats()
-        result["engines"][engine] = entry
-
-    fix = result["engines"]["fixpoint"]
-    inl = result["engines"]["inline"]
-    result["fixpoint_over_inline"] = fix["best_ms"] / inl["best_ms"]
-    result["engines_agree"] = findings["fixpoint"] == findings["inline"]
-    result["unstable_loops"] = fix["fixpoint_stats"]["unstable_loops"]
-    result["ok"] = (
-        result["engines_agree"]
-        and result["unstable_loops"] == 0
-        and result["fixpoint_over_inline"] <= MAX_FIXPOINT_SLOWDOWN
-    )
-    return result
+    reset_stats()
+    best = None
+    for _ in range(repeats):
+        session = AnalysisSession(AnalysisConfig())
+        t0 = time.perf_counter()
+        report = session.lint_paths(paths)
+        elapsed = time.perf_counter() - t0
+        best = elapsed if best is None else min(best, elapsed)
+    s = report.summary()
+    fixpoint_stats = stats()
+    return {
+        "workload": [str(SRC), str(EXAMPLES)],
+        "best_ms": best * 1e3,
+        "files": s["files"],
+        "errors": s["errors"],
+        "warnings": s["warnings"],
+        "suggestions": s["suggestions"],
+        "fixpoint_stats": fixpoint_stats,
+        "unstable_loops": fixpoint_stats["unstable_loops"],
+        "ok": fixpoint_stats["unstable_loops"] == 0,
+    }
 
 
 def _measure_cache() -> dict:
@@ -246,14 +205,9 @@ def _measure_cache() -> dict:
 
 
 def _render(m: dict) -> str:
-    fix = m["engines"]["fixpoint"]
-    inl = m["engines"]["inline"]
     return "\n".join([
         "T-lint standalone: whole-repo self-lint (src/repro + examples)",
-        f"  fixpoint: {fix['best_ms']:.1f} ms   "
-        f"inline: {inl['best_ms']:.1f} ms   "
-        f"ratio: {m['fixpoint_over_inline']:.2f}",
-        f"  engines agree on findings: {m['engines_agree']}   "
+        f"  best: {m['best_ms']:.1f} ms   "
         f"unstable loops: {m['unstable_loops']}",
     ])
 
@@ -284,9 +238,8 @@ def main(argv=None) -> int:
     args.json.write_text(json.dumps(m, indent=2, default=str) + "\n")
     print(f"summary written to {args.json}")
     if not m["ok"] or not c["ok"]:
-        print("FAIL: engine disagreement, unstable loops, fixpoint "
-              f"slower than {MAX_FIXPOINT_SLOWDOWN:.1f}x inline, or warm "
-              f"cached pass above {MAX_WARM_RATIO}x cold")
+        print("FAIL: unstable loops, or warm cached pass above "
+              f"{MAX_WARM_RATIO}x cold")
         return 1
     return 0
 

@@ -20,7 +20,7 @@ import timeit
 
 import pytest
 
-from repro.optimize import optimize_source
+from repro.analysis import AnalysisSession
 from repro.sequences import Vector
 from repro.sequences.algorithms import find, lower_bound
 from repro.stllint import MSG_SORTED_LINEAR_FIND, check_source
@@ -79,7 +79,8 @@ def test_pipeline_applies_the_suggestion(benchmark, record):
     only suggested, the rewritten program must equal the hand-improved
     one semantically (same callee), and the measured payoff of the
     applied variant goes into a machine-readable row."""
-    result = benchmark(lambda: optimize_source(PROGRAM))
+    session = AnalysisSession()
+    result = benchmark(lambda: session.optimize_source(PROGRAM))
     assert result.changed and result.verified and not result.reverted
     assert len(result.plans) == 1
     plan = result.plans[0]

@@ -64,7 +64,7 @@ def peek_sentinel(v: "vector"):
 if __name__ == "__main__":
     import pathlib
 
-    from repro.lint import LintConfig, lint_paths
+    from repro.analysis import AnalysisSession
 
-    report = lint_paths([pathlib.Path(__file__)], LintConfig())
+    report = AnalysisSession().lint_paths([pathlib.Path(__file__)])
     print(report.render_text())

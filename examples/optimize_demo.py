@@ -42,8 +42,8 @@ def lookup_after_mutation(v: "vector", key, extra):
 if __name__ == "__main__":
     import pathlib
 
-    from repro.optimize import optimize_file
+    from repro.analysis import AnalysisSession
 
-    result = optimize_file(pathlib.Path(__file__))
+    result = AnalysisSession().optimize_file(pathlib.Path(__file__))
     print(result.render())
     print(result.diff() or "(no changes)")

@@ -3,8 +3,8 @@
 
 The three command-line tools are views over the same
 :class:`~repro.analysis.session.AnalysisSession`, so the flags they
-share — ``--engine``, ``--timeout-s``, ``--trace``, ``--jobs``,
-``--json``, and the cache switches — are defined once here as an
+share — ``--timeout-s``, ``--trace``, ``--jobs``, ``--json``, and
+the cache switches — are defined once here as an
 argparse *parent* parser, and the exit-code contract is documented once
 as :data:`EXIT_CODES_EPILOG`.
 
@@ -47,13 +47,6 @@ def common_parser(cache_default: bool = False) -> argparse.ArgumentParser:
     """
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group("common analysis options")
-    g.add_argument(
-        "--engine", choices=("fixpoint", "inline"), default="fixpoint",
-        help="analysis engine: 'fixpoint' (CFG + worklist to a true "
-             "fixpoint, interprocedural summaries; the default) or "
-             "'inline' (legacy bounded interpreter, kept as a "
-             "differential-testing oracle)",
-    )
     g.add_argument(
         "--timeout-s", type=float, default=None, metavar="SECONDS",
         help="per-file analysis deadline; on expiry the file gets a "
@@ -100,7 +93,6 @@ def session_from_args(args: argparse.Namespace, **overrides):
     from repro.analysis import AnalysisConfig, AnalysisSession
 
     fields = dict(
-        engine=args.engine,
         timeout_s=args.timeout_s,
         jobs=args.jobs,
         cache=args.cache,

@@ -4,7 +4,7 @@ The cache is the heart of "analysis as a service": a lint or optimize
 result for one file is a pure function of
 
 - the file's **content hash**,
-- the **config fingerprint** (engine + the semantic knobs, see
+- the **config fingerprint** (the semantic knobs, see
   :meth:`repro.analysis.config.AnalysisConfig.fingerprint`),
 - the **dependency fingerprint** (the content hashes of the
   same-project files the analysis reads through the concept pass's
@@ -13,8 +13,8 @@ result for one file is a pure function of
 - the **schema version** of the serialized payload,
 
 so all four are folded into the cache *key*.  Invalidation is therefore
-by construction, never by bookkeeping: editing a file, switching
-engines, changing a semantically relevant knob, upgrading the payload
+by construction, never by bookkeeping: editing a file, changing a
+semantically relevant knob, upgrading the payload
 schema, or editing a module the analysis reads each produce a
 different key, and the stale entry is simply never looked up again.
 There is no mutable index to corrupt and no coherence protocol to get

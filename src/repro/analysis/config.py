@@ -11,8 +11,7 @@ the daemon consume; the legacy shapes are derived views
 The config also owns the **fingerprint** that keys the on-disk cache.
 Only fields that can change an analysis *result* participate:
 
-- lint results depend on ``engine``, ``concept_pass`` and
-  ``interprocedural``;
+- lint results depend on ``concept_pass`` and ``interprocedural``;
 - optimize results additionally depend on ``resource`` and ``size``;
 - ``fail_on`` (presentation: which severity gates the exit code),
   ``timeout_s`` (infrastructure: partial results are never cached in the
@@ -28,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.lint.driver import LintConfig
-from repro.stllint.interpreter import DEFAULT_ENGINE
 
 #: Default resource/size mirrored from the optimizer pipeline (imported
 #: lazily there to avoid a config->pipeline->config cycle).
@@ -42,7 +40,6 @@ class AnalysisConfig:
     service behaviour in one place."""
 
     # -- shared analysis semantics -----------------------------------------
-    engine: str = DEFAULT_ENGINE       # "fixpoint" | "inline"
     timeout_s: Optional[float] = None  # per-file deadline (never cached)
     # -- lint ---------------------------------------------------------------
     fail_on: str = "warning"
@@ -68,7 +65,6 @@ class AnalysisConfig:
             interprocedural=self.interprocedural,
             exclude=self.exclude,
             timeout_s=self.timeout_s,
-            engine=self.engine,
         )
 
     @classmethod
@@ -82,7 +78,6 @@ class AnalysisConfig:
             interprocedural=config.interprocedural,
             exclude=tuple(config.exclude),
             timeout_s=config.timeout_s,
-            engine=config.engine,
             **overrides,
         )
 
@@ -97,13 +92,10 @@ class AnalysisConfig:
         config change invalidates by construction rather than by
         bookkeeping."""
         if kind == "lint":
-            parts = (
-                "lint", self.engine, self.concept_pass,
-                self.interprocedural,
-            )
+            parts = ("lint", self.concept_pass, self.interprocedural)
         elif kind == "optimize":
             parts = (
-                "optimize", self.engine, self.concept_pass,
+                "optimize", self.concept_pass,
                 self.interprocedural, self.resource, repr(self.size),
                 self.monomorphize,
             )

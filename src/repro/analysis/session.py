@@ -9,8 +9,8 @@ two things a *service* needs that a batch CLI does not:
 - **incrementality** — per-file results are served from the
   content-hash-keyed on-disk cache (:mod:`repro.analysis.cache`) when
   the file, the same-project modules its analysis reads (see
-  :mod:`repro.analysis.deps`), the engine, and the semantic config are
-  all unchanged;
+  :mod:`repro.analysis.deps`), and the semantic config are all
+  unchanged;
 - **parallelism** — cache misses are sharded across a
   ``multiprocessing`` pool (``config.jobs``), and because every file's
   analysis is independent and results are merged back in discovery
@@ -86,7 +86,7 @@ def _optimize_worker(item: tuple):
     return _optimize_file_impl(
         pathlib.Path(path_str), write=write, resource=config.resource,
         size=config.size, timeout_s=config.timeout_s,
-        engine=config.engine, monomorphize=config.monomorphize,
+        monomorphize=config.monomorphize,
     )
 
 
@@ -212,10 +212,7 @@ class AnalysisSession:
         """Analyze one file, pre-seeding (and afterwards persisting) its
         interprocedural summary table when the cache is on."""
         summaries = None
-        persist_summaries = (
-            self.cache is not None and sha is not None
-            and self.config.engine == "fixpoint"
-        )
+        persist_summaries = self.cache is not None and sha is not None
         if persist_summaries:
             summaries = self._get_cached("summaries", f, sha, deps_fp)
             if summaries is None:
@@ -301,7 +298,6 @@ class AnalysisSession:
         return _optimize_source_impl(
             source, path=path, resource=self.config.resource,
             size=self.config.size, deadline=deadline,
-            engine=self.config.engine,
             monomorphize=self.config.monomorphize,
         )
 
@@ -312,7 +308,6 @@ class AnalysisSession:
         result = _optimize_file_impl(
             f, write=write, resource=self.config.resource,
             size=self.config.size, timeout_s=self.config.timeout_s,
-            engine=self.config.engine,
             monomorphize=self.config.monomorphize,
         )
         self.counters["optimize_analyzed"] += 1
@@ -424,7 +419,6 @@ class AnalysisSession:
         table = collect_facts(
             source,
             interprocedural=self.config.interprocedural,
-            engine=self.config.engine,
         )
         self.counters["facts_analyzed"] += 1
         if self.cache is not None:
@@ -448,7 +442,6 @@ class AnalysisSession:
             tr.event("analysis.stats", cat="analysis", **self.counters)
         return {
             "schema_version": SCHEMA_VERSION,
-            "engine": self.config.engine,
             "jobs": self.config.jobs,
             "cache_enabled": self.cache is not None,
             "cache_dir": str(self.cache.root) if self.cache else None,

@@ -74,7 +74,7 @@ from .requirements import (
     operator,
 )
 from .taxonomy import AlgorithmConcept, GuaranteeCheck, Taxonomy, check_guarantee
-from .where import constraints_of, declaration_of, where, where_multi
+from .where import constraints_of, declaration_of, where
 
 __all__ = [
     "AlgorithmConcept",
@@ -140,7 +140,6 @@ __all__ = [
     "substitute",
     "substitute_requirement",
     "where",
-    "where_multi",
     "constraints_of",
     "declaration_of",
 ]

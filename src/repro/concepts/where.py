@@ -22,17 +22,12 @@ are memoized per argument-type tuple **keyed on the registry generation**:
 the steady-state cost is a set lookup, and a ``register``/``unregister`` on
 the registry invalidates the site's cache instead of silently serving stale
 verdicts.  Per-site hit/miss counters feed :func:`repro.runtime.stats`.
-
-:func:`where_multi` remains as a deprecated alias of the positional-tuple
-form.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import sys
-import warnings
 import weakref
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -91,8 +86,7 @@ def where(
     Accepts, in one decorator:
 
     - ``param=Concept`` keyword constraints (single-type concepts);
-    - positional ``(Concept, ("a", "b"))`` tuples (multi-type concepts —
-      the old ``where_multi`` spelling);
+    - positional ``(Concept, ("a", "b"))`` tuples (multi-type concepts);
     - an optional leading :class:`ModelRegistry` positional argument or
       ``registry=`` keyword to check against a non-default registry.
 
@@ -211,39 +205,6 @@ def where(
         return wrapper
 
     return deco
-
-
-def _caller_stacklevel() -> int:
-    """Stacklevel that makes ``warnings.warn`` blame the first frame
-    *outside* this package — the user's decorator application site —
-    rather than decorator internals or re-export shims."""
-    pkg_prefix = __name__.rsplit(".", 1)[0] + "."
-    # sys._getframe(1) is where_multi's own frame, i.e. stacklevel 1 as
-    # warnings.warn (called from where_multi) counts it.
-    level = 1
-    frame = sys._getframe(1)
-    while frame is not None:
-        mod = frame.f_globals.get("__name__", "")
-        if mod != __name__ and not mod.startswith(pkg_prefix):
-            return level
-        level += 1
-        frame = frame.f_back
-    return 2
-
-
-def where_multi(
-    *constraints: tuple[Concept, Sequence[str]],
-    registry: Optional[ModelRegistry] = None,
-) -> Callable[[Callable], Callable]:
-    """Deprecated alias: :func:`where` now accepts positional
-    ``(Concept, params)`` tuples directly."""
-    warnings.warn(
-        "where_multi() is deprecated; pass (Concept, params) tuples "
-        "directly to where()",
-        DeprecationWarning,
-        stacklevel=_caller_stacklevel(),
-    )
-    return where(*constraints, registry=registry)
 
 
 def constraints_of(fn: Callable) -> tuple[tuple[Concept, tuple[str, ...]], ...]:

@@ -4,7 +4,7 @@ The interpreter (producer side) writes into a :class:`FactRecorder`; the
 optimizer and property-guarded rewrite rules (consumer side) query the
 resulting :class:`FactTable`.  Because the symbolic interpreter is a
 may-analysis that can visit one source line several times (loop fixpoint
-iterations, both arms of a join, inlined callees), a call site's
+iterations, both arms of a join, summarized callees), a call site's
 *must-hold* properties are the **meet** of every recording at that
 ``(line, algorithm)`` — a property counts only if it held on every
 explored path, which is what makes a rewrite decision based on it sound.

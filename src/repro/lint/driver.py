@@ -18,19 +18,16 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.resilience import Deadline, DeadlineExceeded
+from repro.stllint.dataflow import FixpointChecker
 from repro.stllint.diagnostics import Severity
-from repro.stllint.interpreter import (
-    DEFAULT_ENGINE,
-    make_checker,
-    module_function_table,
-)
+from repro.stllint.interpreter import module_function_table
 from repro.stllint.specs import CONTAINER_SPECS
+from repro.stllint.summaries import SummaryTable
 from repro.trace import core as _trace
 
 from .suppressions import (
@@ -65,7 +62,6 @@ class LintConfig:
     interprocedural: bool = True      # analyze same-module calls
     exclude: tuple[str, ...] = ()     # glob patterns matched against paths
     timeout_s: Optional[float] = None  # per-file analysis deadline
-    engine: str = DEFAULT_ENGINE      # "fixpoint" (CFG worklist) | "inline"
 
 
 @dataclass
@@ -275,7 +271,7 @@ def _lint_source_impl(
 ) -> FileReport:
     """Lint one module given as source text (implementation).
 
-    ``summaries`` optionally pre-seeds the fixpoint engine's
+    ``summaries`` optionally pre-seeds the engine's
     interprocedural :class:`~repro.stllint.summaries.SummaryTable` — the
     analysis service passes a table deserialized from its cache, which
     is sound because tables are keyed by this file's content hash."""
@@ -332,11 +328,7 @@ def _lint_source_impl(
                      function=function, check=check)
 
     functions = module_function_table(tree) if config.interprocedural else {}
-    if config.engine != "fixpoint":
-        summaries = None
-    elif summaries is None:
-        from repro.stllint.summaries import SummaryTable
-
+    if summaries is None:
         # One table per file: every function's interprocedural effects
         # are summarized once per argument shape and reused across all
         # callers in the module.
@@ -353,17 +345,16 @@ def _lint_source_impl(
         report.functions_checked += 1
         try:
             if tr is None:
-                sink = make_checker(
-                    config.engine, node, lines, module_functions=functions,
+                sink = FixpointChecker(
+                    node, lines, module_functions=functions,
                     summaries=summaries,
                 ).run()
             else:
                 with tr.span("lint.function", cat="lint", path=path,
-                             function=node.name, line=node.lineno,
-                             engine=config.engine) as sp:
-                    sink = make_checker(
-                        config.engine, node, lines,
-                        module_functions=functions, summaries=summaries,
+                             function=node.name, line=node.lineno) as sp:
+                    sink = FixpointChecker(
+                        node, lines, module_functions=functions,
+                        summaries=summaries,
                     ).run()
                     sp.set("diagnostics", len(sink.diagnostics))
         except Exception as exc:  # noqa: BLE001 - crash isolation
@@ -526,56 +517,3 @@ def _lint_paths_impl(
     for f in discover_files(paths, config.exclude):
         report.files.append(_lint_file_impl(f, config))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public surface (one-release migration window)
-# ---------------------------------------------------------------------------
-# The functions below were the public API before the analysis service
-# unified linting and optimization behind one façade.  They now delegate
-# to an (uncached, serial) ``AnalysisSession`` so old callers keep the
-# exact historical behaviour, and they warn so new code migrates.
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.lint.{name}() is deprecated; construct a "
-        "repro.analysis.AnalysisSession and call its equivalent method "
-        "(this shim is kept for one release)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    config: Optional[LintConfig] = None,
-) -> FileReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_source`."""
-    _deprecated("lint_source")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_source(source, path=path)
-
-
-def lint_file(
-    path: PathLike, config: Optional[LintConfig] = None
-) -> FileReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_file`."""
-    _deprecated("lint_file")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_file(path)
-
-
-def lint_paths(
-    paths: Sequence[PathLike], config: Optional[LintConfig] = None
-) -> ProjectReport:
-    """Deprecated: use :meth:`repro.analysis.AnalysisSession.lint_paths`."""
-    _deprecated("lint_paths")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_paths(paths)

@@ -33,10 +33,9 @@ from repro.stllint.specs import (
     MSG_UNSTABLE_LOOP,
 )
 
-#: The legacy (inline) engine's loop-iteration bound expired before the
-#: abstract state stabilized — analysis past that point is incomplete.
-#: The fixpoint engine never emits this in normal operation (only if its
-#: runaway-safety cap fires, which would itself be a bug).
+#: The engine's runaway-safety cap fired before the abstract state
+#: stabilized — analysis past that point is incomplete.  A correct run
+#: never emits this (the cap firing would itself be a bug).
 LINT_UNSTABLE_LOOP = "LINT-UNSTABLE-LOOP"
 
 #: Exact message -> check code.

@@ -28,7 +28,6 @@ import ast
 import difflib
 import json
 import pathlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -44,7 +43,6 @@ from ..sequences.taxonomy import (
     stl_taxonomy,
 )
 from ..stllint.facts_collection import collect_facts
-from ..stllint.interpreter import DEFAULT_ENGINE
 from ..trace import core as _trace
 
 PathLike = Union[str, pathlib.Path]
@@ -271,12 +269,9 @@ def apply_rewrites(source: str, plans: list[PlannedRewrite]) -> str:
     return "".join(lines)
 
 
-def _problem_findings(
-    source: str, path: str, engine: str = DEFAULT_ENGINE,
-) -> set[tuple[int, str]]:
+def _problem_findings(source: str, path: str) -> set[tuple[int, str]]:
     """(line, check) pairs at warning severity or worse."""
-    report = _lint_source_impl(source, path=path,
-                               config=LintConfig(engine=engine))
+    report = _lint_source_impl(source, path=path, config=LintConfig())
     return {
         (f.line, f.check) for f in report.findings
         if f.severity in ("error", "warning")
@@ -310,7 +305,6 @@ def _optimize_source_impl(
     resource: str = DEFAULT_RESOURCE,
     size: float = DEFAULT_SIZE,
     deadline: Optional[Deadline] = None,
-    engine: Optional[str] = None,
     monomorphize: bool = False,
 ) -> OptimizeResult:
     """Run the full facts → select → rewrite → verify pipeline.
@@ -319,9 +313,6 @@ def _optimize_source_impl(
     stages; on expiry the file is reported with an OPT-TIMEOUT finding
     and left untouched — cooperative, so a stage in progress finishes.
 
-    ``engine`` selects the STLlint analysis engine used by the facts
-    and verify stages (default: the fixpoint engine).
-
     ``monomorphize`` additionally runs the OPT-MONO pass
     (:func:`repro.optimize.monomorphize.plan_monomorphizations`):
     generic call sites whose container kind is provably the same on
@@ -329,18 +320,16 @@ def _optimize_source_impl(
     """
     tr = _trace.ACTIVE
     taxonomy = taxonomy or stl_taxonomy()
-    engine = engine or DEFAULT_ENGINE
     result = OptimizeResult(path=path, original=source, optimized=source)
     if deadline is not None and deadline.expired():
         return _timeout_result(result, path, deadline.budget)
 
     try:
         if tr is None:
-            table = collect_facts(source, engine=engine)
+            table = collect_facts(source)
         else:
-            with tr.span("optimize.facts", cat="optimize", path=path,
-                         engine=engine) as sp:
-                table = collect_facts(source, engine=engine)
+            with tr.span("optimize.facts", cat="optimize", path=path) as sp:
+                table = collect_facts(source)
                 sp.set("call_sites", len(table.call_sites()))
     except SyntaxError as exc:
         result.verified = False
@@ -389,8 +378,8 @@ def _optimize_source_impl(
 
     def verify() -> tuple[bool, str]:
         # No new warnings/errors relative to the input...
-        before = _problem_findings(source, path, engine)
-        after = _problem_findings(optimized, path, engine)
+        before = _problem_findings(source, path)
+        after = _problem_findings(optimized, path)
         introduced = after - before
         if introduced:
             rendered = ", ".join(
@@ -399,7 +388,7 @@ def _optimize_source_impl(
             return False, f"re-lint found new problems ({rendered})"
         # ...and nothing further to do: the pipeline is idempotent (the
         # re-plan runs the same pass set, including OPT-MONO when on).
-        retable = collect_facts(optimized, engine=engine)
+        retable = collect_facts(optimized)
         again = plan_rewrites(retable, taxonomy, resource, size)
         if monomorphize:
             from .monomorphize import plan_monomorphizations
@@ -496,7 +485,6 @@ def _optimize_file_impl(
     resource: str = DEFAULT_RESOURCE,
     size: float = DEFAULT_SIZE,
     timeout_s: Optional[float] = None,
-    engine: Optional[str] = None,
     monomorphize: bool = False,
 ) -> OptimizeResult:
     """Optimize one file on disk; with ``write=True`` the rewritten
@@ -515,78 +503,10 @@ def _optimize_file_impl(
     try:
         result = _optimize_source_impl(
             source, path=str(p), taxonomy=taxonomy, resource=resource,
-            size=size, deadline=deadline, engine=engine,
-            monomorphize=monomorphize,
+            size=size, deadline=deadline, monomorphize=monomorphize,
         )
         if write and result.changed and result.verified:
             _write_optimized(p, source, result)
         return result
     except Exception as exc:  # noqa: BLE001 - per-file crash isolation
         return _internal_result(str(p), source, exc)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public surface (one-release migration window)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.optimize.{name}() is deprecated; construct a "
-        "repro.analysis.AnalysisSession and call its equivalent method "
-        "(this shim is kept for one release)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def optimize_source(
-    source: str,
-    path: str = "<string>",
-    taxonomy: Optional[Taxonomy] = None,
-    resource: str = DEFAULT_RESOURCE,
-    size: float = DEFAULT_SIZE,
-    deadline: Optional[Deadline] = None,
-    engine: Optional[str] = None,
-) -> OptimizeResult:
-    """Deprecated: use
-    :meth:`repro.analysis.AnalysisSession.optimize_source`."""
-    _deprecated("optimize_source")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    if taxonomy is not None or deadline is not None:
-        # Injected taxonomies/deadlines have no config-level equivalent;
-        # serve these calls directly (still deprecated).
-        return _optimize_source_impl(
-            source, path=path, taxonomy=taxonomy, resource=resource,
-            size=size, deadline=deadline, engine=engine,
-        )
-    session = AnalysisSession(AnalysisConfig(
-        engine=engine or DEFAULT_ENGINE, resource=resource, size=size,
-    ))
-    return session.optimize_source(source, path=path)
-
-
-def optimize_file(
-    path: PathLike,
-    write: bool = False,
-    taxonomy: Optional[Taxonomy] = None,
-    resource: str = DEFAULT_RESOURCE,
-    size: float = DEFAULT_SIZE,
-    timeout_s: Optional[float] = None,
-    engine: Optional[str] = None,
-) -> OptimizeResult:
-    """Deprecated: use
-    :meth:`repro.analysis.AnalysisSession.optimize_file`."""
-    _deprecated("optimize_file")
-    from repro.analysis import AnalysisConfig, AnalysisSession
-
-    if taxonomy is not None:
-        return _optimize_file_impl(
-            path, write=write, taxonomy=taxonomy, resource=resource,
-            size=size, timeout_s=timeout_s, engine=engine,
-        )
-    session = AnalysisSession(AnalysisConfig(
-        engine=engine or DEFAULT_ENGINE, resource=resource, size=size,
-        timeout_s=timeout_s,
-    ))
-    return session.optimize_file(path, write=write)

@@ -35,24 +35,19 @@ from .archetype_check import (
     SinglePassSequence,
     check_traversal_requirement,
 )
-from .dataflow import FixpointChecker, FixpointStats
+from .dataflow import (
+    FixpointChecker,
+    FixpointStats,
+    check_function,
+    check_source,
+)
 from .dataflow import install_stats_report as install_fixpoint_stats_report
 from .dataflow import report as fixpoint_report
 from .dataflow import reset_stats as reset_fixpoint_stats
 from .dataflow import stats as fixpoint_stats
 from .diagnostics import Diagnostic, DiagnosticSink, Severity
 from .facts_collection import collect_facts
-from .interpreter import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    MAX_INLINE_DEPTH,
-    Checker,
-    Env,
-    check_function,
-    check_source,
-    make_checker,
-    module_function_table,
-)
+from .interpreter import Checker, Env, module_function_table
 from .summaries import Summary, SummaryTable
 from .specs import (
     ALGORITHM_SPECS,
@@ -81,8 +76,7 @@ __all__ = [
     "Diagnostic", "DiagnosticSink", "Severity",
     "Checker", "Env", "check_function", "check_source",
     "collect_facts",
-    "module_function_table", "MAX_INLINE_DEPTH",
-    "DEFAULT_ENGINE", "ENGINES", "make_checker",
+    "module_function_table",
     "FixpointChecker", "FixpointStats", "Summary", "SummaryTable",
     "fixpoint_stats", "reset_fixpoint_stats", "fixpoint_report",
     "install_fixpoint_stats_report",

@@ -99,14 +99,6 @@ class AbstractContainer:
         out.maybe_empty = self.maybe_empty or other.maybe_empty
         return out
 
-    def same_state(self, other: "AbstractContainer") -> bool:
-        return (
-            self.cid == other.cid
-            and self.epoch == other.epoch
-            and self.properties == other.properties
-            and self.maybe_empty == other.maybe_empty
-        )
-
     def __repr__(self) -> str:
         props = f" {sorted(self.properties)}" if self.properties else ""
         return f"<{self.kind} #{self.cid} '{self.name}' e{self.epoch}{props}>"
@@ -139,14 +131,6 @@ class AbstractIterator:
             out.validity = out.validity.join(other.validity)
         return out
 
-    def same_state(self, other: "AbstractIterator") -> bool:
-        return (
-            self.container.cid == other.container.cid
-            and self.position == other.position
-            and self.validity == other.validity
-            and self.may_be_end == other.may_be_end
-        )
-
     def invalidate(self, definitely: bool = True) -> None:
         self.validity = (
             Validity.SINGULAR if definitely else
@@ -170,9 +154,6 @@ class AbstractValue:
 
     def join(self, other: "AbstractValue") -> "AbstractValue":
         return AbstractValue(self.note if self.note == other.note else "")
-
-    def same_state(self, other: "AbstractValue") -> bool:
-        return True
 
     def __repr__(self) -> str:
         return f"<value {self.note}>" if self.note else "<value>"
@@ -214,11 +195,6 @@ class EpochSnapshot:
             merged[cid] = min(merged.get(cid, epoch), epoch)
         return EpochSnapshot(frozenset(merged.items()))
 
-    def same_state(self, other: "EpochSnapshot") -> bool:
-        # Epoch-insensitive on purpose: snapshots must not keep the
-        # fixpoint engine iterating after everything observable stabilized.
-        return True
-
 
 def join_values(a: Any, b: Any) -> Any:
     """Join two abstract values of possibly different kinds."""
@@ -236,12 +212,3 @@ def join_values(a: Any, b: Any) -> Any:
     if isinstance(a, EpochSnapshot) and isinstance(b, EpochSnapshot):
         return a.join(b)
     return AbstractValue()
-
-
-def same_state(a: Any, b: Any) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (AbstractIterator, AbstractContainer, AbstractValue,
-                      EpochSnapshot)):
-        return a.same_state(b)
-    return a == b

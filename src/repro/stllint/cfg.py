@@ -4,17 +4,14 @@
 :class:`~repro.stllint.ir.FunctionCFG`.  The interesting work is making
 implicit control flow explicit:
 
-- ``break``/``continue``/``return`` become plain edges (the legacy
-  interpreter modelled them with signal exceptions, which forced loops
-  to be re-executed whole);
+- ``break``/``continue``/``return`` become plain edges;
 - ``for`` loops get the begin/end/increment iterator-protocol desugaring
   as dedicated pseudo-instructions (``ForInit``/``ForEnter``/
   ``ForAdvance``) around an ordinary loop-head block;
 - ``try`` blocks snapshot container epochs on entry and route a
   handler-dispatch edge from both the region entry and the body exit
-  (the same "exception may fire anywhere" join the legacy ``_exec_try``
-  used), with ``raise`` statements adding a direct edge to the innermost
-  enclosing handler;
+  (an exception may fire anywhere in the body), with ``raise``
+  statements adding a direct edge to the innermost enclosing handler;
 - ``finally`` bodies are duplicated onto every exiting continuation
   (fall-through, ``break``, ``continue``, ``return``), matching Python's
   semantics without needing a landing-pad abstraction.
@@ -176,9 +173,9 @@ class _Lowerer:
         body = self.new_block("while-body", node.lineno)
         post = self.new_block("while-post", node.lineno)
         self.seal(cur, Goto(head.bid))
-        # Loop-head branch: legacy parity — the body edge is always
-        # explored even for a constant-false-looking test, and the exit
-        # edge is always feasible; refinement still applies on each side.
+        # Loop-head branch: the body edge is always explored even for a
+        # constant-false-looking test, and the exit edge is always
+        # feasible; refinement still applies on each side.
         self.seal(
             head,
             Branch(node.test, body.bid, post.bid, respect_constant=False),
@@ -227,9 +224,7 @@ class _Lowerer:
             # Normal exhaustion runs orelse; break skips it (break edges
             # target `post` after the orelse in Python — modelled by
             # lowering orelse into post directly, which over-approximates
-            # break-paths as also seeing orelse; sound for may-analysis
-            # and strictly more precise than the legacy engine, which ran
-            # orelse on the joined loop state unconditionally).
+            # break-paths as also seeing orelse; sound for may-analysis).
             return self.lower_block(node.orelse, post)
         return post
 
@@ -270,7 +265,7 @@ class _Lowerer:
             exits.append(body_end)
         if dispatch is not None and body_end is not None:
             # The body may also raise part-way through: its exit state
-            # feeds the dispatch join (the legacy env.join(body_env)).
+            # feeds the dispatch join.
             # Model with an always-both branch from a fresh block so the
             # normal continuation is unaffected.
             split = self.new_block("try-exit-split", line)
@@ -369,8 +364,7 @@ class _Lowerer:
                 target_idx = i
                 break
         if target_idx is None:
-            # No handler in this function: the exception ends the path
-            # (the legacy engine treated raise as return-None).
+            # No handler in this function: the exception ends the path.
             cur = self._replay_finallys(cur)
             self.seal(cur, Return(value=None))
             return None

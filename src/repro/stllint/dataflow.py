@@ -1,27 +1,26 @@
 """Worklist dataflow fixpoint engine over the STLlint abstract domain.
 
-:class:`FixpointChecker` is a drop-in replacement for the recursive
-:class:`~repro.stllint.interpreter.Checker`: same abstract domain, same
-transfer functions (it *is* a ``Checker`` subclass and reuses
+:class:`FixpointChecker` is the STLlint engine.  Its transfer functions
+are those of :class:`~repro.stllint.interpreter.Checker` (it reuses
 ``_eval``/``_exec_stmt``/``_refine``/the container and iterator
-operations verbatim), but control flow runs over the explicit CFG from
-:mod:`repro.stllint.cfg` instead of bounded re-execution:
+operations), and control flow runs over the explicit CFG from
+:mod:`repro.stllint.cfg`:
 
 - per-edge out-states; a block's in-state is the join over its incoming
-  edges (exactly the legacy branch join, but uniform);
+  edges;
 - at loop heads the in-state additionally joins with everything seen at
   that head before (the lattice-ascent / widening point) — since every
   CFG cycle passes through a loop head and the domain modulo mutation
   epochs has finite height, iteration reaches a true fixpoint with no
-  ``MAX_LOOP_ITERATIONS`` cap;
+  pass-count bound;
 - convergence is detected with *epoch-insensitive* structural state
   signatures: the mutation epoch is the one unbounded counter in the
   domain, and nothing downstream observes its absolute value (only
   "changed since" comparisons, which stabilize), so excluding it turns
   an infinite ascending chain into a finite one;
 - calls to same-module functions use memoized input→output summaries
-  (:mod:`repro.stllint.summaries`) instead of bounded inlining, so
-  call-chain depth no longer loses findings.
+  (:mod:`repro.stllint.summaries`), so call-chain depth loses no
+  findings.
 
 A safety cap on total block executions backstops the termination
 argument; if it ever fires the engine says so (``LINT-UNSTABLE-LOOP``
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import ast
 import heapq
+import textwrap
 from typing import Any, Optional
 
 from ..trace import core as _trace
@@ -47,7 +47,8 @@ from .abstract_values import (
     join_values,
 )
 from .cfg import lower_function
-from .interpreter import Checker, Env
+from .diagnostics import DiagnosticSink
+from .interpreter import Checker, Env, module_function_table
 from .ir import (
     BasicBlock,
     BindHandler,
@@ -68,6 +69,7 @@ from .ir import (
     WithEnter,
 )
 from .specs import CONTAINER_SPECS, MSG_UNSTABLE_LOOP
+from .summaries import SummaryTable
 
 
 class FixpointStats:
@@ -123,10 +125,10 @@ def env_signature(env: Env) -> frozenset:
 
 
 class FixpointChecker(Checker):
-    """CFG + worklist replacement for the recursive ``Checker``.
+    """CFG + worklist engine over ``Checker``'s transfer functions.
 
-    Everything diagnostic-producing is inherited; only control flow and
-    interprocedural handling are overridden.
+    Everything diagnostic-producing is inherited; this class adds control
+    flow and interprocedural handling.
     """
 
     def __init__(
@@ -139,11 +141,7 @@ class FixpointChecker(Checker):
     ) -> None:
         super().__init__(tree, source_lines,
                          module_functions=module_functions, facts=facts)
-        if summaries is None:
-            from .summaries import SummaryTable
-
-            summaries = SummaryTable()
-        self.summaries = summaries
+        self.summaries = summaries if summaries is not None else SummaryTable()
         #: Join of the states at every ``Return`` edge (None when no
         #: return block was reachable — the safety cap fired first).
         self.exit_env: Optional[Env] = None
@@ -245,8 +243,7 @@ class FixpointChecker(Checker):
                 tr = _trace.ACTIVE
                 if tr is not None:
                     tr.event("stllint.loop_bound", cat="lint",
-                             function=self.tree.name, engine="fixpoint",
-                             executions=executions)
+                             function=self.tree.name, executions=executions)
                 break
             done_sig[bid] = sig
 
@@ -410,15 +407,15 @@ class FixpointChecker(Checker):
             return
         raise TypeError(f"unknown IR instruction {type(instr).__name__}")
 
-    # -- interprocedural: summaries instead of inlining ------------------------
+    # -- interprocedural: summaries ---------------------------------------------
 
-    def _inline_call(
+    def _call_function(
         self, name: str, callee: ast.FunctionDef, args: list[Any],
         env: Env, line: int,
     ) -> Any:
-        """Summary-based replacement for bounded inlining: compute (or
-        reuse) the callee's input→output effect summary for these
-        abstract argument shapes and apply it to the caller's state."""
+        """Compute (or reuse) the callee's input→output effect summary
+        for these abstract argument shapes and apply it to the caller's
+        state."""
         a = callee.args
         if (
             a.vararg is not None or a.kwarg is not None or a.kwonlyargs
@@ -427,6 +424,47 @@ class FixpointChecker(Checker):
             self._note_uninlined(name, args, line)
             return AbstractValue(f"{name}()")
         return self.summaries.apply(self, name, callee, args, env, line)
+
+
+# ---------------------------------------------------------------------------
+# Public API
+# ---------------------------------------------------------------------------
+
+
+def check_source(
+    source: str, *, interprocedural: bool = True
+) -> DiagnosticSink:
+    """Check every function in ``source``; returns a combined sink.
+
+    With ``interprocedural=True`` (the default), calls between functions
+    defined in ``source`` are analyzed across function boundaries via
+    memoized summaries shared by the whole module.
+    """
+    source = textwrap.dedent(source)
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    functions = module_function_table(tree) if interprocedural else {}
+    combined = DiagnosticSink(lines)
+    summaries = SummaryTable()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            sink = FixpointChecker(
+                node, lines, module_functions=functions,
+                summaries=summaries,
+            ).run()
+            for d in sink.diagnostics:
+                combined.emit(d.severity, d.message, d.line)
+    return combined
+
+
+def check_function(fn_or_source: Any) -> DiagnosticSink:
+    """Check a single function given as source text or a Python function
+    object (its source is retrieved with :mod:`inspect`)."""
+    if isinstance(fn_or_source, str):
+        return check_source(fn_or_source)
+    import inspect
+
+    return check_source(inspect.getsource(fn_or_source))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The STLlint symbolic interpreter.
+"""The STLlint transfer functions.
 
 Programs to check are written in a small Python subset (parsed with
 :mod:`ast`, so diagnostics carry real line numbers): assignments, ``if``,
@@ -15,17 +15,22 @@ string annotations naming the container kind::
             else:
                 it.increment()
 
-Analysis is a may-analysis: branches on unknown conditions execute both
-ways and join; loops run to an abstract fixpoint (joined states) so effects
-of iteration *k* are visible in iteration *k+1* — which is exactly how the
-Fig. 4 bug surfaces: the erase branch leaves ``it`` singular, the join taints
+:class:`Checker` is the abstract effect of one straight-line statement or
+expression: assignments, container and iterator operations, algorithm
+calls, and condition refinement.  Control flow and same-module calls are
+the engine's, :class:`~repro.stllint.dataflow.FixpointChecker`, which
+runs these transfer functions over the function's CFG to a fixpoint.
+
+Analysis is a may-analysis: branches on unknown conditions run both ways
+and join, and loops run until the joined state stops changing, so effects
+of iteration *k* are visible in iteration *k+1*.  That is how the Fig. 4
+bug surfaces: the erase branch leaves ``it`` singular, the join taints
 it, and the next iteration's ``it.deref()`` fires the paper's warning.
 """
 
 from __future__ import annotations
 
 import ast
-import textwrap
 from typing import Any, Optional
 
 from ..facts.properties import invalidate as _invalidate_props
@@ -39,9 +44,8 @@ from .abstract_values import (
     Position,
     Validity,
     join_values,
-    same_state,
 )
-from .diagnostics import Diagnostic, DiagnosticSink, Severity
+from .diagnostics import DiagnosticSink
 from .specs import (
     ALGORITHM_SPECS,
     CONTAINER_SPECS,
@@ -53,25 +57,8 @@ from .specs import (
     MSG_SINGULAR_DEREF,
     MSG_UNINLINED_CALL,
     MSG_UNMODELED_STMT,
-    MSG_UNSTABLE_LOOP,
     AlgorithmContext,
 )
-
-#: Engine used by :func:`check_source`/:func:`check_function` when none is
-#: named: "fixpoint" (CFG + worklist, :mod:`repro.stllint.dataflow`) or
-#: "inline" (this module's legacy bounded re-execution, kept as the
-#: differential-testing oracle).
-DEFAULT_ENGINE = "fixpoint"
-
-ENGINES = ("fixpoint", "inline")
-
-MAX_LOOP_ITERATIONS = 6
-
-#: Bound on the dynamic inlining chain for interprocedural analysis: a
-#: call to a same-module function is analyzed in the caller's abstract
-#: state up to this depth; past it (or on recursion) the call is treated
-#: as opaque and an explicit Note records the lost precision.
-MAX_INLINE_DEPTH = 4
 
 
 class Env:
@@ -122,32 +109,16 @@ class Env:
                 v.container = containers[v.container.cid]
         return out
 
-    def same_state(self, other: "Env") -> bool:
-        if set(self.vars) != set(other.vars):
-            return False
-        return all(same_state(self.vars[k], other.vars[k]) for k in self.vars)
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
 
 class Checker:
-    """Checks one function's body against the library specifications.
+    """The transfer functions for one function's body: what each
+    straight-line statement and expression does to the abstract state,
+    and which diagnostics it emits.
 
     ``module_functions`` maps names of functions defined in the same
-    module to their ASTs; calls to them are analyzed interprocedurally by
-    bounded inlining (the whole-program mode of Section 3.1, where
-    invalidation effects propagate across helper functions).
+    module to their ASTs; calls to them go to :meth:`_call_function`,
+    which the engine supplies (the whole-program mode of Section 3.1,
+    where invalidation effects propagate across helper functions).
     """
 
     def __init__(
@@ -162,22 +133,6 @@ class Checker:
         self.env = Env()
         self.module_functions = module_functions or {}
         self.facts = facts
-        self._inline_stack: list[str] = [tree.name]
-
-    # -- entry ----------------------------------------------------------------
-
-    def run(self) -> DiagnosticSink:
-        for arg in self.tree.args.args:
-            kind = self._annotation_kind(arg)
-            if kind in CONTAINER_SPECS:
-                self.env.vars[arg.arg] = AbstractContainer(kind, arg.arg)
-            else:
-                self.env.vars[arg.arg] = AbstractValue(arg.arg)
-        try:
-            self._exec_block(self.tree.body, self.env)
-        except _ReturnSignal:
-            pass
-        return self.sink
 
     @staticmethod
     def _annotation_kind(arg: ast.arg) -> Optional[str]:
@@ -189,10 +144,6 @@ class Checker:
         return None
 
     # -- statements --------------------------------------------------------------
-
-    def _exec_block(self, stmts: list[ast.stmt], env: Env) -> None:
-        for s in stmts:
-            self._exec_stmt(s, env)
 
     def _exec_stmt(self, node: ast.stmt, env: Env) -> None:
         if isinstance(node, ast.Assign):
@@ -210,27 +161,6 @@ class Checker:
         if isinstance(node, ast.Expr):
             self._eval(node.value, env)
             return
-        if isinstance(node, ast.If):
-            self._exec_if(node, env)
-            return
-        if isinstance(node, ast.While):
-            self._exec_while(node, env)
-            return
-        if isinstance(node, ast.For):
-            self._exec_for(node, env)
-            return
-        if isinstance(node, ast.Try):
-            self._exec_try(node, env)
-            return
-        if isinstance(node, ast.With):
-            for item in node.items:
-                self._eval(item.context_expr, env)
-                if isinstance(item.optional_vars, ast.Name):
-                    env.vars[item.optional_vars.id] = AbstractValue(
-                        item.optional_vars.id
-                    )
-            self._exec_block(node.body, env)
-            return
         if isinstance(node, ast.Assert):
             self._eval(node.test, env)
             if node.msg is not None:
@@ -241,20 +171,6 @@ class Checker:
                 if isinstance(t, ast.Name):
                     env.vars.pop(t.id, None)
             return
-        if isinstance(node, ast.Raise):
-            if node.exc is not None:
-                self._eval(node.exc, env)
-            # An exception ends this path (for this function's analysis).
-            raise _ReturnSignal(None)
-        if isinstance(node, ast.Return):
-            value = None
-            if node.value is not None:
-                value = self._eval(node.value, env)
-            raise _ReturnSignal(value)
-        if isinstance(node, ast.Break):
-            raise _BreakSignal()
-        if isinstance(node, ast.Continue):
-            raise _ContinueSignal()
         if isinstance(node, ast.Pass):
             return
         # Unmodeled statements are evaluated for their subexpressions only.
@@ -303,189 +219,12 @@ class Checker:
                 getattr(node, "lineno", 0),
             )
 
-    def _exec_if(self, node: ast.If, env: Env) -> None:
-        cond = self._eval(node.test, env)
-        if cond is AbstractBool.TRUE:
-            self._refine(node.test, env, True)
-            self._exec_block(node.body, env)
-            return
-        if cond is AbstractBool.FALSE:
-            self._refine(node.test, env, False)
-            self._exec_block(node.orelse, env)
-            return
-        then_env = env.copy()
-        else_env = env.copy()
-        self._refine(node.test, then_env, True)
-        self._refine(node.test, else_env, False)
-        then_returned = else_returned = False
-        try:
-            self._exec_block(node.body, then_env)
-        except _ReturnSignal:
-            then_returned = True
-        try:
-            self._exec_block(node.orelse, else_env)
-        except _ReturnSignal:
-            else_returned = True
-        if then_returned and else_returned:
-            raise _ReturnSignal(None)
-        if then_returned:
-            joined = else_env
-        elif else_returned:
-            joined = then_env
-        else:
-            joined = then_env.join(else_env)
-        env.vars = joined.vars
-
-    def _exec_while(self, node: ast.While, env: Env) -> None:
-        state = env
-        for _ in range(MAX_LOOP_ITERATIONS):
-            # Evaluate the condition (may emit diagnostics).
-            self._eval(node.test, state)
-            body_env = state.copy()
-            self._refine(node.test, body_env, True)
-            try:
-                self._exec_block(node.body, body_env)
-            except (_BreakSignal, _ContinueSignal):
-                pass
-            except _ReturnSignal:
-                # A returning path ends the loop on that path; keep joining.
-                pass
-            new_state = state.join(body_env)
-            if new_state.same_state(state):
-                state = new_state
-                break
-            state = new_state
-        else:
-            self._note_loop_bound(node.lineno)
-        self._refine(node.test, state, False)
-        env.vars = state.vars
-
-    def _exec_for(self, node: ast.For, env: Env) -> None:
-        """Desugar ``for x in c`` into the begin/end/increment iterator
-        protocol when ``c`` is a tracked container, so invalidation-in-loop
-        bugs (Fig. 4) are caught in idiomatic Python loops too::
-
-            it = c.begin()
-            while not it.equals(c.end()):
-                x = it.deref()
-                <body>
-                it.increment()
-
-        Other iterables run the body to an abstract fixpoint with opaque
-        loop variables, so container effects inside the body still join.
-        """
-        line = node.lineno
-        iterable = self._eval(node.iter, env)
-        container_loop = (
-            isinstance(iterable, AbstractContainer)
-            and isinstance(node.target, ast.Name)
-        )
-        # "<...>" cannot collide with a user identifier.
-        it_name = f"<for@{line}>"
-        if container_loop:
-            env.vars[it_name] = AbstractIterator(
-                iterable, Position.BEGIN, Validity.VALID, iterable.epoch,
-                may_be_end=True, origin_line=line,
-            )
-        state = env
-        for _ in range(MAX_LOOP_ITERATIONS):
-            body_env = state.copy()
-            if container_loop:
-                it = body_env.vars[it_name]
-                # Loop entry implies the implicit `not it.equals(c.end())`.
-                if isinstance(it, AbstractIterator):
-                    it.may_be_end = False
-                    if it.position is Position.END:
-                        it.position = Position.UNKNOWN
-                    it.container.maybe_empty = False
-                    self._iterator_op(it, "deref", [], line)
-                body_env.vars[node.target.id] = AbstractValue(node.target.id)
-            else:
-                self._bind_loop_target(node.target, body_env)
-            advance = container_loop
-            try:
-                self._exec_block(node.body, body_env)
-            except (_BreakSignal, _ReturnSignal):
-                # Neither path reaches the implicit increment.
-                advance = False
-            except _ContinueSignal:
-                pass
-            if advance:
-                it = body_env.vars.get(it_name)
-                if isinstance(it, AbstractIterator):
-                    self._iterator_op(it, "increment", [], line)
-            new_state = state.join(body_env)
-            if new_state.same_state(state):
-                state = new_state
-                break
-            state = new_state
-        else:
-            self._note_loop_bound(node.lineno)
-        if node.orelse:
-            self._exec_block(node.orelse, state)
-        state.vars.pop(it_name, None)
-        env.vars = state.vars
-
-    def _note_loop_bound(self, line: int) -> None:
-        """The loop exhausted ``MAX_LOOP_ITERATIONS`` without the joined
-        state stabilizing: effects of further iterations are invisible to
-        this (legacy) engine.  Say so instead of pretending convergence."""
-        tr = _trace.ACTIVE
-        if tr is not None:
-            tr.event(
-                "stllint.loop_bound", cat="lint", engine="inline",
-                function=self._inline_stack[0], line=line,
-                bound=MAX_LOOP_ITERATIONS,
-            )
-        self.sink.note(MSG_UNSTABLE_LOOP, line)
-
     def _bind_loop_target(self, target: ast.expr, env: Env) -> None:
         if isinstance(target, ast.Name):
             env.vars[target.id] = AbstractValue(target.id)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._bind_loop_target(elt, env)
-
-    def _exec_try(self, node: ast.Try, env: Env) -> None:
-        """May-analysis over exceptional control flow.  The handler entry
-        state is the join of the states before and after the ``try`` body —
-        an exception may fire anywhere inside it — and every iterator over
-        a container the body *mutated* is conservatively havocked (it may
-        have been invalidated part-way through)."""
-        pre_epochs = {
-            v.cid: v.epoch for v in env.vars.values()
-            if isinstance(v, AbstractContainer)
-        }
-        body_env = env.copy()
-        body_returned = False
-        try:
-            self._exec_block(node.body, body_env)
-            if node.orelse:
-                self._exec_block(node.orelse, body_env)
-        except _ReturnSignal:
-            body_returned = True
-        result: Optional[Env] = None if body_returned else body_env
-        for handler in node.handlers:
-            h_env = env.join(body_env)
-            self._havoc_mutated(h_env, pre_epochs)
-            if handler.type is not None:
-                self._eval(handler.type, h_env)
-            if handler.name:
-                h_env.vars[handler.name] = AbstractValue(handler.name)
-            try:
-                self._exec_block(handler.body, h_env)
-            except _ReturnSignal:
-                continue
-            result = h_env if result is None else result.join(h_env)
-        if result is None:
-            # Every path returned (or raised); run finally, end this path.
-            if node.finalbody:
-                f_env = env.join(body_env)
-                self._exec_block(node.finalbody, f_env)
-            raise _ReturnSignal(None)
-        if node.finalbody:
-            self._exec_block(node.finalbody, result)
-        env.vars = result.vars
 
     def _havoc_mutated(self, env: Env, pre_epochs: dict[int, int]) -> None:
         mutated = {
@@ -497,7 +236,7 @@ class Checker:
         if tr is not None and mutated:
             tr.event(
                 "stllint.havoc", cat="lint",
-                function=self._inline_stack[0],
+                function=self.tree.name,
                 containers=len(mutated),
             )
         for v in env.vars.values():
@@ -634,76 +373,27 @@ class Checker:
                 result = handler(ctx)
                 if c is not None:
                     self.facts.record_call(
-                        name, line, self._inline_stack[-1],
+                        name, line, self.tree.name,
                         c.name or "?", c.kind, before,
                         frozenset(c.properties),
                     )
                 return result
             callee = self.module_functions.get(name)
             if callee is not None and not node.keywords:
-                return self._inline_call(name, callee, args, env, line)
+                return self._call_function(name, callee, args, env, line)
             # Unknown free function: opaque result; arguments were already
             # evaluated (so a singular deref inside them is reported).
             return AbstractValue(f"{name}()")
         self._eval(node.func, env)
         return AbstractValue()
 
-    # -- interprocedural analysis ------------------------------------------------
-
-    def _inline_call(
+    def _call_function(
         self, name: str, callee: ast.FunctionDef, args: list[Any],
         env: Env, line: int,
     ) -> Any:
-        """Analyze a same-module callee with the caller's abstract
-        arguments (bounded inlining).
-
-        The callee runs in a child environment that carries every caller
-        binding under a mangled name, so invalidation — which scans the
-        active environment by container identity — reaches the caller's
-        iterators exactly as it would have had the callee's body been
-        written inline.  On return the (possibly joined/copied) caller
-        bindings are written back.
-        """
-        a = callee.args
-        if (
-            a.vararg is not None or a.kwarg is not None or a.kwonlyargs
-            or a.posonlyargs or len(args) != len(a.args)
-        ):
-            self._note_uninlined(name, args, line)
-            return AbstractValue(f"{name}()")
-        if name in self._inline_stack or len(self._inline_stack) > MAX_INLINE_DEPTH:
-            self._note_uninlined(name, args, line)
-            return AbstractValue(f"{name}()")
-        # "<...>" cannot collide with user identifiers or nested prefixes
-        # from a different depth.
-        tr = _trace.ACTIVE
-        if tr is not None:
-            tr.event(
-                "stllint.inline", cat="lint", callee=name, line=line,
-                caller=self._inline_stack[-1],
-                depth=len(self._inline_stack),
-            )
-        prefix = f"<inline{len(self._inline_stack)}:{name}>"
-        callee_env = Env()
-        for outer, value in env.vars.items():
-            callee_env.vars[prefix + outer] = value
-        for param, value in zip(a.args, args):
-            callee_env.vars[param.arg] = value
-        self._inline_stack.append(name)
-        result: Any = AbstractValue(f"{name}()")
-        try:
-            self._exec_block(callee.body, callee_env)
-        except _ReturnSignal as sig:
-            if sig.value is not None:
-                result = sig.value
-        except (_BreakSignal, _ContinueSignal):
-            pass
-        finally:
-            self._inline_stack.pop()
-        for key, value in callee_env.vars.items():
-            if key.startswith(prefix):
-                env.vars[key[len(prefix):]] = value
-        return result
+        """The abstract effect of a call to a same-module function; the
+        engine supplies it."""
+        raise NotImplementedError
 
     def _note_uninlined(self, name: str, args: list[Any], line: int) -> None:
         if any(
@@ -713,7 +403,7 @@ class Checker:
             if tr is not None:
                 tr.event(
                     "stllint.uninlined", cat="lint", callee=name, line=line,
-                    caller=self._inline_stack[-1],
+                    caller=self.tree.name,
                 )
             self.sink.note(f"{name}(): {MSG_UNINLINED_CALL}", line)
 
@@ -742,7 +432,7 @@ class Checker:
             for p in sorted(set(c.properties) - set(survived)):
                 self.facts.record(
                     c.name or "?", p, line, "destroys", source=kind,
-                    function=self._inline_stack[-1],
+                    function=self.tree.name,
                 )
         c.properties.clear()
         c.properties.update(survived)
@@ -937,76 +627,3 @@ def module_function_table(tree: ast.Module) -> dict[str, ast.FunctionDef]:
         node.name: node for node in tree.body
         if isinstance(node, ast.FunctionDef)
     }
-
-
-def make_checker(
-    engine: Optional[str],
-    tree: ast.FunctionDef,
-    source_lines: list[str],
-    *,
-    module_functions: Optional[dict[str, ast.FunctionDef]] = None,
-    facts: Optional[FactRecorder] = None,
-    summaries: Any = None,
-) -> Checker:
-    """Construct the checker for ``engine`` (None means
-    :data:`DEFAULT_ENGINE`).  ``summaries`` is only meaningful for the
-    fixpoint engine: share one table across a module's functions so
-    interprocedural summaries are computed once per shape."""
-    engine = engine or DEFAULT_ENGINE
-    if engine == "inline":
-        return Checker(tree, source_lines, module_functions=module_functions,
-                       facts=facts)
-    if engine == "fixpoint":
-        from .dataflow import FixpointChecker
-
-        return FixpointChecker(
-            tree, source_lines, module_functions=module_functions,
-            facts=facts, summaries=summaries,
-        )
-    raise ValueError(
-        f"unknown analysis engine {engine!r}; expected one of {ENGINES}"
-    )
-
-
-def check_source(
-    source: str, *, interprocedural: bool = True,
-    engine: Optional[str] = None,
-) -> DiagnosticSink:
-    """Check every function in ``source``; returns a combined sink.
-
-    With ``interprocedural=True`` (the default), calls between functions
-    defined in ``source`` are analyzed across function boundaries —
-    via memoized summaries under the default ``fixpoint`` engine, or by
-    bounded inlining under ``engine="inline"`` (the legacy oracle).
-    """
-    source = textwrap.dedent(source)
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    functions = module_function_table(tree) if interprocedural else {}
-    combined = DiagnosticSink(lines)
-    summaries: Any = None
-    if (engine or DEFAULT_ENGINE) == "fixpoint":
-        from .summaries import SummaryTable
-
-        summaries = SummaryTable()
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            sink = make_checker(
-                engine, node, lines, module_functions=functions,
-                summaries=summaries,
-            ).run()
-            for d in sink.diagnostics:
-                combined.emit(d.severity, d.message, d.line)
-    return combined
-
-
-def check_function(
-    fn_or_source: Any, *, engine: Optional[str] = None
-) -> DiagnosticSink:
-    """Check a single function given as source text or a Python function
-    object (its source is retrieved with :mod:`inspect`)."""
-    if isinstance(fn_or_source, str):
-        return check_source(fn_or_source, engine=engine)
-    import inspect
-
-    return check_source(inspect.getsource(fn_or_source), engine=engine)

@@ -1,13 +1,10 @@
 """A small statement-level IR with an explicit control-flow graph.
 
-The legacy interpreter (:mod:`repro.stllint.interpreter`) walks the AST
-recursively, approximating ``break``/``continue``/``return`` with signal
-exceptions and loops with bounded re-execution.  This module is the
-structured alternative: :mod:`repro.stllint.cfg` lowers one function's
-AST into a :class:`FunctionCFG` of :class:`BasicBlock`\\ s whose
-*instructions* are either original AST statements (executed by the same
-transfer functions the legacy interpreter uses) or small pseudo-ops for
-the constructs the recursive walker handled implicitly — ``for``-loop
+:mod:`repro.stllint.cfg` lowers one function's AST into a
+:class:`FunctionCFG` of :class:`BasicBlock`\\ s whose *instructions* are
+either original straight-line AST statements (executed by the transfer
+functions of :class:`repro.stllint.interpreter.Checker`) or small
+pseudo-ops for the constructs control flow implies — ``for``-loop
 iterator-protocol desugaring, ``try`` epoch snapshots and exception-edge
 havoc.  Each block ends in exactly one :class:`Terminator`, so every
 ``break``, ``continue``, ``return``, ``raise``, and loop back-edge is an
@@ -58,8 +55,7 @@ class WithEnter(Instr):
 class ForInit(Instr):
     """Evaluate a ``for`` loop's iterable; when it is a tracked container
     (and the target is a plain name), bind the hidden protocol iterator
-    ``it_name`` at BEGIN — the desugaring the legacy ``_exec_for`` did
-    inline."""
+    ``it_name`` at BEGIN."""
 
     iter_expr: ast.expr
     it_name: str
@@ -160,8 +156,8 @@ class Goto:
 class Branch:
     """Two-way conditional edge with path-sensitive refinement on each
     side.  ``respect_constant`` distinguishes ``if`` (a definitely-true
-    test kills the else edge) from loop heads, where the legacy engine
-    always explored the body — parity the fixpoint engine keeps."""
+    test kills the else edge) from loop heads, whose body is always
+    explored."""
 
     test: ast.expr
     then_target: int

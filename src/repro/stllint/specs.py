@@ -147,9 +147,8 @@ MSG_UNINLINED_CALL = (
     "inline (recursion or depth limit); its effects are not analyzed"
 )
 MSG_UNSTABLE_LOOP = (
-    "loop analysis hit the iteration bound before the abstract state "
-    "stabilized; effects of later iterations may be missed (re-run with "
-    "--engine fixpoint for a sound result)"
+    "loop analysis hit the safety cap before the abstract state "
+    "stabilized; effects of later iterations may be missed"
 )
 
 
@@ -217,7 +216,7 @@ class AlgorithmContext:
                 c.name or "?", prop, self.line,
                 "requires" if ok else "requires-missing",
                 source=self.name,
-                function=self.interp._inline_stack[-1],
+                function=self.interp.tree.name,
             )
         if not ok:
             self.sink.warning(message, self.line)

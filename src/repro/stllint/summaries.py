@@ -1,9 +1,8 @@
 """Summary-based interprocedural analysis for the fixpoint engine.
 
-The legacy interpreter analyzed same-module calls by *bounded inlining*:
-re-run the callee's body inside the caller's abstract state, up to
-``MAX_INLINE_DEPTH``, losing all effects past the bound.  This module
-replaces that with the classic separate-analysis discipline (the
+Bounded inlining (re-running the callee's body inside the caller's
+abstract state up to a fixed depth) loses every effect past the bound.
+This module uses the classic separate-analysis discipline instead (the
 "analyze each component once against its specification" idea the paper's
 generic-programming methodology is built on): each callee is analyzed
 **once per abstract argument shape**, producing an input→output
@@ -112,8 +111,8 @@ class SummaryTable:
     def __init__(self) -> None:
         self._cache: dict[tuple, Summary] = {}
         #: Names currently being summarized — any call back into one of
-        #: these is (mutual) recursion and bails out like the legacy
-        #: engine did, with an explicit note.
+        #: these is (mutual) recursion and bails out with an explicit
+        #: note.
         self._computing: set[str] = set()
 
     def __len__(self) -> int:

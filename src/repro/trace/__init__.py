@@ -20,7 +20,7 @@ Instrumented layers (each guarded by the same disabled-check discipline):
 - the Simplicissimus rewriter: one span per fixpoint pass, one event per
   rule application, an explicit event when ``max_passes`` is exhausted;
 - the STLlint driver: per-file and per-function analysis spans,
-  havoc/inline events from the symbolic interpreter, and a
+  havoc/uninlined-call events from the checker, and a
   ``--trace OUT.json`` CLI flag;
 - the distributed simulator: delivery/round/drop events and truncation.
 

@@ -11,9 +11,8 @@ import random
 
 import pytest
 
+from repro.analysis import AnalysisSession
 from repro.distributed import FailurePlan, Ring, run_echo_reliable
-from repro.lint import lint_paths
-from repro.optimize import optimize_file
 from repro.resilience import (
     ConstantBackoff,
     RetryBudgetExhausted,
@@ -63,10 +62,10 @@ class TestLintUnderChaos:
             (tmp_path / f"m{i}.py").write_text(BUGGY)
 
         monkey = _ChaosMonkey(seed)
-        real_make = lint_driver.make_checker
+        real_checker = lint_driver.FixpointChecker
 
-        def chaotic_make(*args, **kwargs):
-            checker = real_make(*args, **kwargs)
+        def chaotic_checker(*args, **kwargs):
+            checker = real_checker(*args, **kwargs)
             real_run = checker.run
 
             def chaotic_run():
@@ -76,8 +75,8 @@ class TestLintUnderChaos:
             checker.run = chaotic_run
             return checker
 
-        monkeypatch.setattr(lint_driver, "make_checker", chaotic_make)
-        report = lint_paths([tmp_path])     # must never raise
+        monkeypatch.setattr(lint_driver, "FixpointChecker", chaotic_checker)
+        report = AnalysisSession().lint_paths([tmp_path])  # never raises
         assert len(report.files) == n_files
         internal = [f for f in report.findings
                     if f.check == "LINT-INTERNAL"]
@@ -104,7 +103,8 @@ class TestOptimizeUnderChaos:
         for i in range(4):
             target = tmp_path / f"m{i}.py"
             target.write_text(OPTIMIZABLE)
-            result = optimize_file(target, write=True)  # must never raise
+            # must never raise
+            result = AnalysisSession().optimize_file(target, write=True)
             on_disk = target.read_text()
             # Invariant: disk holds either the untouched original or the
             # fully verified rewrite — nothing in between.
@@ -128,7 +128,7 @@ class TestOptimizeUnderChaos:
         monkeypatch.setattr(pipeline, "apply_rewrites", chaotic_apply)
         target = tmp_path / "m.py"
         target.write_text(OPTIMIZABLE)
-        result = optimize_file(target, write=True)
+        result = AnalysisSession().optimize_file(target, write=True)
         if monkey.raised:
             assert [f.check for f in result.findings] == ["OPT-INTERNAL"]
             assert target.read_text() == OPTIMIZABLE

@@ -118,15 +118,6 @@ class TestSessionCaching:
         assert s.counters["lint_analyzed"] == 1
         assert s.counters["lint_from_cache"] == 1
 
-    def test_engine_change_invalidates(self, tmp_path, config):
-        proj = write_project(tmp_path / "p", a=BUGGY)
-        AnalysisSession(config).lint_paths([proj])
-
-        s = AnalysisSession(config.with_(engine="inline"))
-        s.lint_paths([proj])
-        assert s.counters["lint_analyzed"] == 1
-        assert s.counters["lint_from_cache"] == 0
-
     def test_semantic_config_change_invalidates(self, tmp_path, config):
         proj = write_project(tmp_path / "p", a=BUGGY)
         AnalysisSession(config).lint_paths([proj])
@@ -191,17 +182,17 @@ class TestSessionCaching:
         from repro.lint import driver as lint_driver
 
         proj = write_project(tmp_path / "p", a=BUGGY)
-        real = lint_driver.make_checker
+        real = lint_driver.FixpointChecker
 
         def boom(*args, **kwargs):
             raise RuntimeError("chaos")
 
-        monkeypatch.setattr(lint_driver, "make_checker", boom)
+        monkeypatch.setattr(lint_driver, "FixpointChecker", boom)
         s1 = AnalysisSession(config)
         r1 = s1.lint_paths([proj])
         assert any(f.check == "LINT-INTERNAL" for f in r1.findings)
 
-        monkeypatch.setattr(lint_driver, "make_checker", real)
+        monkeypatch.setattr(lint_driver, "FixpointChecker", real)
         s2 = AnalysisSession(config)
         r2 = s2.lint_paths([proj])
         assert s2.counters["lint_analyzed"] == 1   # not served from cache
@@ -509,31 +500,8 @@ class TestParallel:
 
 
 class TestDeprecationShims:
-    def test_lint_shims_warn_and_delegate(self, tmp_path):
-        from repro.lint import lint_file, lint_paths, lint_source
-
-        target = tmp_path / "m.py"
-        target.write_text(BUGGY)
-        with pytest.warns(DeprecationWarning):
-            by_source = lint_source(BUGGY, path=str(target))
-        with pytest.warns(DeprecationWarning):
-            by_file = lint_file(target)
-        with pytest.warns(DeprecationWarning):
-            by_paths = lint_paths([target])
-        assert by_source.findings and by_file.findings
-        assert [f.check for f in by_file.findings] == \
-            [f.check for f in by_paths.findings]
-
-    def test_optimize_shims_warn_and_delegate(self, tmp_path):
-        from repro.optimize import optimize_file, optimize_source
-
-        target = tmp_path / "m.py"
-        target.write_text(OPTIMIZABLE)
-        with pytest.warns(DeprecationWarning):
-            by_source = optimize_source(OPTIMIZABLE, path=str(target))
-        with pytest.warns(DeprecationWarning):
-            by_file = optimize_file(target)
-        assert by_source.plans and by_file.plans
+    """The deprecated free-function shims are gone; the session API that
+    replaced them must not warn."""
 
     def test_session_api_does_not_warn(self, tmp_path):
         target = tmp_path / "m.py"
@@ -648,7 +616,7 @@ class TestExitCodeContract:
         from repro.lint import driver as lint_driver
 
         monkeypatch.setattr(
-            lint_driver, "make_checker",
+            lint_driver, "FixpointChecker",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("x")))
         proj = write_project(tmp_path / "p", a=BUGGY)
         report = AnalysisSession().lint_paths([proj])
@@ -726,10 +694,10 @@ class TestConfig:
             base.fingerprint("nope")
 
     def test_round_trip_with_lint_config(self):
-        cfg = AnalysisConfig(engine="inline", fail_on="error",
+        cfg = AnalysisConfig(concept_pass=False, fail_on="error",
                              exclude=("x",))
         lc = cfg.to_lint_config()
         back = AnalysisConfig.from_lint_config(lc)
-        assert back.engine == "inline"
+        assert back.concept_pass is False
         assert back.fail_on == "error"
         assert back.exclude == ("x",)

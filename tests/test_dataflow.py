@@ -1,11 +1,12 @@
-"""Differential tests for the CFG + worklist fixpoint engine against the
-legacy bounded-inlining engine.
+"""Reference tests for the CFG + worklist fixpoint engine.
 
-The contract: on every program the legacy engine analyzed soundly, the
-fixpoint engine reports the *same* warnings/errors/suggestions — and on
-programs the legacy bounds truncated (loops needing more than
-MAX_LOOP_ITERATIONS passes, call chains deeper than MAX_INLINE_DEPTH),
-the fixpoint engine keeps going and finds the bugs the bounds hid.
+The engine once ran beside a legacy bounded-inlining engine, and these
+tests compared the two.  That engine is gone; its verdicts survive as
+recorded literals.  On every program below the fixpoint engine must
+report exactly the findings recorded here: the set both engines agreed
+on where they agreed, and the fixpoint engine's own output on programs
+the legacy bounds truncated (loops needing more than 6 passes, call
+chains deeper than 4 calls), where it found the bugs the bounds hid.
 """
 
 import pathlib
@@ -14,29 +15,57 @@ import pytest
 
 from repro import trace
 from repro.stllint import (
+    MSG_MAYBE_END_DEREF,
+    MSG_PAST_END_DEREF,
+    MSG_SINGULAR_ADVANCE,
     MSG_SINGULAR_DEREF,
+    MSG_SORTED_LINEAR_FIND,
     MSG_UNINLINED_CALL,
     MSG_UNSTABLE_LOOP,
     Severity,
     check_source,
-    make_checker,
 )
 from repro.stllint.dataflow import reset_stats, stats
-from repro.stllint.interpreter import MAX_INLINE_DEPTH, MAX_LOOP_ITERATIONS
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py")
 )
 
+MSG_SINGULAR_ERASE = "attempt to erase through a singular iterator"
+
 
 def findings(report):
     """Comparable finding set: notes are engine commentary (uninlined
-    calls, loop bounds) and legitimately differ between engines."""
+    calls, loop bounds) and legitimately differed between engines."""
     return {
         (d.severity.value, d.message, d.line)
         for d in report.diagnostics
         if d.severity is not Severity.NOTE
     }
+
+
+def diagnostics(report):
+    """Every diagnostic, notes included, in emission order."""
+    return [(d.severity.value, d.message, d.line) for d in report.diagnostics]
+
+
+def warning(message, line):
+    return ("Warning", message, line)
+
+
+#: Findings per example module, recorded where both engines agreed.
+#: Every example not listed must be clean.
+EXAMPLE_FINDINGS = {
+    "lint_demo.py": [
+        warning(MSG_SINGULAR_ADVANCE, 31),
+        warning(MSG_SINGULAR_DEREF, 31),
+        warning(MSG_SINGULAR_DEREF, 46),
+        warning(MSG_PAST_END_DEREF, 61),
+    ],
+    "optimize_demo.py": [
+        ("Suggestion", MSG_SORTED_LINEAR_FIND, 26),
+    ],
+}
 
 
 BUGGY_EXTRACT_FAILS = '''
@@ -55,11 +84,20 @@ FIXED_EXTRACT_FAILS = BUGGY_EXTRACT_FAILS.replace(
     "            it = students.erase(it)",
 ).replace("extract_fails", "extract_ok")
 
+#: Fig. 4's findings, in the order the engine emits them.
+FIG4_FINDINGS = [
+    warning(MSG_SINGULAR_DEREF, 5),
+    warning(MSG_SINGULAR_ADVANCE, 9),
+    warning(MSG_SINGULAR_DEREF, 6),
+    warning(MSG_SINGULAR_ERASE, 7),
+]
 
-# A call chain one deeper than the legacy inliner follows.  The erase at
-# the bottom invalidates the caller's iterator; only an engine that
-# analyzes through every level can see the deref afterwards is singular.
-_DEPTH = MAX_INLINE_DEPTH + 2
+
+# A call chain of depth 6, two deeper than the legacy inliner followed.
+# The erase at the bottom invalidates the caller's iterator; only an
+# engine that analyzes through every level can see the deref afterwards
+# is singular.
+_DEPTH = 6
 DEEP_CHAIN = "\n".join(
     [f'def g{_DEPTH}(v: "vector", it):\n    v.erase(it)\n']
     + [
@@ -74,10 +112,10 @@ DEEP_CHAIN = "\n".join(
     ]
 )
 
-# Singularity that needs MAX_LOOP_ITERATIONS + 2 passes to ripple down a
-# copy chain: each iteration moves the taint one variable further, so the
-# legacy 6-pass bound never reaches i8 and misses the singular deref.
-_COPIES = MAX_LOOP_ITERATIONS + 2
+# Singularity that needs 8 passes to ripple down a copy chain of 8
+# iterators: each iteration moves the taint one variable further, so the
+# legacy 6-pass bound never reached i8 and missed the singular deref.
+_COPIES = 8
 SLOW_LOOP = "\n".join(
     ['def slow_propagation(v: "vector", w: "vector"):',
      "    j = w.begin()",
@@ -96,10 +134,10 @@ def walk(v: "vector", n):
     return it.deref()
 '''
 
-# Shapes where the legacy engine is structurally blind: a break/continue
-# raised while exploring the then-branch of an `if` aborts the sibling
-# else-branch *before it is analyzed*, so the erase on the fallthrough
-# path never reaches the loop join.  The CFG lowering gives each path its
+# Shapes where the legacy engine was structurally blind: a break/continue
+# raised while exploring the then-branch of an `if` aborted the sibling
+# else-branch *before it was analyzed*, so the erase on the fallthrough
+# path never reached the loop join.  The CFG lowering gives each path its
 # own edge, so the fixpoint engine sees the erase — these findings are
 # fixpoint-only, and they are true positives.
 BREAK_SHAPE = '''
@@ -168,67 +206,65 @@ def nested_shape(v: "vector", w: "vector"):
 ''',
 ]
 
+#: EDGE_SHAPES' findings, recorded where both engines agreed.
+EDGE_FINDINGS = [
+    {warning(MSG_SINGULAR_DEREF, 8)},
+    set(),
+    set(),
+    {warning(MSG_MAYBE_END_DEREF, 8)},
+]
+
+#: Findings only the fixpoint engine reported (the legacy engine: none).
+TRUNCATED_FINDINGS = {
+    BREAK_SHAPE: {
+        warning(MSG_SINGULAR_ERASE, 7), warning(MSG_SINGULAR_DEREF, 8),
+    },
+    CONTINUE_SHAPE: {
+        warning(MSG_SINGULAR_ERASE, 7), warning(MSG_SINGULAR_DEREF, 8),
+    },
+}
+
 
 class TestDifferentialExamples:
-    """Both engines over every example module: the fixpoint engine must
-    reproduce the legacy findings exactly — no losses, no spurious
-    extras on code the bounds already covered."""
+    """Every example module against its recorded findings: no losses,
+    no spurious extras."""
 
     @pytest.mark.parametrize(
         "path", EXAMPLES, ids=[p.name for p in EXAMPLES])
     def test_engines_agree(self, path):
         source = path.read_text(encoding="utf-8")
-        fix = check_source(source, engine="fixpoint")
-        inl = check_source(source, engine="inline")
-        assert findings(fix) == findings(inl)
+        expected = set(EXAMPLE_FINDINGS.get(path.name, ()))
+        assert findings(check_source(source)) == expected
 
     @pytest.mark.parametrize(
         "path", EXAMPLES, ids=[p.name for p in EXAMPLES])
     def test_fixpoint_never_loses_a_finding(self, path):
+        # Stricter than the set: notes, order and duplicates too.
         source = path.read_text(encoding="utf-8")
-        fix = check_source(source, engine="fixpoint")
-        inl = check_source(source, engine="inline")
-        assert findings(fix) >= findings(inl)
+        expected = EXAMPLE_FINDINGS.get(path.name, [])
+        assert diagnostics(check_source(source)) == expected
 
 
 class TestFig4Family:
     def test_buggy_flagged_by_both_engines(self):
-        for engine in ("fixpoint", "inline"):
-            report = check_source(BUGGY_EXTRACT_FAILS, engine=engine)
-            assert any(
-                d.message == MSG_SINGULAR_DEREF for d in report.warnings
-            ), engine
+        report = check_source(BUGGY_EXTRACT_FAILS)
+        assert findings(report) == set(FIG4_FINDINGS)
 
     def test_fixed_clean_under_both_engines(self):
-        for engine in ("fixpoint", "inline"):
-            report = check_source(FIXED_EXTRACT_FAILS, engine=engine)
-            assert report.clean, engine
+        assert check_source(FIXED_EXTRACT_FAILS).clean
 
     def test_fixpoint_superset_on_fig4(self):
-        fix = check_source(BUGGY_EXTRACT_FAILS, engine="fixpoint")
-        inl = check_source(BUGGY_EXTRACT_FAILS, engine="inline")
-        assert findings(fix) >= findings(inl)
+        report = check_source(BUGGY_EXTRACT_FAILS)
+        assert diagnostics(report) == FIG4_FINDINGS
 
 
 class TestDeepCallChains:
     """Summaries have no depth bound: the invalidation at the bottom of a
-    MAX_INLINE_DEPTH+2 chain reaches the caller."""
+    depth-6 chain reaches the caller."""
 
     def test_fixpoint_finds_deep_invalidation(self):
-        report = check_source(DEEP_CHAIN, engine="fixpoint")
-        assert any(
-            d.message == MSG_SINGULAR_DEREF for d in report.warnings
-        )
-
-    def test_inline_engine_misses_it_but_says_so(self):
-        report = check_source(DEEP_CHAIN, engine="inline")
-        assert not any(
-            d.message == MSG_SINGULAR_DEREF for d in report.warnings
-        )
-        assert any(
-            MSG_UNINLINED_CALL in d.message
-            for d in report.of(Severity.NOTE)
-        )
+        report = check_source(DEEP_CHAIN)
+        assert diagnostics(report) == [warning(MSG_SINGULAR_DEREF, 22)]
 
     def test_shallow_chains_agree(self):
         shallow = '''
@@ -240,10 +276,8 @@ def outer(v: "vector"):
     inner(v, it)
     x = it.deref()
 '''
-        fix = check_source(shallow, engine="fixpoint")
-        inl = check_source(shallow, engine="inline")
-        assert findings(fix) == findings(inl)
-        assert any(d.message == MSG_SINGULAR_DEREF for d in fix.warnings)
+        assert findings(check_source(shallow)) == {
+            warning(MSG_SINGULAR_DEREF, 8)}
 
 
 class TestSlowLoops:
@@ -251,36 +285,11 @@ class TestSlowLoops:
     until an arbitrary pass count runs out."""
 
     def test_fixpoint_finds_slow_taint(self):
-        report = check_source(SLOW_LOOP, engine="fixpoint")
-        assert any(
-            d.message == MSG_SINGULAR_DEREF for d in report.warnings
-        )
-
-    def test_inline_engine_reports_the_unstable_loop(self):
-        report = check_source(SLOW_LOOP, engine="inline")
-        assert not any(
-            d.message == MSG_SINGULAR_DEREF for d in report.warnings
-        )
-        assert any(
-            d.message == MSG_UNSTABLE_LOOP
-            for d in report.of(Severity.NOTE)
-        )
-
-    def test_inline_loop_bound_trace_event(self):
-        tracer = trace.enable(trace.Tracer())
-        try:
-            check_source(SLOW_LOOP, engine="inline")
-        finally:
-            trace.disable()
-        events = [
-            r for r in tracer.records
-            if r["type"] == "event" and r["name"] == "stllint.loop_bound"
-        ]
-        assert events
-        assert events[0]["attrs"]["engine"] == "inline"
+        report = check_source(SLOW_LOOP)
+        assert findings(report) == {warning(MSG_SINGULAR_DEREF, 21)}
 
     def test_fixpoint_converges_without_bound_notes(self):
-        report = check_source(SLOW_LOOP, engine="fixpoint")
+        report = check_source(SLOW_LOOP)
         assert not any(
             d.message == MSG_UNSTABLE_LOOP for d in report.diagnostics
         )
@@ -288,13 +297,10 @@ class TestSlowLoops:
 
 class TestRecursion:
     def test_both_engines_terminate_and_degrade_gracefully(self):
-        for engine in ("fixpoint", "inline"):
-            report = check_source(RECURSIVE, engine=engine)
-            assert report is not None
-            assert any(
-                MSG_UNINLINED_CALL in d.message
-                for d in report.of(Severity.NOTE)
-            ), engine
+        report = check_source(RECURSIVE)
+        assert findings(report) == set()
+        assert diagnostics(report) == [
+            ("Note", f"walk(): {MSG_UNINLINED_CALL}", 4)]
 
     def test_mutual_recursion(self):
         src = '''
@@ -304,52 +310,39 @@ def ping(v: "vector"):
 def pong(v: "vector"):
     ping(v)
 '''
-        for engine in ("fixpoint", "inline"):
-            assert check_source(src, engine=engine) is not None
+        assert diagnostics(check_source(src)) == [
+            ("Note", f"pong(): {MSG_UNINLINED_CALL}", 3)]
 
 
 class TestEdgeShapes:
-    """break/continue/raise/finally lower to explicit CFG edges; the
-    engines must agree on all of them."""
+    """break/continue/raise/finally lower to explicit CFG edges."""
 
     @pytest.mark.parametrize("src", EDGE_SHAPES)
     def test_engines_agree(self, src):
-        fix = check_source(src, engine="fixpoint")
-        inl = check_source(src, engine="inline")
-        assert findings(fix) == findings(inl)
+        expected = EDGE_FINDINGS[EDGE_SHAPES.index(src)]
+        assert findings(check_source(src)) == expected
 
     @pytest.mark.parametrize("src", [BREAK_SHAPE, CONTINUE_SHAPE])
     def test_fixpoint_sees_the_path_legacy_truncates(self, src):
         # The erase sits on the fallthrough path past an exiting `if`
-        # arm.  Legacy signal-based break/continue aborts the sibling
-        # branch unanalyzed; the CFG engine must flag the deref after
-        # the loop (the erase path is feasible and loops back).
-        fix = check_source(src, engine="fixpoint")
-        inl = check_source(src, engine="inline")
-        assert any(
-            d.message == MSG_SINGULAR_DEREF for d in fix.warnings
-        )
-        assert findings(fix) > findings(inl)
+        # arm.  The CFG engine must flag the deref after the loop (the
+        # erase path is feasible and loops back).
+        assert findings(check_source(src)) == TRUNCATED_FINDINGS[src]
 
     def test_handler_sees_body_mutation(self):
-        fix = check_source(EDGE_SHAPES[0], engine="fixpoint")
+        fix = check_source(EDGE_SHAPES[0])
         assert any(
             d.message == MSG_SINGULAR_DEREF for d in fix.warnings
         )
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        import ast
-
-        fn = ast.parse("def f(v: 'vector'):\n    pass").body[0]
-        with pytest.raises(ValueError):
-            make_checker("magic", fn, [])
-
     def test_check_source_default_is_fixpoint(self):
-        # The default engine emits no uninlined-call note on a deep
-        # chain — only the legacy engine would.
+        # check_source runs the fixpoint engine: its counters advance
+        # and the deep chain's invalidation is found.
+        reset_stats()
         report = check_source(DEEP_CHAIN)
+        assert stats()["functions"] >= 1
         assert any(
             d.message == MSG_SINGULAR_DEREF for d in report.warnings
         )
@@ -358,7 +351,7 @@ class TestEngineSelection:
 class TestFixpointStats:
     def test_counters_advance_and_loops_stay_stable(self):
         reset_stats()
-        check_source(SLOW_LOOP, engine="fixpoint")
+        check_source(SLOW_LOOP)
         s = stats()
         assert s["functions"] >= 1
         assert s["blocks"] >= 3
@@ -378,7 +371,7 @@ def a(v: "vector"):
 def b(v: "vector"):
     helper(v)
 '''
-        check_source(src, engine="fixpoint")
+        check_source(src)
         s = stats()
         assert s["summary_misses"] >= 1
         assert s["summary_hits"] >= 1
@@ -386,7 +379,7 @@ def b(v: "vector"):
     def test_fixpoint_spans_carry_iteration_counts(self):
         tracer = trace.enable(trace.Tracer())
         try:
-            check_source(SLOW_LOOP, engine="fixpoint")
+            check_source(SLOW_LOOP)
         finally:
             trace.disable()
         spans = [

@@ -1,6 +1,6 @@
-"""ConceptLint: the whole-program driver, the interpreter extensions it
+"""ConceptLint: the whole-program driver, the checker extensions it
 relies on (for-loop desugaring, tuple assignment, try/except havoc,
-interprocedural inlining), suppression comments, and the concept-
+interprocedural analysis), suppression comments, and the concept-
 conformance pass over ``@where`` call sites."""
 
 import ast
@@ -10,6 +10,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis import AnalysisConfig, AnalysisSession
 from repro.lint import (
     ALL_CHECKS,
     UNKNOWN_SUPPRESSION_CODE,
@@ -18,8 +19,6 @@ from repro.lint import (
     all_check_codes,
     check_code,
     collect_suppressions,
-    lint_paths,
-    lint_source,
     main,
     run_concept_pass,
 )
@@ -31,6 +30,16 @@ from repro.stllint import (
     Severity,
     check_source,
 )
+
+
+def lint_source(source, path="<string>", config=None):
+    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
+    return session.lint_source(source, path=path)
+
+
+def lint_paths(paths, config=None):
+    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
+    return session.lint_paths(paths)
 
 
 def msgs(report, severity=None):
@@ -603,11 +612,11 @@ class TestCrashIsolation:
         for name in ("alpha", "beta", "gamma"):
             (tmp_path / f"{name}.py").write_text(BUGGY)
 
-        real_make = lint_driver.make_checker
+        real_checker = lint_driver.FixpointChecker
         calls = {"n": 0}
 
-        def exploding_make(*args, **kwargs):
-            checker = real_make(*args, **kwargs)
+        def exploding_checker(*args, **kwargs):
+            checker = real_checker(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 2:
                 def boom():
@@ -615,7 +624,7 @@ class TestCrashIsolation:
                 checker.run = boom
             return checker
 
-        monkeypatch.setattr(lint_driver, "make_checker", exploding_make)
+        monkeypatch.setattr(lint_driver, "FixpointChecker", exploding_checker)
         report = lint_paths([tmp_path])
         internal = [f for f in report.findings if f.check == "LINT-INTERNAL"]
         assert len(internal) == 1
@@ -633,16 +642,16 @@ class TestCrashIsolation:
         (tmp_path / "a.py").write_text(CLEAN)
         (tmp_path / "b.py").write_text(CLEAN)
 
-        real_make = lint_driver.make_checker
+        real_checker = lint_driver.FixpointChecker
 
-        def exploding_make(*args, **kwargs):
-            checker = real_make(*args, **kwargs)
+        def exploding_checker(*args, **kwargs):
+            checker = real_checker(*args, **kwargs)
             def boom():
                 raise RuntimeError("boom")
             checker.run = boom
             return checker
 
-        monkeypatch.setattr(lint_driver, "make_checker", exploding_make)
+        monkeypatch.setattr(lint_driver, "FixpointChecker", exploding_checker)
         rc = main([str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 3                          # partial results
@@ -675,16 +684,16 @@ class TestCrashIsolation:
             "it.deref()", "it.deref()  # stllint: ignore")
         (tmp_path / "hushed.py").write_text(src)
 
-        real_make = lint_driver.make_checker
+        real_checker = lint_driver.FixpointChecker
 
-        def exploding_make(*args, **kwargs):
-            checker = real_make(*args, **kwargs)
+        def exploding_checker(*args, **kwargs):
+            checker = real_checker(*args, **kwargs)
             def boom():
                 raise RuntimeError("boom")
             checker.run = boom
             return checker
 
-        monkeypatch.setattr(lint_driver, "make_checker", exploding_make)
+        monkeypatch.setattr(lint_driver, "FixpointChecker", exploding_checker)
         report = lint_paths([tmp_path])
         assert any(f.check == "LINT-INTERNAL" for f in report.findings)
 

@@ -4,8 +4,8 @@
 Three scenarios, all seeded and in-process:
 
 1. **lint chaos** — a ``RuntimeError`` is injected into a fixed subset of
-   checker runs (through the ``make_checker`` engine seam) while linting
-   a scratch tree.  The run must exit 3 (partial results), print one
+   checker runs (through the driver's ``FixpointChecker`` binding) while
+   linting a scratch tree.  The run must exit 3 (partial results), print one
    LINT-INTERNAL finding per injection, never a traceback, and still
    report the real bugs in spared files.
 2. **optimize chaos** — the same treatment for ``collect_facts`` during
@@ -89,12 +89,12 @@ def lint_chaos(tmp: pathlib.Path) -> bool:
     for i in range(n_files):
         (tree / f"m{i}.py").write_text(BUGGY)
 
-    real_make = lint_driver.make_checker
+    real_checker = lint_driver.FixpointChecker
     calls = {"n": 0}
     inject_at = {2, 4}                    # fixed, replayable injections
 
-    def chaotic_make(*args, **kwargs):
-        checker = real_make(*args, **kwargs)
+    def chaotic_checker(*args, **kwargs):
+        checker = real_checker(*args, **kwargs)
         calls["n"] += 1
         if calls["n"] in inject_at:
             n = calls["n"]
@@ -105,11 +105,11 @@ def lint_chaos(tmp: pathlib.Path) -> bool:
             checker.run = boom
         return checker
 
-    lint_driver.make_checker = chaotic_make
+    lint_driver.FixpointChecker = chaotic_checker
     try:
         rc, out, err = _run_cli(lint_main, [str(tree)])
     finally:
-        lint_driver.make_checker = real_make
+        lint_driver.FixpointChecker = real_checker
 
     ok = True
     ok &= check(rc == 3, "lint exits 3 on partial results", f"rc={rc}")
@@ -170,12 +170,12 @@ def cache_chaos(tmp: pathlib.Path) -> bool:
         (tree / f"m{i}.py").write_text(BUGGY)
     cache_dir = str(tmp / "cachestore")
 
-    real_make = lint_driver.make_checker
+    real_checker = lint_driver.FixpointChecker
     calls = {"n": 0}
     inject_at = {2}
 
-    def chaotic_make(*args, **kwargs):
-        checker = real_make(*args, **kwargs)
+    def chaotic_checker(*args, **kwargs):
+        checker = real_checker(*args, **kwargs)
         calls["n"] += 1
         if calls["n"] in inject_at:
             n = calls["n"]
@@ -186,12 +186,12 @@ def cache_chaos(tmp: pathlib.Path) -> bool:
             checker.run = boom
         return checker
 
-    lint_driver.make_checker = chaotic_make
+    lint_driver.FixpointChecker = chaotic_checker
     try:
         rc, out, err = _run_cli(
             analysis_main, ["lint", str(tree), "--cache-dir", cache_dir])
     finally:
-        lint_driver.make_checker = real_make
+        lint_driver.FixpointChecker = real_checker
 
     ok = True
     ok &= check(rc == 3, "analysis lint exits 3 under injection",

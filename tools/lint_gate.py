@@ -31,11 +31,12 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis import AnalysisConfig, AnalysisSession  # noqa: E402
-from repro.stllint.dataflow import reset_stats, stats  # noqa: E402
-from repro.stllint.interpreter import (  # noqa: E402
-    make_checker,
-    module_function_table,
+from repro.stllint.dataflow import (  # noqa: E402
+    FixpointChecker,
+    reset_stats,
+    stats,
 )
+from repro.stllint.interpreter import module_function_table  # noqa: E402
 
 #: The complete set of (file, function, check) findings the example
 #: directory must produce — no more, no less.
@@ -78,8 +79,8 @@ def self_host_fixpoint() -> tuple[bool, int, list[str]]:
             analyzed += 1
             rel = path.relative_to(REPO)
             try:
-                checker = make_checker(
-                    "fixpoint", node, lines, module_functions=functions,
+                checker = FixpointChecker(
+                    node, lines, module_functions=functions,
                 )
                 checker.run()
             except Exception as exc:  # noqa: BLE001 - gate reports, not raises
