@@ -34,8 +34,12 @@ from repro.stllint.diagnostics import Severity
 from repro.stllint.summaries import Summary, ClassEffect, SummaryTable
 
 #: Version of every serialized payload in this module.  Bump on ANY
-#: field change — old entries are then discarded, never misread.
-SCHEMA_VERSION = 2
+#: field change — old entries are then discarded, never misread — and
+#: on any analyzer change that alters what a payload holds (3: a callee
+#: that assigns to an iterator parameter no longer strong-updates the
+#: caller's iterator, so cached lint results and summaries from 2 are
+#: wrong).
+SCHEMA_VERSION = 3
 
 
 class SchemaError(ValueError):

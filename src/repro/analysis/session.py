@@ -27,10 +27,12 @@ import os
 import pathlib
 from typing import Optional, Sequence, Union
 
-from repro.facts.records import FactTable
+from repro.facts.records import FactRecorder, FactTable
 from repro.lint.driver import (
     FileReport,
+    LintConfig,
     ProjectReport,
+    SourceAnalysis,
     _lint_file_impl,
     _lint_source_impl,
     discover_files,
@@ -126,6 +128,11 @@ class AnalysisSession:
             "imports_scanned": 0,
             "imports_from_cache": 0,
         }
+        #: The last lint miss's pass, ``((str(path), sha), analysis)``,
+        #: for an optimize miss of the same bytes to plan from (see
+        #: :meth:`_lint_miss`).  One entry; taken by the next optimize
+        #: miss whether or not it matches.
+        self._handoff: Optional[tuple[tuple[str, str], SourceAnalysis]] = None
 
     # -- shared plumbing -----------------------------------------------------
 
@@ -208,20 +215,46 @@ class AnalysisSession:
                                  config=self.config.to_lint_config())
 
     def _lint_miss(self, f: pathlib.Path, sha: Optional[str],
-                   deps_fp: str) -> FileReport:
+                   deps_fp: str, handoff: bool = False) -> FileReport:
         """Analyze one file, pre-seeding (and afterwards persisting) its
-        interprocedural summary table when the cache is on."""
+        interprocedural summary table when the cache is on.
+
+        With ``handoff``, a pass the optimizer could have run itself
+        also records facts and is kept for the next optimize miss: the
+        summary table started empty (a pre-seeded one skips callee
+        bodies, so their recordings would be missing and the meets would
+        claim too much), the analysis knobs equal the default
+        :class:`LintConfig`'s (what the optimizer verifies with), and no
+        crash or deadline cut the pass short.  Recording runs every
+        top-level def, not only lint's, so only :meth:`lint_file` asks
+        for it: of a ``lint_paths`` run's misses only the last could be
+        handed off."""
         summaries = None
+        fresh = True
         persist_summaries = self.cache is not None and sha is not None
         if persist_summaries:
             summaries = self._get_cached("summaries", f, sha, deps_fp)
+            fresh = summaries is None
             if summaries is None:
                 from repro.stllint.summaries import SummaryTable
 
                 summaries = SummaryTable()
-        report = _lint_file_impl(f, self.config.to_lint_config(),
-                                 summaries=summaries)
+        config = self.config.to_lint_config()
+        default = LintConfig()
+        recorder = None
+        if handoff and sha is not None and fresh and (
+                config.concept_pass, config.interprocedural,
+                config.timeout_s) == (
+                default.concept_pass, default.interprocedural,
+                default.timeout_s):
+            recorder = FactRecorder()
+        report = _lint_file_impl(f, config, summaries=summaries,
+                                 facts=recorder)
         self.counters["lint_analyzed"] += 1
+        if recorder is not None:
+            analysis = SourceAnalysis(report, recorder.table())
+            if not analysis.failures:
+                self._handoff = ((str(f), sha), analysis)
         if sha is not None and _cacheable(report.findings):
             self._store("lint", f, sha, deps_fp,
                         file_report_to_payload(report))
@@ -241,7 +274,7 @@ class AnalysisSession:
             if cached is not None:
                 self.counters["lint_from_cache"] += 1
                 return cached
-        return self._lint_miss(f, sha, "")
+        return self._lint_miss(f, sha, "", handoff=True)
 
     def lint_paths(self, paths: Sequence[PathLike]) -> ProjectReport:
         """Lint every Python file under ``paths``: warm files from the
@@ -305,10 +338,15 @@ class AnalysisSession:
                        deps_fp: str, write: bool):
         from repro.optimize.pipeline import _optimize_file_impl
 
+        handoff, self._handoff = self._handoff, None
+        analysis = None
+        if handoff is not None and sha is not None \
+                and handoff[0] == (str(f), sha):
+            analysis = handoff[1]
         result = _optimize_file_impl(
             f, write=write, resource=self.config.resource,
             size=self.config.size, timeout_s=self.config.timeout_s,
-            monomorphize=self.config.monomorphize,
+            monomorphize=self.config.monomorphize, analysis=analysis,
         )
         self.counters["optimize_analyzed"] += 1
         # ``--write`` changes the file after analysis, so the cached

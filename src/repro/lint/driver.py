@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
+from repro.facts.records import FactRecorder, FactTable
 from repro.resilience import Deadline, DeadlineExceeded
 from repro.stllint.dataflow import FixpointChecker
 from repro.stllint.diagnostics import Severity
@@ -268,13 +269,25 @@ def _lint_source_impl(
     path: str = "<string>",
     config: Optional[LintConfig] = None,
     summaries: object = None,
+    facts: Optional[FactRecorder] = None,
 ) -> FileReport:
     """Lint one module given as source text (implementation).
 
     ``summaries`` optionally pre-seeds the engine's
     interprocedural :class:`~repro.stllint.summaries.SummaryTable` — the
     analysis service passes a table deserialized from its cache, which
-    is sound because tables are keyed by this file's content hash."""
+    is sound because tables are keyed by this file's content hash.
+
+    ``facts`` makes the same pass the optimizer's fact producer: every
+    checker run records into it.  The optimizer needs facts for every
+    top-level def, so after the lint list the pass also runs each
+    top-level def that list skipped, in source order; those runs report
+    no diagnostics and do not count as checked, but a crash or deadline
+    in them is still reported (LINT-INTERNAL / LINT-TIMEOUT), since it
+    leaves the facts incomplete.  The recorder only observes, so the
+    findings are those of a pass without it.  A pre-seeded
+    ``summaries`` table skips callee bodies and so their recordings;
+    pass a fresh one (or none) when the facts will be planned from."""
     config = config or LintConfig()
     report = FileReport(path=path)
     lines = source.splitlines()
@@ -334,27 +347,33 @@ def _lint_source_impl(
         # callers in the module.
         summaries = SummaryTable()
     lintable, imports = _scan_module(tree)
+    run_list = lintable
+    if facts is not None:
+        linted = set(lintable)
+        run_list = lintable + [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node not in linted
+        ]
     seen: set[tuple[int, str]] = set()
-    for node in lintable:
+    for i, node in enumerate(run_list):
         if deadline is not None and deadline.expired():
             internal(LINT_TIMEOUT, (
                 f"file analysis budget of {config.timeout_s:g}s exhausted; "
                 f"'{node.name}' and later functions were not checked"
             ), node.lineno, node.name)
             break
-        report.functions_checked += 1
         try:
             if tr is None:
                 sink = FixpointChecker(
                     node, lines, module_functions=functions,
-                    summaries=summaries,
+                    facts=facts, summaries=summaries,
                 ).run()
             else:
                 with tr.span("lint.function", cat="lint", path=path,
                              function=node.name, line=node.lineno) as sp:
                     sink = FixpointChecker(
                         node, lines, module_functions=functions,
-                        summaries=summaries,
+                        facts=facts, summaries=summaries,
                     ).run()
                     sp.set("diagnostics", len(sink.diagnostics))
         except Exception as exc:  # noqa: BLE001 - crash isolation
@@ -362,6 +381,11 @@ def _lint_source_impl(
                 f"internal error while checking '{node.name}': "
                 f"{type(exc).__name__}: {exc}"
             ), node.lineno, node.name)
+            sink = None
+        if i >= len(lintable):
+            continue          # a facts-only run: no diagnostics
+        report.functions_checked += 1
+        if sink is None:
             continue
         for d in sink.diagnostics:
             key = (d.line, d.message)
@@ -427,6 +451,37 @@ def _lint_source_impl(
     return report
 
 
+@dataclass
+class SourceAnalysis:
+    """One STLlint pass over one source: its lint report and the facts
+    the same checker runs recorded."""
+
+    report: FileReport
+    table: FactTable
+
+    @property
+    def failures(self) -> list[LintFinding]:
+        """The LINT-INTERNAL / LINT-TIMEOUT findings of a crash or a
+        deadline that cut the pass short.  While there are any, the
+        findings are valid but the table may lack recordings, so its
+        meets could claim too much and nothing may be planned from it."""
+        return [f for f in self.report.findings
+                if f.check in (LINT_INTERNAL, LINT_TIMEOUT)]
+
+
+def analyze_source(
+    source: str,
+    path: str = "<string>",
+    config: Optional[LintConfig] = None,
+) -> SourceAnalysis:
+    """Lint ``source`` and collect its facts in one pass (see
+    :func:`_lint_source_impl`'s ``facts``)."""
+    recorder = FactRecorder()
+    report = _lint_source_impl(source, path=path, config=config,
+                               facts=recorder)
+    return SourceAnalysis(report, recorder.table())
+
+
 def _failed_file_report(path: str, check: str, message: str) -> FileReport:
     report = FileReport(path=path)
     report.findings.append(LintFinding(
@@ -438,7 +493,7 @@ def _failed_file_report(path: str, check: str, message: str) -> FileReport:
 
 def _lint_file_impl(
     path: PathLike, config: Optional[LintConfig] = None,
-    summaries: object = None,
+    summaries: object = None, facts: Optional[FactRecorder] = None,
 ) -> FileReport:
     p = pathlib.Path(path)
     try:
@@ -457,10 +512,10 @@ def _lint_file_impl(
         tr = _trace.ACTIVE
         if tr is None:
             return _lint_source_impl(source, path=str(p), config=config,
-                                     summaries=summaries)
+                                     summaries=summaries, facts=facts)
         with tr.span("lint.file", cat="lint", path=str(p)) as sp:
             report = _lint_source_impl(source, path=str(p), config=config,
-                                       summaries=summaries)
+                                       summaries=summaries, facts=facts)
             sp.set("functions_checked", report.functions_checked)
             sp.set("findings", len(report.findings))
         return report

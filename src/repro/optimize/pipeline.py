@@ -2,9 +2,10 @@
 
 Four stages, each traced as its own span when tracing is active:
 
-1. **facts** — run STLlint's symbolic interpreter over the module and
-   collect must-hold properties at every specified-algorithm call site
-   (:func:`repro.stllint.facts_collection.collect_facts`).
+1. **facts** — one STLlint pass over the module
+   (:func:`repro.lint.driver.analyze_source`) yields both its lint
+   findings and the must-hold properties at every specified-algorithm
+   call site, recorded by the same checker runs.
 2. **select** — for each call site, ask the sequence taxonomy for the
    asymptotically cheapest substitutable algorithm whose property
    requirements the facts satisfy
@@ -12,10 +13,16 @@ Four stages, each traced as its own span when tracing is active:
 3. **rewrite** — apply the selections source-to-source: locate the call
    by AST position and replace the callee name by column surgery, so
    formatting, comments, and line numbers are preserved.
-4. **verify** — re-lint the rewritten module (no new warnings/errors may
-   appear) and re-plan it (the pipeline must be idempotent: optimizing
-   its own output proposes nothing).  Any failure reverts to the
-   original source.
+4. **verify** — one pass over the rewritten module: its findings are
+   re-linted against the original's (no new warnings/errors may appear)
+   and its facts are re-planned (the pipeline must be idempotent:
+   optimizing its own output proposes nothing).  Any failure reverts to
+   the original source.
+
+So a module costs two passes: the original's and the rewrite's.  A
+caller that already ran the original's pass under the default
+:class:`~repro.lint.driver.LintConfig` (the analysis session, right
+after a lint) may hand it in as ``analysis``, leaving one.
 
 This is the end-to-end loop Section 3.2 sketches: "linear search on a
 sorted sequence → binary search", driven by STLlint-derived flow facts
@@ -33,7 +40,12 @@ from typing import Optional, Union
 
 from ..concepts.taxonomy import Taxonomy
 from ..facts.records import FactTable
-from ..lint.driver import LintConfig, LintFinding, _lint_source_impl
+from ..lint.driver import (
+    FileReport,
+    LintFinding,
+    SourceAnalysis,
+    analyze_source,
+)
 from ..resilience import Deadline
 from ..sequences.taxonomy import (
     CALL_TO_CONCEPT,
@@ -42,7 +54,6 @@ from ..sequences.taxonomy import (
     kind_weights,
     stl_taxonomy,
 )
-from ..stllint.facts_collection import collect_facts
 from ..trace import core as _trace
 
 PathLike = Union[str, pathlib.Path]
@@ -269,9 +280,8 @@ def apply_rewrites(source: str, plans: list[PlannedRewrite]) -> str:
     return "".join(lines)
 
 
-def _problem_findings(source: str, path: str) -> set[tuple[int, str]]:
+def _problem_findings(report: FileReport) -> set[tuple[int, str]]:
     """(line, check) pairs at warning severity or worse."""
-    report = _lint_source_impl(source, path=path, config=LintConfig())
     return {
         (f.line, f.check) for f in report.findings
         if f.severity in ("error", "warning")
@@ -306,8 +316,14 @@ def _optimize_source_impl(
     size: float = DEFAULT_SIZE,
     deadline: Optional[Deadline] = None,
     monomorphize: bool = False,
+    analysis: Optional[SourceAnalysis] = None,
 ) -> OptimizeResult:
     """Run the full facts → select → rewrite → verify pipeline.
+
+    ``analysis``, when given, is the pass over ``source`` under the
+    default :class:`~repro.lint.driver.LintConfig` with a fresh
+    summary table; the facts stage then reuses it.  An incomplete pass
+    (LINT-INTERNAL / LINT-TIMEOUT) raises, as a crash would.
 
     ``deadline`` (usually from ``--timeout-s``) is checked between
     stages; on expiry the file is reported with an OPT-TIMEOUT finding
@@ -324,21 +340,24 @@ def _optimize_source_impl(
     if deadline is not None and deadline.expired():
         return _timeout_result(result, path, deadline.budget)
 
-    try:
+    if analysis is None:
         if tr is None:
-            table = collect_facts(source)
+            analysis = analyze_source(source, path=path)
         else:
             with tr.span("optimize.facts", cat="optimize", path=path) as sp:
-                table = collect_facts(source)
-                sp.set("call_sites", len(table.call_sites()))
-    except SyntaxError as exc:
-        result.verified = False
-        result.findings.append(LintFinding(
-            path=path, function="<module>", line=exc.lineno or 0,
-            severity="error", check="parse-error",
-            message=f"file could not be parsed: {exc.msg}",
-        ))
-        return result
+                analysis = analyze_source(source, path=path)
+                sp.set("call_sites", len(analysis.table.call_sites()))
+    for finding in analysis.report.findings:
+        if finding.check == "parse-error":
+            result.verified = False
+            result.findings.append(finding)
+            return result
+    if analysis.failures:
+        # Partial facts could claim a property a skipped path refutes:
+        # treat the file as an internal failure, never plan from them.
+        raise RuntimeError(
+            f"STLlint pass incomplete: {analysis.failures[0].message}")
+    table = analysis.table
 
     def select() -> list[PlannedRewrite]:
         selected = plan_rewrites(table, taxonomy, resource, size)
@@ -377,10 +396,13 @@ def _optimize_source_impl(
             sp.set("rewrites", len(plans))
 
     def verify() -> tuple[bool, str]:
-        # No new warnings/errors relative to the input...
-        before = _problem_findings(source, path)
-        after = _problem_findings(optimized, path)
-        introduced = after - before
+        # No new warnings/errors relative to the input (the original's
+        # pass was complete, so a LINT-INTERNAL/LINT-TIMEOUT in the
+        # rewrite's pass is new and reverts before its partial facts
+        # are re-planned)...
+        rewritten = analyze_source(optimized, path=path)
+        introduced = (_problem_findings(rewritten.report)
+                      - _problem_findings(analysis.report))
         if introduced:
             rendered = ", ".join(
                 f"L{line}:{check}" for line, check in sorted(introduced)
@@ -388,7 +410,7 @@ def _optimize_source_impl(
             return False, f"re-lint found new problems ({rendered})"
         # ...and nothing further to do: the pipeline is idempotent (the
         # re-plan runs the same pass set, including OPT-MONO when on).
-        retable = collect_facts(optimized)
+        retable = rewritten.table
         again = plan_rewrites(retable, taxonomy, resource, size)
         if monomorphize:
             from .monomorphize import plan_monomorphizations
@@ -486,9 +508,11 @@ def _optimize_file_impl(
     size: float = DEFAULT_SIZE,
     timeout_s: Optional[float] = None,
     monomorphize: bool = False,
+    analysis: Optional[SourceAnalysis] = None,
 ) -> OptimizeResult:
     """Optimize one file on disk; with ``write=True`` the rewritten
     source replaces the file (only when verification passed).
+    ``analysis`` is passed through to :func:`_optimize_source_impl`.
 
     Per-file crash isolation: any internal exception — decode failure,
     pipeline bug, even a failing write — becomes an OPT-INTERNAL finding
@@ -504,6 +528,7 @@ def _optimize_file_impl(
         result = _optimize_source_impl(
             source, path=str(p), taxonomy=taxonomy, resource=resource,
             size=size, deadline=deadline, monomorphize=monomorphize,
+            analysis=analysis,
         )
         if write and result.changed and result.verified:
             _write_optimized(p, source, result)

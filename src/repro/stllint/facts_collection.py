@@ -1,10 +1,11 @@
 """collect_facts: STLlint as a *producer* of queryable semantic facts.
 
-The same symbolic interpretation that powers ``check_source`` — entry/exit
-handlers, loop fixpoints, interprocedural summaries — here records what
-it learned about container properties into a
+The checker runs that produce the lint driver's findings — entry/exit
+handlers, loop fixpoints, interprocedural summaries — also record what
+they learned about container properties into a
 :class:`~repro.facts.records.FactTable` instead of keeping it
-interpreter-private.  This is the producer half of
+interpreter-private: one pass serves the checker and the optimizer, as
+one symbolic execution does in the paper.  This is the producer half of
 the paper's Section 3.2 integration: "STLlint-derived flow facts" feed
 Simplicissimus's property-guarded rewrites and the ``repro.optimize``
 pipeline, which ask the table questions like "is ``v`` known sorted on
@@ -16,11 +17,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from ..facts.records import FactRecorder, FactTable
+from ..facts.records import FactTable
 from ..trace import core as _trace
-from .dataflow import FixpointChecker
-from .interpreter import module_function_table
-from .summaries import SummaryTable
 
 
 def collect_facts(
@@ -28,36 +26,36 @@ def collect_facts(
 ) -> FactTable:
     """Analyze every function in ``source`` and return the facts learned.
 
-    Diagnostics are still produced internally (the analysis is identical
-    to ``check_source``) but discarded here; callers wanting both should
-    lint separately — the runs are cheap and independent.
+    A view over the lint driver's fused pass
+    (:func:`repro.lint.driver.analyze_source`): one checker run per
+    function yields both the findings and the facts, so a caller that
+    wants both should call ``analyze_source`` and read ``.report`` and
+    ``.table`` instead of paying for a second pass.  This view skips the
+    concept pass, which records no facts.
 
     With ``interprocedural=True`` (the default), calls between functions
     defined in ``source`` are analyzed across function boundaries via
     memoized summaries, so a helper's ``sort`` establishes sortedness
     visible at the caller's ``find``.
+
+    Raises :class:`SyntaxError` when ``source`` does not parse and
+    :class:`RuntimeError` when a checker crash left the facts incomplete
+    (a partial table could claim properties a missing path refutes).
     """
+    from ..lint.driver import LintConfig, analyze_source
+
     source = textwrap.dedent(source)
-    tree = ast.parse(source)
-    lines = source.splitlines()
-    functions = module_function_table(tree) if interprocedural else {}
-    recorder = FactRecorder()
-    summaries = SummaryTable()
-
-    def run() -> None:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                FixpointChecker(
-                    node, lines, module_functions=functions,
-                    facts=recorder, summaries=summaries,
-                ).run()
-
+    ast.parse(source)
+    config = LintConfig(concept_pass=False, interprocedural=interprocedural)
     tr = _trace.ACTIVE
     if tr is None:
-        run()
+        analysis = analyze_source(source, config=config)
     else:
         with tr.span("facts.collect", cat="facts") as sp:
-            run()
-            sp.set("call_sites", len(recorder.calls))
-            sp.set("facts", len(recorder.facts))
-    return recorder.table()
+            analysis = analyze_source(source, config=config)
+            sp.set("call_sites", len(analysis.table.calls))
+            sp.set("facts", len(analysis.table.facts))
+    if analysis.failures:
+        raise RuntimeError(
+            f"facts incomplete: {analysis.failures[0].message}")
+    return analysis.table

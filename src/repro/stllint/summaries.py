@@ -98,6 +98,23 @@ def arg_shapes(args: list[Any]) -> tuple[tuple, dict[int, int]]:
     return tuple(shapes), classes
 
 
+def _assigned_names(fn: ast.FunctionDef) -> set[str]:
+    """Names ``fn`` assigns anywhere: assignment, augmented or
+    annotated assignment, ``for`` and walrus targets.  A parameter in
+    this set may name a new object at exit, whose state says nothing
+    about the caller's argument."""
+    names: set[str] = set()
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                             ast.For, ast.AsyncFor, ast.NamedExpr)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                names.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return names
+
+
 #: Hidden caller-proxy iterator names ("<...>" cannot collide with user
 #: identifiers).
 def _sentinel_name(k: int) -> str:
@@ -278,6 +295,7 @@ class SummaryTable:
                     maybe_empty_after=True, others=others,
                 )
 
+        rebound = _assigned_names(callee)
         for idx, shape in enumerate(shapes):
             if shape[0] != "I":
                 continue
@@ -285,7 +303,8 @@ class SummaryTable:
             v = exit_env.vars.get(param)
             k = shape[1]
             if (
-                isinstance(v, AbstractIterator)
+                param not in rebound
+                and isinstance(v, AbstractIterator)
                 and v.container.cid == class_containers[k].cid
             ):
                 summary.iter_arg_effects[idx] = (

@@ -93,13 +93,13 @@ class TestOptimizeUnderChaos:
         from repro.optimize import pipeline
 
         monkey = _ChaosMonkey(seed, rate=0.4)
-        real_collect = pipeline.collect_facts
+        real_collect = pipeline.analyze_source
 
         def chaotic_collect(source, **kwargs):
             monkey.maybe_raise()
             return real_collect(source, **kwargs)
 
-        monkeypatch.setattr(pipeline, "collect_facts", chaotic_collect)
+        monkeypatch.setattr(pipeline, "analyze_source", chaotic_collect)
         for i in range(4):
             target = tmp_path / f"m{i}.py"
             target.write_text(OPTIMIZABLE)

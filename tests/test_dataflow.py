@@ -280,6 +280,33 @@ def outer(v: "vector"):
             warning(MSG_SINGULAR_DEREF, 8)}
 
 
+class TestRebindingCallee:
+    """A callee that assigns to its iterator parameter leaves the
+    caller's iterator to the class-level invalidation: the state its own
+    new binding ends in says nothing about the caller's argument."""
+
+    @pytest.mark.parametrize("rebind", [
+        "it = v.begin()",
+        "it += 1",
+        "for it in v:\n        pass",
+        "if (it := v.begin()):\n        pass",
+    ])
+    def test_caller_iterator_stays_invalidated(self, rebind):
+        src = f'''
+def helper(v: "vector", it):
+    v.erase(it)
+    {rebind}
+
+def caller(v: "vector"):
+    it = v.begin()
+    helper(v, it)
+    x = it.deref()
+'''
+        line = src.splitlines().index("    x = it.deref()") + 1
+        assert warning(MSG_SINGULAR_DEREF, line) in findings(
+            check_source(src))
+
+
 class TestSlowLoops:
     """The worklist iterates until the abstract state stops changing, not
     until an arbitrary pass count runs out."""

@@ -217,7 +217,7 @@ class TestCrashIsolation:
 
         target = tmp_path / "mod.py"
         target.write_text(SORT_THEN_FIND)
-        real_collect = pipeline.collect_facts
+        real_collect = pipeline.analyze_source
         calls = {"n": 0}
 
         def exploding_verify_collect(source, **kwargs):
@@ -226,7 +226,7 @@ class TestCrashIsolation:
                 raise RuntimeError("verification crashed")
             return real_collect(source, **kwargs)
 
-        monkeypatch.setattr(pipeline, "collect_facts",
+        monkeypatch.setattr(pipeline, "analyze_source",
                             exploding_verify_collect)
         result = SESSION.optimize_file(target, write=True)
         assert result.reverted
@@ -241,10 +241,10 @@ class TestCrashIsolation:
         target = tmp_path / "mod.py"
         target.write_text(SORT_THEN_FIND)
 
-        def always_explode(source):
+        def always_explode(source, **kwargs):
             raise RuntimeError("boom in facts")
 
-        monkeypatch.setattr(pipeline, "collect_facts", always_explode)
+        monkeypatch.setattr(pipeline, "analyze_source", always_explode)
         result = SESSION.optimize_file(target)
         assert [f.check for f in result.findings] == ["OPT-INTERNAL"]
         assert result.reverted and not result.verified
@@ -256,14 +256,14 @@ class TestCrashIsolation:
 
         (tmp_path / "a.py").write_text(SORT_THEN_FIND)
         (tmp_path / "b.py").write_text(UNSORTED_FIND)
-        real_collect = pipeline.collect_facts
+        real_collect = pipeline.analyze_source
 
-        def explode_on_first(source):
+        def explode_on_first(source, **kwargs):
             if "sort(" in source:
                 raise RuntimeError("injected")
-            return real_collect(source)
+            return real_collect(source, **kwargs)
 
-        monkeypatch.setattr(pipeline, "collect_facts", explode_on_first)
+        monkeypatch.setattr(pipeline, "analyze_source", explode_on_first)
         rc = main([str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 3

@@ -8,7 +8,7 @@ Three scenarios, all seeded and in-process:
    linting a scratch tree.  The run must exit 3 (partial results), print one
    LINT-INTERNAL finding per injection, never a traceback, and still
    report the real bugs in spared files.
-2. **optimize chaos** — the same treatment for ``collect_facts`` during
+2. **optimize chaos** — the same treatment for ``analyze_source`` during
    ``python -m repro.optimize --write``.  The no-torn-write invariant is
    checked: every file on disk is either the untouched original or the
    fully verified rewrite.
@@ -128,21 +128,21 @@ def optimize_chaos(tmp: pathlib.Path) -> bool:
     for i in range(n_files):
         (tree / f"m{i}.py").write_text(OPTIMIZABLE)
 
-    real_collect = pipeline.collect_facts
+    real_collect = pipeline.analyze_source
     calls = {"n": 0}
     inject_at = {1, 4}
 
     def chaotic_collect(source, **kwargs):
         calls["n"] += 1
         if calls["n"] in inject_at:
-            raise RuntimeError(f"chaos at collect_facts #{calls['n']}")
+            raise RuntimeError(f"chaos at analyze_source #{calls['n']}")
         return real_collect(source, **kwargs)
 
-    pipeline.collect_facts = chaotic_collect
+    pipeline.analyze_source = chaotic_collect
     try:
         rc, out, err = _run_cli(optimize_main, [str(tree), "--write"])
     finally:
-        pipeline.collect_facts = real_collect
+        pipeline.analyze_source = real_collect
 
     ok = True
     ok &= check(rc == 3, "optimize exits 3 on partial results", f"rc={rc}")
