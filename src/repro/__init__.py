@@ -8,8 +8,8 @@ Subpackages (one per system the paper describes):
   taxonomies, complexity guarantees (Section 2).
 - :mod:`repro.runtime` — dispatch acceleration + observability beneath the
   concept layer: generation-cached model verdicts, precompiled overload
-  decision tables, `stats()`/`report()` and the ``REPRO_DISPATCH_STATS=1``
-  exit report.
+  decision tables, `stats()`/`report()` and the ``REPRO_STATS=1`` exit
+  report.
 - :mod:`repro.sequences` — STL-like containers/iterators with tracked
   invalidation and concept-overloaded algorithms.
 - :mod:`repro.graphs` — BGL-like graph library over the Fig. 1/2 concepts.

@@ -5,8 +5,8 @@ The three command-line tools are views over the same
 :class:`~repro.analysis.session.AnalysisSession`, so the flags they
 share — ``--timeout-s``, ``--trace``, ``--jobs``, ``--json``, and
 the cache switches — are defined once here as an
-argparse *parent* parser, and the exit-code contract is documented once
-as :data:`EXIT_CODES_EPILOG`.
+argparse *parent* parser, the ``--trace`` steps are :func:`traced`, and
+the exit-code contract is documented once as :data:`EXIT_CODES_EPILOG`.
 
 This module imports only the standard library at module level (the
 ``repro.analysis`` package is still initializing when the legacy CLIs
@@ -17,7 +17,10 @@ their ``repro`` dependencies lazily.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
+import sys
+from typing import Iterator, Optional
 
 #: The exit-code contract every analysis CLI follows.
 EXIT_OK = 0        # clean: nothing at/above threshold, nothing outstanding
@@ -100,6 +103,27 @@ def session_from_args(args: argparse.Namespace, **overrides):
     )
     fields.update(overrides)
     return AnalysisSession(AnalysisConfig(**fields))
+
+
+@contextlib.contextmanager
+def traced(args: argparse.Namespace, span: Optional[str],
+           cat: str) -> Iterator[None]:
+    """The ``--trace`` contract every CLI shares: ``--trace OUT.json``
+    enables the global tracer and writes a Chrome trace once the body
+    finishes; while any tracer is active the body runs inside a ``span``
+    span (none when ``span`` is None) over ``args.paths``."""
+    from repro import trace
+
+    tracer = trace.enable() if args.trace is not None else trace.active()
+    if tracer is None or span is None:
+        yield
+    else:
+        with tracer.span(span, cat=cat,
+                         paths=[str(p) for p in args.paths]):
+            yield
+    if args.trace is not None:
+        trace.export_chrome(tracer, args.trace)
+        print(f"trace written to {args.trace}", file=sys.stderr)
 
 
 def lint_exit_code(report, fail_on: str) -> int:

@@ -38,9 +38,9 @@ bytes*, and a reader never observes a torn entry.
 
 Process-wide counters (`hits`/`misses`/`stores`/`invalidations`/
 `discards`) follow the same pattern as the fixpoint engine's
-:func:`repro.stllint.dataflow.stats`: module-global, sampled into trace
-exports as the ``analysis.cache`` counter track, and assertable from
-tests and CI gates.
+:func:`repro.stllint.dataflow.stats`: module-global, registered as the
+``analysis.cache`` group of :mod:`repro.trace.counters` (a trace counter
+track and an exit-report line), and assertable from tests and CI gates.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import tempfile
 from typing import Any, Iterable, Iterator, Optional
 
 from ..trace import core as _trace
+from ..trace import counters as _counters
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_ANALYSIS_CACHE"
@@ -98,6 +99,19 @@ def stats() -> dict[str, int]:
 
 def reset_stats() -> None:
     STATS.reset()
+
+
+def _report(s: dict[str, int]) -> str:
+    return "== repro.analysis cache stats ==\n" + ", ".join(
+        f"{name}: {n}" for name, n in s.items())
+
+
+def _tracks(s: dict[str, int]) -> list:
+    # Quiet until the cache is touched, like the fixpoint engine's tracks.
+    return [("analysis.cache", "analysis", s)] if any(s.values()) else []
+
+
+_counters.register("analysis.cache", stats, _report, _tracks)
 
 
 #: Version of the ``imports/`` entry format; any other value is discarded.

@@ -19,8 +19,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro import trace
-
 from .args import (
     EXIT_CODES_EPILOG,
     EXIT_USAGE,
@@ -28,6 +26,7 @@ from .args import (
     lint_exit_code,
     optimize_exit_code,
     session_from_args,
+    traced,
 )
 
 
@@ -109,25 +108,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     session = session_from_args(
         args, **({"fail_on": args.fail_on}
                  if getattr(args, "fail_on", None) else {}))
-    tracer = trace.enable() if args.trace is not None else trace.active()
+    batch = args.command in ("lint", "optimize")
+    with traced(args, f"analysis.{args.command}" if batch else None,
+                "analysis"):
+        rc = _run(args, session)
+    return rc
 
+
+def _run(args: argparse.Namespace, session) -> int:
     if args.command == "lint":
-        if tracer is not None:
-            with tracer.span("analysis.lint", cat="analysis",
-                             paths=list(args.paths)):
-                report = session.lint_paths(args.paths)
-        else:
-            report = session.lint_paths(args.paths)
+        report = session.lint_paths(args.paths)
         rc = lint_exit_code(report, args.fail_on)
         print(report.to_json() if args.json else report.render_text())
     elif args.command == "optimize":
-        if tracer is not None:
-            with tracer.span("analysis.optimize", cat="analysis",
-                             paths=list(args.paths)):
-                results = session.optimize_paths(args.paths,
-                                                 write=args.write)
-        else:
-            results = session.optimize_paths(args.paths, write=args.write)
+        results = session.optimize_paths(args.paths, write=args.write)
         rc = optimize_exit_code(results, check=args.check, write=args.write)
         if args.json:
             from .schema import SCHEMA_VERSION
@@ -158,10 +152,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         rc = 0
     else:  # pragma: no cover - argparse rejects unknown commands
         return EXIT_USAGE
-
-    if args.trace is not None:
-        trace.export_chrome(tracer, args.trace)
-        print(f"trace written to {args.trace}", file=sys.stderr)
     return rc
 
 

@@ -53,7 +53,6 @@ class Simulator:
         max_time: float = 1e6,
         max_messages: int = 5_000_000,
         on_limit: str = "raise",
-        tracer: Optional[_trace.Tracer] = None,
     ) -> None:
         if on_limit not in ("raise", "truncate"):
             raise SimulationError(
@@ -70,10 +69,9 @@ class Simulator:
         self.max_time = max_time
         self.max_messages = max_messages
         self.on_limit = on_limit
-        self.tracer = tracer
-        # Effective tracer: refreshed from the global at run() entry so
-        # REPRO_TRACE=1 covers simulations constructed before enable().
-        self._tracer: Optional[_trace.Tracer] = tracer
+        # The global tracer, read at run() entry so REPRO_TRACE=1 covers
+        # simulations constructed before enable().
+        self._tracer: Optional[_trace.Tracer] = None
         self.metrics = RunMetrics(n=topology.n)
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Message]] = []
@@ -220,10 +218,7 @@ class Simulator:
         return self.metrics
 
     def run(self) -> RunMetrics:
-        self._tracer = (
-            self.tracer if self.tracer is not None else _trace.ACTIVE
-        )
-        tr = self._tracer
+        tr = self._tracer = _trace.ACTIVE
         try:
             if tr is None:
                 return self._run()

@@ -11,13 +11,13 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro import trace
 from repro.analysis.args import (
     EXIT_CODES_EPILOG,
     EXIT_USAGE,
     common_parser,
     lint_exit_code,
     session_from_args,
+    traced,
 )
 
 from .suppressions import all_check_codes
@@ -87,16 +87,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         interprocedural=not args.no_interprocedural,
         exclude=tuple(args.exclude),
     )
-    tracer = trace.enable() if args.trace is not None else trace.active()
-    if tracer is not None:
-        with tracer.span("lint.run", cat="lint",
-                         paths=[str(p) for p in args.paths]):
-            report = session.lint_paths(args.paths)
-    else:
+    with traced(args, "lint.run", "lint"):
         report = session.lint_paths(args.paths)
-    if args.trace is not None:
-        trace.export_chrome(tracer, args.trace)
-        print(f"trace written to {args.trace}", file=sys.stderr)
     if args.json or args.format == "json":
         print(report.to_json())
     else:

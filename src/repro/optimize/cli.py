@@ -20,13 +20,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro import trace
 from repro.analysis.args import (
     EXIT_CODES_EPILOG,
     EXIT_USAGE,
     common_parser,
     optimize_exit_code,
     session_from_args,
+    traced,
 )
 
 from .pipeline import DEFAULT_RESOURCE, DEFAULT_SIZE
@@ -101,17 +101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args, resource=args.resource, size=args.size,
         monomorphize=args.monomorphize,
     )
-    tracer = trace.enable() if args.trace is not None else trace.active()
-
-    if tracer is not None:
-        with tracer.span("optimize.run", cat="optimize",
-                         paths=[str(p) for p in args.paths]):
-            results = session.optimize_paths(args.paths, write=args.write)
-    else:
+    with traced(args, "optimize.run", "optimize"):
         results = session.optimize_paths(args.paths, write=args.write)
-    if args.trace is not None:
-        trace.export_chrome(tracer, args.trace)
-        print(f"trace written to {args.trace}", file=sys.stderr)
 
     reverted = sum(1 for r in results if r.reverted)
     if args.json or args.format == "json":

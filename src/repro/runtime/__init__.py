@@ -12,9 +12,11 @@ package is where that promise is enforced and *measured*:
   hits/misses, per-overload dispatch counts, check latencies, invalidation
   events) that every instrumented object updates on its own hot path;
 - :func:`stats` aggregates those counters into one JSON-serializable
-  snapshot, :func:`report` renders it for humans, and setting
-  ``REPRO_DISPATCH_STATS=1`` in the environment prints the report at
-  interpreter exit — so benchmarks assert speedups instead of guessing.
+  snapshot and :func:`report` renders it for humans; both are registered
+  as the ``runtime`` group of :mod:`repro.trace.counters`, so trace
+  exports carry the dispatch counter tracks and setting ``REPRO_STATS=1``
+  in the environment prints the report at interpreter exit — benchmarks
+  assert speedups instead of guessing.
 
 Nothing here imports :mod:`repro.concepts` at module scope: runtime sits
 below the concept layer in the dependency order.
@@ -22,11 +24,9 @@ below the concept layer in the dependency order.
 
 from __future__ import annotations
 
-import atexit
-import os
-import sys
-from typing import Any, Optional, TextIO
+from typing import Optional
 
+from ..trace import counters as _counters
 from . import metrics
 from .dispatch import (
     DispatchTable,
@@ -41,7 +41,6 @@ __all__ = [
     "Specialization",
     "SpecificityMatrix",
     "compile_table",
-    "install_stats_report",
     "metrics",
     "registry_generation",
     "report",
@@ -181,34 +180,24 @@ def report(snapshot: Optional[dict] = None, max_rows: int = 12) -> str:
     return "\n".join(lines)
 
 
-_atexit_installed = False
+def _tracks(snap: dict) -> list:
+    t = snap["totals"]
+    return [
+        ("dispatch.tables", "dispatch", {
+            "hits": t["dispatch_hits"],
+            "misses": t["dispatch_misses"],
+            "rebuilds": t["table_rebuilds"],
+        }),
+        ("model.cache", "dispatch", {
+            "hits": t["model_cache_hits"],
+            "misses": t["model_cache_misses"],
+            "invalidations": t["invalidations"],
+        }),
+        ("where.sites", "dispatch", {
+            "hits": t["where_hits"],
+            "misses": t["where_misses"],
+        }),
+    ]
 
 
-def install_stats_report(stream: Optional[TextIO] = None) -> None:
-    """Register an atexit hook printing :func:`report` (idempotent).
-
-    Installed automatically when ``REPRO_DISPATCH_STATS=1`` is set in the
-    environment at import time.
-    """
-    global _atexit_installed
-    if _atexit_installed:
-        return
-    _atexit_installed = True
-
-    def _emit() -> None:
-        out = stream if stream is not None else sys.stderr
-        try:
-            print(report(), file=out, flush=True)
-        except Exception:  # noqa: BLE001 - never fail interpreter shutdown
-            pass
-
-    atexit.register(_emit)
-
-
-if os.environ.get("REPRO_DISPATCH_STATS", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-    "off",
-):
-    install_stats_report()
+_counters.register("runtime", stats, report, _tracks)

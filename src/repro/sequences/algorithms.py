@@ -16,7 +16,7 @@ Dispatch for ``advance``/``distance``/``sort`` runs through the
 :mod:`repro.runtime` decision tables: specificity is compiled once per
 registry generation and the steady-state cost of picking an overload is a
 single dict hit (see ``benchmarks/bench_dispatch_cache.py`` for the
-numbers, and ``REPRO_DISPATCH_STATS=1`` for per-overload call counts).
+numbers, and ``REPRO_STATS=1`` for per-overload call counts).
 """
 
 from __future__ import annotations

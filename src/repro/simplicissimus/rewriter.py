@@ -93,14 +93,12 @@ class Simplifier:
         rules: Sequence[RewriteRule] = STANDARD_RULES,
         registry: Optional[AlgebraRegistry] = None,
         max_passes: int = 32,
-        tracer: Optional[_trace.Tracer] = None,
         weights: Optional[dict] = None,
     ) -> None:
         self.library_rules: list[RewriteRule] = []
         self.generic_rules: list[RewriteRule] = list(rules)
         self.registry = registry if registry is not None else default_algebra
         self.max_passes = max_passes
-        self.tracer = tracer
         # Extra cost-model weights (e.g. cost.taxonomy_weights(n)) merged
         # over the defaults when estimating each rewrite's savings.
         self.weights = weights
@@ -128,7 +126,7 @@ class Simplifier:
         for property-guarded rules; without one, such rules never fire.
         """
         tenv = tenv or {}
-        tr = self.tracer if self.tracer is not None else _trace.ACTIVE
+        tr = _trace.ACTIVE
         if tr is None:
             return self._simplify(expr, tenv, pre_normalize, None, fenv)
         with tr.span("rewrite.simplify", cat="rewrite",

@@ -41,7 +41,6 @@ from .dataflow import (
     check_function,
     check_source,
 )
-from .dataflow import install_stats_report as install_fixpoint_stats_report
 from .dataflow import report as fixpoint_report
 from .dataflow import reset_stats as reset_fixpoint_stats
 from .dataflow import stats as fixpoint_stats
@@ -79,7 +78,6 @@ __all__ = [
     "module_function_table",
     "FixpointChecker", "FixpointStats", "Summary", "SummaryTable",
     "fixpoint_stats", "reset_fixpoint_stats", "fixpoint_report",
-    "install_fixpoint_stats_report",
     "ALGORITHM_SPECS", "CONTAINER_SPECS", "ContainerSpec",
     "InvalidationRule", "register_algorithm_spec",
     "unregister_algorithm_spec", "SORTED",

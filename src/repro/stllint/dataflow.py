@@ -36,6 +36,7 @@ import textwrap
 from typing import Any, Optional
 
 from ..trace import core as _trace
+from ..trace import counters as _counters
 from .abstract_values import (
     AbstractBool,
     AbstractContainer,
@@ -73,9 +74,9 @@ from .summaries import SummaryTable
 
 
 class FixpointStats:
-    """Process-wide counters for the fixpoint engine (the
-    ``REPRO_DISPATCH_STATS`` pattern applied to analysis): folded into
-    traces at export time and printable at interpreter exit."""
+    """Process-wide counters for the fixpoint engine (the dispatch-stats
+    pattern applied to analysis): folded into traces at export time and
+    printed at interpreter exit under ``REPRO_STATS=1``."""
 
     __slots__ = ("functions", "blocks", "iterations", "widenings",
                  "unstable_loops", "summary_hits", "summary_misses",
@@ -468,7 +469,7 @@ def check_function(fn_or_source: Any) -> DiagnosticSink:
 
 
 # ---------------------------------------------------------------------------
-# Stats reporting (REPRO_DISPATCH_STATS-style)
+# Stats reporting: the ``stllint`` group of repro.trace.counters
 # ---------------------------------------------------------------------------
 
 
@@ -501,33 +502,23 @@ def report(snapshot: Optional[dict[str, int]] = None) -> str:
     ])
 
 
-_atexit_installed = False
+def _tracks(s: dict[str, int]) -> list:
+    if not any(s.values()):
+        return []  # fixpoint engine never ran; keep the trace quiet
+    return [
+        ("stllint.fixpoint", "stllint", {
+            "functions": s["functions"],
+            "blocks": s["blocks"],
+            "iterations": s["iterations"],
+            "widenings": s["widenings"],
+            "unstable_loops": s["unstable_loops"],
+        }),
+        ("stllint.summaries", "stllint", {
+            "hits": s["summary_hits"],
+            "misses": s["summary_misses"],
+            "recursion_bails": s["summary_recursion_bails"],
+        }),
+    ]
 
 
-def install_stats_report(stream: Any = None) -> None:
-    """Register an atexit hook printing :func:`report` (idempotent);
-    installed automatically when ``REPRO_STLLINT_STATS=1`` is set."""
-    global _atexit_installed
-    if _atexit_installed:
-        return
-    _atexit_installed = True
-
-    import atexit
-    import sys
-
-    def _emit() -> None:
-        out = stream if stream is not None else sys.stderr
-        try:
-            print(report(), file=out, flush=True)
-        except Exception:  # noqa: BLE001 - never fail interpreter shutdown
-            pass
-
-    atexit.register(_emit)
-
-
-import os as _os  # noqa: E402
-
-if _os.environ.get("REPRO_STLLINT_STATS", "").strip().lower() not in (
-    "", "0", "false", "off",
-):
-    install_stats_report()
+_counters.register("stllint", stats, report, _tracks)

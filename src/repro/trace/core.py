@@ -7,9 +7,10 @@ the hardware allows") is split in two:
   is guarded by a single ``if core.ACTIVE is not None`` module-global
   check — no allocation, no call, no clock read.  The dispatch-table *hit*
   path is not instrumented at all: hits are already counted by
-  :mod:`repro.runtime.metrics`, and the tracer folds those counters into
-  the trace as Chrome counter events at export time, so the hottest loop
-  in the system carries zero added instructions.
+  :mod:`repro.runtime.metrics`, and the exporters fold those counters
+  (through :mod:`repro.trace.counters`) into the trace as Chrome counter
+  events, so the hottest loop in the system carries zero added
+  instructions.
 - **enabled**: spans are recorded as plain dicts against a
   ``perf_counter_ns`` origin captured at tracer construction, pushed and
   popped on a per-thread stack so nesting depth is known without walking
@@ -164,61 +165,6 @@ class Tracer:
             "tid": self._tid(),
             "values": dict(values),
         })
-
-    def fold_runtime_counters(self) -> None:
-        """Sample :func:`repro.runtime.stats` totals into counter records —
-        this is how dispatch-table *hits* reach the trace without a single
-        instruction on the hit path (see the module docstring)."""
-        from repro import runtime
-
-        totals = runtime.stats()["totals"]
-        self.counter("dispatch.tables", {
-            "hits": totals["dispatch_hits"],
-            "misses": totals["dispatch_misses"],
-            "rebuilds": totals["table_rebuilds"],
-        }, cat="dispatch")
-        self.counter("model.cache", {
-            "hits": totals["model_cache_hits"],
-            "misses": totals["model_cache_misses"],
-            "invalidations": totals["invalidations"],
-        }, cat="dispatch")
-        self.counter("where.sites", {
-            "hits": totals["where_hits"],
-            "misses": totals["where_misses"],
-        }, cat="dispatch")
-
-    def fold_stllint_counters(self) -> None:
-        """Sample the fixpoint engine's process-wide counters
-        (:func:`repro.stllint.dataflow.stats`) into counter records, the
-        same way :meth:`fold_runtime_counters` samples dispatch stats."""
-        from repro.stllint import dataflow
-
-        s = dataflow.stats()
-        if not any(s.values()):
-            return  # fixpoint engine never ran; keep the trace quiet
-        self.counter("stllint.fixpoint", {
-            "functions": s["functions"],
-            "blocks": s["blocks"],
-            "iterations": s["iterations"],
-            "widenings": s["widenings"],
-            "unstable_loops": s["unstable_loops"],
-        }, cat="stllint")
-        self.counter("stllint.summaries", {
-            "hits": s["summary_hits"],
-            "misses": s["summary_misses"],
-            "recursion_bails": s["summary_recursion_bails"],
-        }, cat="stllint")
-
-    def fold_analysis_counters(self) -> None:
-        """Sample the analysis service's process-wide cache counters
-        (:func:`repro.analysis.cache.stats`) into a counter record, the
-        same way :meth:`fold_stllint_counters` samples the engine's."""
-        from repro.analysis import cache as analysis_cache
-
-        s = analysis_cache.stats()
-        if not any(s.values()):
-            return  # cache never touched; keep the trace quiet
-        self.counter("analysis.cache", dict(s), cat="analysis")
 
 
 def enable(tracer: Optional[Tracer] = None) -> Tracer:

@@ -21,6 +21,7 @@ import json
 import pathlib
 from typing import Any, Union
 
+from . import counters
 from .core import Tracer
 
 PathOrFile = Union[str, pathlib.Path, io.TextIOBase, Any]
@@ -62,7 +63,7 @@ def export_ndjson(tracer: Tracer, target: PathOrFile,
                   fold_counters: bool = True) -> None:
     """One JSON object per line, in recording order."""
     if fold_counters:
-        _fold(tracer)
+        counters.fold(tracer)
     _write(target, "".join(
         json.dumps(r, default=str) + "\n" for r in tracer.records
     ))
@@ -72,28 +73,13 @@ def export_chrome(tracer: Tracer, target: PathOrFile,
                   fold_counters: bool = True) -> None:
     """Chrome trace-event JSON (load via ``chrome://tracing`` → Load)."""
     if fold_counters:
-        _fold(tracer)
+        counters.fold(tracer)
     doc = {
         "traceEvents": _chrome_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": {"tracer": tracer.name},
     }
     _write(target, json.dumps(doc, default=str) + "\n")
-
-
-def _fold(tracer: Tracer) -> None:
-    try:
-        tracer.fold_runtime_counters()
-    except ImportError:  # pragma: no cover - runtime layer always present
-        pass
-    try:
-        tracer.fold_stllint_counters()
-    except ImportError:  # pragma: no cover - stllint layer always present
-        pass
-    try:
-        tracer.fold_analysis_counters()
-    except ImportError:  # pragma: no cover - analysis layer always present
-        pass
 
 
 _PHASES_REQUIRING_DUR = {"X"}

@@ -399,12 +399,21 @@ class TestRuntimeStats:
         runtime.reset_stats()
         assert reg.stats.misses == 0 and reg.stats.hits == 0
 
-    def test_install_stats_report_idempotent(self):
+    def test_install_stats_report_idempotent(self, monkeypatch):
+        import atexit
         import io
 
+        from repro.trace import counters
+
+        hooks = []
+        monkeypatch.setattr(counters, "_report_installed", False)
+        monkeypatch.setattr(atexit, "register", hooks.append)
         buf = io.StringIO()
-        runtime.install_stats_report(buf)
-        runtime.install_stats_report(buf)   # second call is a no-op
+        counters.install_report(buf)
+        counters.install_report(buf)   # second call is a no-op
+        assert len(hooks) == 1
+        hooks[0]()
+        assert buf.getvalue().count("== repro.runtime dispatch stats ==") == 1
 
 
 class TestKeywordDispatch:

@@ -382,13 +382,14 @@ def test_backoff_cache_is_bounded():
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_finished_simulator_is_freed_without_gc(traced):
-    tracer = trace_core.Tracer() if traced else None
+    if traced:
+        trace_core.enable(trace_core.Tracer())
     gc.collect()
     gc.disable()
     try:
         procs = wrap_reliable([Echo(r, initiator=0) for r in range(N)])
         plan = FailurePlan(loss_probability=0.2, seed=3)
-        sim = Simulator(Complete(N), procs, failures=plan, tracer=tracer)
+        sim = Simulator(Complete(N), procs, failures=plan)
         assert sim.run().decisions[0] == N
         sim_ref = weakref.ref(sim)
         proc_ref = weakref.ref(procs[3])
@@ -397,3 +398,4 @@ def test_finished_simulator_is_freed_without_gc(traced):
         assert proc_ref() is None
     finally:
         gc.enable()
+        trace_core.disable()

@@ -344,10 +344,12 @@ class TestConvergenceReporting:
     def test_oscillation_emits_trace_event(self):
         from repro import trace
 
-        t = trace.Tracer()
-        s = self._oscillating_simplifier(max_passes=3)
-        s.tracer = t
-        res = s.simplify(Const(1))
+        t = trace.enable(trace.Tracer())
+        try:
+            res = self._oscillating_simplifier(max_passes=3).simplify(
+                Const(1))
+        finally:
+            trace.disable()
         assert res.converged is False
         exhausted = [r for r in t.records
                      if r["name"] == "rewrite.max-passes-exhausted"]

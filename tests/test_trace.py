@@ -135,12 +135,34 @@ class TestExporters:
         assert isinstance(x["dur"], float)
 
     def test_chrome_export_folds_runtime_counters(self, tmp_path):
+        from repro import runtime
+        from repro.analysis import AnalysisConfig, AnalysisSession
+        from repro.analysis import cache as analysis_cache
+
         t = self._sample()
         out = tmp_path / "t.json"
         trace.export_chrome(t, out)  # fold_counters defaults on
         evs = trace.validate_chrome_trace(json.loads(out.read_text()))
         counters = {e["name"] for e in evs if e["ph"] == "C"}
         assert {"dispatch.tables", "model.cache", "where.sites"} <= counters
+
+        # After a lint through a cached session every registered group
+        # has counted something, so all six tracks appear.
+        session = AnalysisSession(AnalysisConfig(
+            cache=True, cache_dir=str(tmp_path / "cache")))
+        session.lint_paths([os.path.join(EXAMPLES, "lint_demo.py")])
+        t = self._sample()
+        trace.export_chrome(t, out)
+        evs = trace.validate_chrome_trace(json.loads(out.read_text()))
+        tracks = {e["name"]: e["args"] for e in evs if e["ph"] == "C"}
+        assert {"dispatch.tables", "model.cache", "where.sites",
+                "stllint.fixpoint", "stllint.summaries",
+                "analysis.cache"} <= set(tracks)
+        assert tracks["analysis.cache"] == analysis_cache.stats()
+        totals = runtime.stats()["totals"]
+        assert tracks["where.sites"] == {
+            "hits": totals["where_hits"], "misses": totals["where_misses"],
+        }
 
     def test_export_to_file_object(self):
         import io
@@ -220,10 +242,12 @@ class TestRewriterInstrumentation:
     def test_pass_spans_and_rule_events(self):
         from repro.simplicissimus import BinOp, Const, Simplifier, Var
 
-        t = trace.Tracer()
-        s = Simplifier(tracer=t)  # explicit tracer, no global needed
-        expr = BinOp("+", BinOp("+", Var("x"), Const(0)), Const(0))
-        res = s.simplify(expr, tenv={"x": int})
+        t = trace.enable(trace.Tracer())
+        try:
+            expr = BinOp("+", BinOp("+", Var("x"), Const(0)), Const(0))
+            res = Simplifier().simplify(expr, tenv={"x": int})
+        finally:
+            trace.disable()
         assert res.converged
         (top,) = spans(t, "rewrite.simplify")
         assert top["attrs"]["converged"] is True
@@ -250,9 +274,11 @@ class TestSimulatorInstrumentation:
             def on_start(self, ctx):
                 ctx.send(1 - self.rank, "ping")
 
-        t = trace.Tracer()
-        sim = Simulator(Complete(2), [Ping(0), Ping(1)], tracer=t)
-        m = sim.run()
+        t = trace.enable(trace.Tracer())
+        try:
+            m = Simulator(Complete(2), [Ping(0), Ping(1)]).run()
+        finally:
+            trace.disable()
         (run_span,) = spans(t, "sim.run")
         assert run_span["attrs"]["truncated"] is False
         assert len(events(t, "sim.deliver")) == m.messages_delivered == 2
@@ -265,11 +291,13 @@ class TestSimulatorInstrumentation:
             def on_start(self, ctx):
                 ctx.send(1 - self.rank, "ping")
 
-        t = trace.Tracer()
-        plan = FailurePlan(dead_links={(0, 1)})
-        sim = Simulator(Complete(2), [Ping(0), Ping(1)], failures=plan,
-                        tracer=t)
-        m = sim.run()
+        t = trace.enable(trace.Tracer())
+        try:
+            plan = FailurePlan(dead_links={(0, 1)})
+            m = Simulator(Complete(2), [Ping(0), Ping(1)],
+                          failures=plan).run()
+        finally:
+            trace.disable()
         assert len(events(t, "sim.drop")) == m.messages_dropped == 2
         assert not events(t, "sim.deliver")
 
@@ -280,15 +308,45 @@ class TestSimulatorInstrumentation:
             def on_message(self, ctx, msg):
                 ctx.send(msg.src, "go")
 
-        t2 = trace.Tracer()
-        sim2 = Simulator(Complete(2), [Flood(0), Flood(1)],
-                         max_messages=50, on_limit="truncate", tracer=t2)
-        m2 = sim2.run()
+        t2 = trace.enable(trace.Tracer())
+        try:
+            m2 = Simulator(Complete(2), [Flood(0), Flood(1)],
+                           max_messages=50, on_limit="truncate").run()
+        finally:
+            trace.disable()
         assert m2.truncated
         (trunc,) = events(t2, "sim.truncated")
         assert "message budget" in trunc["attrs"]["reason"]
         (run_span,) = spans(t2, "sim.run")
         assert run_span["attrs"]["truncated"] is True
+
+
+class TestStatsReport:
+    """``REPRO_STATS=1`` prints every registered counter group's report
+    at interpreter exit, once."""
+
+    def _lint_stderr(self, **extra_env):
+        env = dict(os.environ,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("REPRO_STATS", None)
+        env.update(extra_env)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.lint",
+             os.path.join(EXAMPLES, "lint_demo.py"), "--fail-on", "never"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_switch_prints_each_group_once(self):
+        err = self._lint_stderr(REPRO_STATS="1")
+        assert err.count("== repro.runtime dispatch stats ==") == 1
+        assert err.count("== repro.stllint fixpoint stats ==") == 1
+
+    def test_unset_prints_nothing(self):
+        err = self._lint_stderr()
+        assert "== repro.runtime dispatch stats ==" not in err
+        assert "== repro.stllint fixpoint stats ==" not in err
 
 
 class TestLintTraceCLI:
@@ -316,6 +374,21 @@ class TestLintTraceCLI:
         assert "stllint.summary" in names
         counters = {e["name"] for e in evs if e["ph"] == "C"}
         assert "stllint.summaries" in counters
+
+    @pytest.mark.parametrize("command,demo", [
+        ("lint", "lint_demo.py"), ("optimize", "optimize_demo.py"),
+    ])
+    def test_analysis_cli_trace_flag_names_its_span(self, tmp_path, command,
+                                                    demo):
+        from repro.analysis.cli import main
+
+        out = tmp_path / "trace.json"
+        main([command, "--no-cache", os.path.join(EXAMPLES, demo),
+              "--trace", str(out)])
+        trace.disable()  # the flag enables the global tracer
+        evs = trace.validate_chrome_trace(json.loads(out.read_text()))
+        (run,) = [e for e in evs if e["name"] == f"analysis.{command}"]
+        assert run["args"]["paths"] == [os.path.join(EXAMPLES, demo)]
 
     def test_env_activation_subprocess(self, tmp_path):
         """The acceptance-criteria command: REPRO_TRACE=1 python -m
