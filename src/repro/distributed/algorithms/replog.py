@@ -183,19 +183,9 @@ class ReplicatedLog(Process):
         ctx.set_timer(self._election_delay(), ELECT, None)
 
     def on_message(self, ctx: Context, msg: Message) -> None:
-        handler = {
-            ELECT: self._on_election_timer,
-            HEARTBEAT: self._on_heartbeat_timer,
-            PREVOTE_REQ: self._on_prevote_request,
-            PREVOTE: self._on_prevote,
-            VOTE_REQ: self._on_vote_request,
-            VOTE: self._on_vote,
-            APPEND: self._on_append,
-            APPEND_OK: self._on_append_ok,
-            PROPOSE: self._on_propose,
-        }.get(msg.tag)
+        handler = _HANDLERS.get(msg.tag)
         if handler is not None:
-            handler(ctx, msg)
+            handler(self, ctx, msg)
 
     # -- election --------------------------------------------------------------
 
@@ -420,6 +410,20 @@ class ReplicatedLog(Process):
     def __repr__(self) -> str:
         return (f"<ReplicatedLog rank={self.rank} term={self.term} "
                 f"role={self.role} log={len(self.log)}>")
+
+
+#: tag -> handler, built once: ``on_message`` runs for every delivery.
+_HANDLERS = {
+    ELECT: ReplicatedLog._on_election_timer,
+    HEARTBEAT: ReplicatedLog._on_heartbeat_timer,
+    PREVOTE_REQ: ReplicatedLog._on_prevote_request,
+    PREVOTE: ReplicatedLog._on_prevote,
+    VOTE_REQ: ReplicatedLog._on_vote_request,
+    VOTE: ReplicatedLog._on_vote,
+    APPEND: ReplicatedLog._on_append,
+    APPEND_OK: ReplicatedLog._on_append_ok,
+    PROPOSE: ReplicatedLog._on_propose,
+}
 
 
 # ---------------------------------------------------------------------------

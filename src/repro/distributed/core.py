@@ -11,13 +11,18 @@ a :class:`Context` that can send messages, consult the local topology view,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Message:
-    """A point-to-point message."""
+class Message(NamedTuple):
+    """A point-to-point message.
+
+    A named tuple: the serial loop builds one per send and per timer, and
+    a tuple subclass builds in well under half the time of a frozen
+    dataclass.  Fields are read-only, equality and hash go by field, and
+    a ``Message`` therefore also equals the plain 4-tuple of its fields.
+    """
 
     src: int
     dst: int
@@ -28,18 +33,27 @@ class Message:
         return f"{self.src}->{self.dst} {self.tag}({self.payload})"
 
 
+#: ``Message`` from a ``(src, dst, tag, payload)`` tuple, skipping the
+#: Python-level ``__new__``: the hot paths build one per send and timer.
+new_message = partial(tuple.__new__, Message)
+
+
 class Context:
     """A process's handle on the simulator during one event handling."""
 
     def __init__(self, sim: Any, rank: int) -> None:
         self._sim = sim
         self.rank = rank
+        #: A wrapping layer's view of this context (the reliable
+        #: transport's), cached here so that it lives exactly as long as
+        #: this per-run context does.
+        self._wrapper: Optional[Context] = None
 
     # -- communication -----------------------------------------------------
 
     def send(self, dst: int, tag: str, payload: Any = None) -> None:
         """Queue a message for delivery (delay decided by the timing model)."""
-        self._sim._send(Message(self.rank, dst, tag, payload))
+        self._sim._send(new_message((self.rank, dst, tag, payload)))
 
     def broadcast_neighbors(self, tag: str, payload: Any = None,
                             exclude: Optional[int] = None) -> None:

@@ -35,7 +35,7 @@ from ..resilience import ExponentialBackoff, RetryPolicy
 from ..trace import core as _trace
 from .algorithms.echo import Echo
 from .algorithms.floodset import FloodSet
-from .core import Context, Message, Process
+from .core import Context, Message, Process, new_message
 from .failures import FailurePlan
 from .metrics import RunMetrics
 from .network import Complete, Topology
@@ -48,7 +48,6 @@ ACK = "__rel_ack__"
 RETRY = "__rel_retry__"        # self-timer: retransmission check
 HB = "__rel_hb__"              # heartbeat payload
 HB_TICK = "__rel_hb_tick__"    # self-timer: heartbeat round
-_TRANSPORT_TIMERS = (RETRY, HB_TICK)
 
 
 def default_policy() -> RetryPolicy:
@@ -83,6 +82,8 @@ class ReliableChannel:
     ) -> None:
         self.rank = rank
         self.policy = policy or default_policy()
+        #: Every send arms a retry timer with the schedule's first delay.
+        self._first_delay = self.policy.backoff.delay(0)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_beats = max_beats
@@ -103,16 +104,13 @@ class ReliableChannel:
         self._next_seq += 1
         self._pending[(dst, seq)] = [0, tag, payload, 0.0]
         ctx.send(dst, DATA, (seq, tag, payload))
-        ctx.set_timer(self.policy.backoff.delay(0), RETRY, (dst, seq))
+        ctx.set_timer(self._first_delay, RETRY, (dst, seq))
 
     def outstanding(self) -> int:
         """Sends not yet acknowledged (the ack barrier synchronizers use)."""
         return len(self._pending)
 
     # -- event routing ---------------------------------------------------------
-
-    def is_transport_timer(self, msg: Message) -> bool:
-        return msg.tag in _TRANSPORT_TIMERS and msg.src == msg.dst
 
     def handle_timer(self, ctx: Context, msg: Message) -> None:
         if msg.tag == RETRY:
@@ -160,23 +158,27 @@ class ReliableChannel:
         """Process one raw delivery.  Returns the decapsulated message to
         hand to the wrapped algorithm, or None when the transport consumed
         it (ack, duplicate, heartbeat)."""
-        if msg.tag == DATA:
+        src, tag = msg.src, msg.tag
+        if tag == DATA:
             seq, tag, payload = msg.payload
-            ctx.send(msg.src, ACK, seq)
-            ctx.metrics.acks_sent += 1
-            self._note_alive(msg.src, ctx.now)
-            seen = self._delivered.setdefault(msg.src, set())
+            ctx.send(src, ACK, seq)
+            metrics = ctx.metrics
+            metrics.acks_sent += 1
+            self._note_alive(src, ctx.now)
+            seen = self._delivered.get(src)
+            if seen is None:
+                seen = self._delivered[src] = set()
             if seq in seen:
-                ctx.metrics.duplicates_suppressed += 1
+                metrics.duplicates_suppressed += 1
                 return None
             seen.add(seq)
-            return Message(msg.src, msg.dst, tag, payload)
-        if msg.tag == ACK:
-            self._pending.pop((msg.src, msg.payload), None)
-            self._note_alive(msg.src, ctx.now)
+            return new_message((src, msg.dst, tag, payload))
+        if tag == ACK:
+            self._pending.pop((src, msg.payload), None)
+            self._note_alive(src, ctx.now)
             return None
-        if msg.tag == HB:
-            self._note_alive(msg.src, ctx.now)
+        if tag == HB:
+            self._note_alive(src, ctx.now)
             return None
         return msg                         # not transport traffic
 
@@ -223,7 +225,10 @@ class ReliableContext(Context):
 
     def __init__(self, raw: Context, channel: ReliableChannel) -> None:
         super().__init__(raw._sim, raw.rank)
-        self._raw = raw
+        # The channel's frames go out through a plain context of the same
+        # (simulator, rank), not through ``raw`` itself: ``raw`` caches
+        # this wrapper, and raw -> wrapper -> raw would be a cycle.
+        self._raw = Context(raw._sim, raw.rank)
         self.channel = channel
 
     def send(self, dst: int, tag: str, payload: Any = None) -> None:
@@ -253,20 +258,35 @@ class ReliableProcess(Process):
         )
 
     def _ctx(self, raw: Context) -> ReliableContext:
-        return ReliableContext(raw, self.channel)
+        # One wrapper per rank and run, cached on the simulator's per-run
+        # context (on this process it would close a process -> context ->
+        # simulator cycle).  Churn recovery restores a fresh channel, so
+        # a cached wrapper counts only while it holds the current one.
+        ctx = raw._wrapper
+        if ctx is None or ctx.channel is not self.channel:
+            ctx = raw._wrapper = ReliableContext(raw, self.channel)
+        return ctx
 
     def on_start(self, ctx: Context) -> None:
         self.channel.start(ctx)
         self.inner.on_start(self._ctx(ctx))
 
     def on_message(self, ctx: Context, msg: Message) -> None:
-        if self.channel.is_transport_timer(msg):
-            self.channel.handle_timer(ctx, msg)
-            return
-        if msg.src == msg.dst and msg.tag not in (DATA, ACK, HB):
-            # The inner algorithm's own timer: pass through undecorated.
-            self.inner.on_message(self._ctx(ctx), msg)
-            return
+        tag = msg.tag
+        if msg.src == msg.dst:
+            if tag == RETRY:
+                # Most retry timers fire after their ack arrived: one
+                # lookup settles them.
+                if msg.payload in self.channel._pending:
+                    self.channel.handle_timer(ctx, msg)
+                return
+            if tag == HB_TICK:
+                self.channel.handle_timer(ctx, msg)
+                return
+            if tag not in (DATA, ACK, HB):
+                # The inner algorithm's own timer: pass through undecorated.
+                self.inner.on_message(self._ctx(ctx), msg)
+                return
         inner_msg = self.channel.handle_message(ctx, msg)
         if inner_msg is not None:
             self.inner.on_message(self._ctx(ctx), inner_msg)

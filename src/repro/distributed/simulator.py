@@ -14,7 +14,7 @@ import math
 from typing import Any, Callable, Optional, Sequence, Type
 
 from ..trace import core as _trace
-from .core import Context, Message, Process
+from .core import Context, Message, Process, new_message
 from .failures import FailurePlan
 from .metrics import RunMetrics
 from .network import Topology
@@ -91,11 +91,15 @@ class Simulator:
     # -- internal API used by Context ----------------------------------------
 
     def _send(self, msg: Message) -> None:
-        if self.failures.crashed(msg.src, self.now):
+        failures = self.failures
+        now = self.now
+        src, dst = msg.src, msg.dst
+        if failures.crashed(src, now):
             return
-        self.metrics.messages_sent += 1
-        self.metrics.per_process_sent[msg.src] += 1
-        if self.metrics.messages_sent > self.max_messages:
+        metrics = self.metrics
+        metrics.messages_sent += 1
+        metrics.per_process_sent[src] += 1
+        if metrics.messages_sent > self.max_messages:
             # Record the breach and let the run loop act on it: raising
             # here, inside the sending process's callback, would let a
             # broad ``except`` in user code eat the budget check.
@@ -109,38 +113,38 @@ class Simulator:
         # Deterministic blocks (dead link, active partition) are checked
         # before the seeded loss draw, so plans without the new fields
         # consume RNG samples exactly as before.
-        if self.failures.link_dead(msg.src, msg.dst):
-            self.metrics.messages_dropped += 1
+        if failures.link_dead(src, dst):
+            metrics.messages_dropped += 1
             tr = self._tracer
             if tr is not None:
-                tr.event("sim.drop", cat="sim", src=msg.src, dst=msg.dst,
-                         tag=msg.tag, t=self.now)
+                tr.event("sim.drop", cat="sim", src=src, dst=dst,
+                         tag=msg.tag, t=now)
             return
-        if self.failures.partitioned(msg.src, msg.dst, self.now):
-            self.metrics.messages_dropped += 1
-            self.metrics.partition_drops += 1
+        if failures.partitioned(src, dst, now):
+            metrics.messages_dropped += 1
+            metrics.partition_drops += 1
             tr = self._tracer
             if tr is not None:
-                tr.event("sim.drop", cat="sim", src=msg.src, dst=msg.dst,
-                         tag=msg.tag, t=self.now, reason="partition")
+                tr.event("sim.drop", cat="sim", src=src, dst=dst,
+                         tag=msg.tag, t=now, reason="partition")
             return
-        if self.failures.drops(msg.src, msg.dst):
-            self.metrics.messages_dropped += 1
+        if failures.drops(src, dst):
+            metrics.messages_dropped += 1
             tr = self._tracer
             if tr is not None:
-                tr.event("sim.drop", cat="sim", src=msg.src, dst=msg.dst,
-                         tag=msg.tag, t=self.now)
+                tr.event("sim.drop", cat="sim", src=src, dst=dst,
+                         tag=msg.tag, t=now)
             return
-        msg = self.failures.corrupt(msg)
-        delay = self.timing.delay(msg, self.now)
-        heapq.heappush(self._queue, (self.now + delay, self._seq, msg))
+        msg = failures.corrupt(msg)
+        delay = self.timing.delay(msg, now)
+        heapq.heappush(self._queue, (now + delay, self._seq, msg))
         self._seq += 1
 
     def _set_timer(self, rank: int, delay: float, tag: str,
                    payload: Any) -> None:
         if delay <= 0:
             delay = 1e-9
-        msg = Message(rank, rank, tag, payload)
+        msg = new_message((rank, rank, tag, payload))
         heapq.heappush(self._queue, (self.now + delay, self._seq, msg))
         self._seq += 1
 
@@ -181,16 +185,6 @@ class Simulator:
         if ctx is None:
             ctx = self._contexts[rank] = Context(self, rank)
         return ctx
-
-    def _deliver(self, msg: Message) -> None:
-        if self.failures.crashed(msg.dst, self.now) or msg.dst in self._halted:
-            return
-        self.metrics.messages_delivered += 1
-        tr = self._tracer
-        if tr is not None:
-            tr.event("sim.deliver", cat="sim", src=msg.src, dst=msg.dst,
-                     tag=msg.tag, t=self.now)
-        self.processes[msg.dst].on_message(self._context(msg.dst), msg)
 
     def _fire_round_hooks(self) -> None:
         self._round_no += 1
@@ -272,26 +266,49 @@ class Simulator:
                 p.on_start(self._context(p.rank))
         synchronous = isinstance(self.timing, Synchronous)
         last_round_boundary = 0
-        while self._queue:
+        # The delivery step, inlined with its lookups hoisted: this loop
+        # runs once per message and timer.
+        queue = self._queue
+        heappop = heapq.heappop
+        crashed = self.failures.crashed
+        halted = self._halted
+        processes = self.processes
+        contexts = self._contexts
+        metrics = self.metrics
+        tr = self._tracer
+        max_time = self.max_time
+        while queue:
             if self._breach is not None:
                 return self._truncate(self._breach)
-            t, _, msg = heapq.heappop(self._queue)
-            if t > self.max_time:
-                return self._truncate(f"exceeded max_time={self.max_time}")
-            if synchronous:
+            t, _, msg = heappop(queue)
+            if t > max_time:
+                return self._truncate(f"exceeded max_time={max_time}")
+            if synchronous and t >= last_round_boundary + 1:
                 boundary = math.floor(t)
                 while last_round_boundary < boundary:
                     last_round_boundary += 1
                     self.now = float(last_round_boundary)
                     self._fire_round_hooks()
             self.now = t
-            if msg.tag == "__spawn__" and msg.dst == -1:
-                self._run_due_spawns(t)
+            dst = msg.dst
+            if msg.src == -1:
+                # Only the simulator's own sentinels come from rank -1.
+                if msg.tag == "__spawn__" and dst == -1:
+                    self._run_due_spawns(t)
+                    continue
+                if msg.tag == "__recover__":
+                    self._recover(dst)
+                    continue
+            if crashed(dst, t) or dst in halted:
                 continue
-            if msg.tag == "__recover__" and msg.src == -1:
-                self._recover(msg.dst)
-                continue
-            self._deliver(msg)
+            metrics.messages_delivered += 1
+            if tr is not None:
+                tr.event("sim.deliver", cat="sim", src=msg.src, dst=dst,
+                         tag=msg.tag, t=t)
+            ctx = contexts.get(dst)
+            if ctx is None:
+                ctx = self._context(dst)
+            processes[dst].on_message(ctx, msg)
         if self._breach is not None:
             return self._truncate(self._breach)
         self.metrics.finish_time = self.now

@@ -127,6 +127,18 @@ class TestReplicatedLogUnderFaults:
         rec = record_run(m, 5)
         assert len(rec.leaders_by_term()) == 1  # nobody was deposed
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "liveness: a replica churned after the log is replicated comes "
+        "back empty and the leader, quiet on stale match_index values, "
+        "never refills it"))
+    def test_late_churned_replica_is_refilled(self):
+        # Failure-free, this run finishes at t=34.07.  With rank 0 down
+        # over [17.03, 27.03) it still ends untruncated, but at t=337.4,
+        # and rank 0 decides the empty prefix.
+        m = run_replicated_log(5, seed=7, failures=churn(0, 17.03, 27.03))
+        assert not m.truncated
+        assert m.decisions.get(0) == ALL_CMDS[:3]
+
     def test_metrics_summary_reports_replog_section(self):
         m = run_acceptance()
         s = m.summary()

@@ -13,6 +13,11 @@ pin what must not move:
 - the fault-plan queries against test-local copies of their original
   bodies, over generated plans, including plans mutated after
   construction and after they were already queried;
+- one more digest at replog's benchmark shape (64 replicas), where
+  stale retry timers and quorum sorts are common;
+- the cheap ``Message`` keeps the frozen dataclass's contract, and the
+  reliable transport's per-rank wrapper context follows churn recovery
+  onto the fresh channel;
 - the backoff formula and the bound on its cache;
 - that a finished simulator is freed by reference counting alone (a
   simulator <-> context cycle would hold every process until the next
@@ -24,6 +29,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import pickle
 import random
 import weakref
 
@@ -36,8 +42,10 @@ from repro.distributed import (
     Complete,
     FailurePlan,
     FailurePlanError,
+    Message,
     PartiallySynchronous,
     PartitionEvent,
+    Process,
     ResilientFloodSet,
     Simulator,
     Synchronous,
@@ -197,6 +205,93 @@ def test_cases_exercise_the_faults():
     m = run_case("floodset", "psync", "mutated")
     assert m.partition_drops > 0
     assert m.recoveries == 2
+
+
+def _replog_at_scale():
+    """replog's benchmark shape, built here: 64 replicas, 5% loss, an
+    8-replica partition that heals and one churned replica."""
+    plan = FailurePlan(loss_probability=0.05, seed=29,
+                       churn={9: [(3.0, 14.0)]})
+    plan = partition(6.0, [set(range(48, 56))], plan=plan)
+    plan = heal(20.0, plan=plan).validate()
+    return run_replicated_log(
+        64, {5: ["a", "b"], 17: ["c"], 40: ["d", "e"]}, failures=plan,
+        seed=12, max_time=5000, on_limit="truncate")
+
+
+def test_replog_at_scale_is_bit_identical():
+    m = _replog_at_scale()
+    assert digest(m) == \
+        "eccc068912688c84cae35d00a59bcbd4a52ebf7666f01d492284bf36c94a4cb4"
+    assert m.partition_drops > 0
+    assert m.recoveries == 1
+    assert m.retransmissions > 0
+
+
+# ---------------------------------------------------------------------------
+# Message and wrapper-context contracts
+# ---------------------------------------------------------------------------
+
+
+def test_message_fields_are_read_only():
+    m = Message(0, 1, "t", (1, 2))
+    for field in ("src", "dst", "tag", "payload"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 5)
+    assert m == Message(0, 1, "t", (1, 2))
+
+
+def test_message_equality_and_hash_go_by_field():
+    a, b = Message(0, 1, "t", (1, 2)), Message(0, 1, "t", (1, 2))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, Message(0, 1, "t", (1, 3))}) == 2
+    assert Message(0, 1, "t") == Message(0, 1, "t", None)
+    assert a != Message(1, 0, "t", (1, 2))
+
+
+def test_message_repr_and_str():
+    m = Message(3, 4, "vote", (2, True))
+    assert repr(m) == "Message(src=3, dst=4, tag='vote', payload=(2, True))"
+    assert str(m) == "3->4 vote((2, True))"
+
+
+def test_message_survives_pickle():
+    m = Message(3, 4, "append", (1, 0, 0, (("cmd", 0),), 0))
+    back = pickle.loads(pickle.dumps(m))
+    assert type(back) is Message
+    assert back == m
+
+
+def test_wrapper_context_follows_churn_onto_the_new_channel():
+    seen = []  # (time, wrapper context) of every rank-1 inner event
+
+    class Ticker(Process):
+        def on_start(self, ctx):
+            ctx.set_timer(1.0, "tick")
+
+        def on_message(self, ctx, msg):
+            if self.rank == 1:
+                seen.append((ctx.now, ctx))
+            if msg.tag == "tick" and ctx.now < 20:
+                ctx.send(1 - self.rank, "ping")
+                ctx.set_timer(1.0, "tick")
+
+    sim = Simulator(Complete(2), wrap_reliable([Ticker(0), Ticker(1)]),
+                    failures=churn(1, 5.5, 9.5))
+    sim.run()
+    assert sim.metrics.recoveries == 1
+    before = [ctx for t, ctx in seen if t < 5.5]
+    after = [ctx for t, ctx in seen if t >= 9.5]
+    assert before and after
+    # One wrapper per rank and run on each side of the recovery ...
+    assert len({id(ctx) for ctx in before}) == 1
+    assert len({id(ctx) for ctx in after}) == 1
+    # ... and after it, the wrapper holds the channel the recovery
+    # restored, not the pre-crash one.
+    new_channel = sim.processes[1].channel
+    assert after[0].channel is new_channel
+    assert before[0].channel is not new_channel
 
 
 # ---------------------------------------------------------------------------
