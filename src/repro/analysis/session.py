@@ -27,10 +27,11 @@ import os
 import pathlib
 from typing import Optional, Sequence, Union
 
-from repro.facts.records import FactRecorder, FactTable
+from repro.facts.records import FactTable
 from repro.lint.driver import (
     FileReport,
     LintConfig,
+    PassRecorder,
     ProjectReport,
     SourceAnalysis,
     _lint_file_impl,
@@ -247,12 +248,12 @@ class AnalysisSession:
                 config.timeout_s) == (
                 default.concept_pass, default.interprocedural,
                 default.timeout_s):
-            recorder = FactRecorder()
+            recorder = PassRecorder()
         report = _lint_file_impl(f, config, summaries=summaries,
                                  facts=recorder)
         self.counters["lint_analyzed"] += 1
         if recorder is not None:
-            analysis = SourceAnalysis(report, recorder.table())
+            analysis = recorder.analysis(report)
             if not analysis.failures:
                 self._handoff = ((str(f), sha), analysis)
         if sha is not None and _cacheable(report.findings):

@@ -383,18 +383,22 @@ class ReplicatedLog(Process):
             if self.next_index[msg.src] < old:
                 ctx.metrics.recovery_replays += 1
             return
-        self.match_index[msg.src] = max(
-            self.match_index.get(msg.src, 0), match)
         self.next_index[msg.src] = max(
             self.next_index.get(msg.src, 0), match)
-        # Quorum commit: the highest index replicated on a majority,
-        # restricted to entries of the current term.
-        counts = sorted(
-            [self.match_index.get(p, 0) for p in self._peers()]
-            + [len(self.log)],
-            reverse=True,
-        )
-        candidate = counts[self.majority - 1]
+        # Quorum commit: the highest index on a majority, if of the
+        # current term.  The leader's own length counts and is the largest
+        # (its log only grows in its term), so with majority > 1 (acks
+        # come from peers) an ack that raises no match changes nothing,
+        # and if a majority holds ``match`` the candidate is ``match`` or
+        # an older, already settled one that decides the same.
+        if match <= self.match_index.get(msg.src, 0):
+            return
+        self.match_index[msg.src] = match
+        matches = self.match_index.values()       # one per peer
+        if sum(m >= match for m in matches) + 1 >= self.majority:
+            candidate = match
+        else:
+            candidate = sorted(matches, reverse=True)[self.majority - 2]
         if candidate > self.commit_index and \
                 self.log[candidate - 1][0] == self.term:
             newly = candidate - self.commit_index

@@ -16,8 +16,10 @@ interpreter of :mod:`repro.stllint`:
 from __future__ import annotations
 
 import ast
+import bisect
 import json
 import pathlib
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -264,12 +266,77 @@ def _scan_module(
     return lintable, imports
 
 
+class PassRecorder(FactRecorder):
+    """The facts of one pass, plus what a pass over an edited copy
+    replays (``prior`` of :func:`_lint_source_impl`): the tree, the
+    source and, per checker run, ``(key, raw diagnostics or None after
+    a crash, facts start, facts end, calls start, calls end)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tree: Optional[ast.Module] = None
+        self.source = ""
+        self.runs: list[tuple] = []
+        self.reused = 0
+
+    def analysis(self, report: FileReport) -> "SourceAnalysis":
+        return SourceAnalysis(report, self.table(), self)
+
+
+def _replayable(prior: Optional["SourceAnalysis"], tree: ast.Module,
+                source: str, keys: list[tuple]) -> list[bool]:
+    """Which runs of a pass over ``source`` may replay ``prior``'s record.
+
+    A top-level statement is joined to each top-level def whose name
+    occurs in its text before or after the edit (a superset of its
+    references); a run replays when its top-level statement's component
+    holds no edited line.  Exact, since summaries are keyed by callee
+    name and a call needs a name: no summary state crosses components.
+    If the skeleton moved (line count, top-level statements, run list),
+    or a lone ``\\r`` breaks a line the parser counts, nothing replays."""
+    record = prior.record if prior is not None else None
+    old = record.source.split("\n") if record is not None else []
+    new = source.split("\n")         # the parser's lines, but for a lone \r
+    # Statement k owns the lines after statement k-1 up to its own end.
+    ends = [stmt.end_lineno for stmt in tree.body]
+    if (record is None or record.tree is None or prior.failures
+            or source.count("\r") != source.count("\r\n")
+            or len(old) != len(new)
+            or [run[0] for run in record.runs] != keys
+            or [stmt.end_lineno for stmt in record.tree.body] != ends):
+        return [False] * len(keys)
+    parent = list(range(len(ends)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    defs: dict[str, int] = {}
+    for k, stmt in enumerate(tree.body):
+        if isinstance(stmt, ast.FunctionDef):
+            parent[root(k)] = root(defs.setdefault(stmt.name, k))
+    edited = {bisect.bisect_left(ends, i)
+              for i, (a, b) in enumerate(zip(old, new), 1) if a != b}
+    edited.discard(len(ends))         # past the last statement
+    for text, units in ((new, range(len(ends))), (old, edited)):
+        for k in units:
+            words = re.findall(r"[A-Za-z_]\w*", "\n".join(
+                text[ends[k - 1] if k else 0:ends[k]]))
+            for name in defs.keys() & words:
+                parent[root(k)] = root(defs[name])
+    dirty = {root(k) for k in edited}
+    return [root(bisect.bisect_left(ends, key[1])) not in dirty
+            for key in keys]
+
+
 def _lint_source_impl(
     source: str,
     path: str = "<string>",
     config: Optional[LintConfig] = None,
     summaries: object = None,
-    facts: Optional[FactRecorder] = None,
+    facts: Optional[PassRecorder] = None,
+    prior: Optional["SourceAnalysis"] = None,
 ) -> FileReport:
     """Lint one module given as source text (implementation).
 
@@ -287,7 +354,12 @@ def _lint_source_impl(
     leaves the facts incomplete.  The recorder only observes, so the
     findings are those of a pass without it.  A pre-seeded
     ``summaries`` table skips callee bodies and so their recordings;
-    pass a fresh one (or none) when the facts will be planned from."""
+    pass a fresh one (or none) when the facts will be planned from.
+
+    ``prior``, with ``facts``, is a complete pass over this module before
+    an edit that moved no line.  Runs :func:`_replayable` clears replay
+    its diagnostics (through dedup and suppressions) and recordings in
+    run order; the rest run again, so the result is a full pass's."""
     config = config or LintConfig()
     report = FileReport(path=path)
     lines = source.splitlines()
@@ -354,6 +426,12 @@ def _lint_source_impl(
             node for node in tree.body
             if isinstance(node, ast.FunctionDef) and node not in linted
         ]
+    replay = [False] * len(run_list)
+    if facts is not None:
+        facts.tree, facts.source = tree, source
+        keys = [(node.name, node.lineno, node.end_lineno, i < len(lintable),
+                 config.interprocedural) for i, node in enumerate(run_list)]
+        replay = _replayable(prior, tree, source, keys)
     seen: set[tuple[int, str]] = set()
     for i, node in enumerate(run_list):
         if deadline is not None and deadline.expired():
@@ -362,32 +440,40 @@ def _lint_source_impl(
                 f"'{node.name}' and later functions were not checked"
             ), node.lineno, node.name)
             break
-        try:
-            if tr is None:
-                sink = FixpointChecker(
+        if facts is not None:
+            f0, c0 = len(facts.facts), len(facts.calls)
+        diagnostics = None
+        if replay[i]:
+            _, diagnostics, fa, fb, ca, cb = prior.record.runs[i]
+            facts.facts += prior.record.facts[fa:fb]
+            facts.calls += prior.record.calls[ca:cb]
+            facts.reused += 1
+        else:
+            try:
+                checker = FixpointChecker(
                     node, lines, module_functions=functions,
                     facts=facts, summaries=summaries,
-                ).run()
-            else:
-                with tr.span("lint.function", cat="lint", path=path,
-                             function=node.name, line=node.lineno) as sp:
-                    sink = FixpointChecker(
-                        node, lines, module_functions=functions,
-                        facts=facts, summaries=summaries,
-                    ).run()
-                    sp.set("diagnostics", len(sink.diagnostics))
-        except Exception as exc:  # noqa: BLE001 - crash isolation
-            internal(LINT_INTERNAL, (
-                f"internal error while checking '{node.name}': "
-                f"{type(exc).__name__}: {exc}"
-            ), node.lineno, node.name)
-            sink = None
+                )
+                if tr is None:
+                    diagnostics = checker.run().diagnostics
+                else:
+                    with tr.span("lint.function", cat="lint", path=path,
+                                 function=node.name,
+                                 line=node.lineno) as sp:
+                        diagnostics = checker.run().diagnostics
+                        sp.set("diagnostics", len(diagnostics))
+            except Exception as exc:  # noqa: BLE001 - crash isolation
+                internal(LINT_INTERNAL, (
+                    f"internal error while checking '{node.name}': "
+                    f"{type(exc).__name__}: {exc}"
+                ), node.lineno, node.name)
+        if facts is not None:
+            facts.runs.append((keys[i], diagnostics, f0, len(facts.facts),
+                               c0, len(facts.calls)))
         if i >= len(lintable):
             continue          # a facts-only run: no diagnostics
         report.functions_checked += 1
-        if sink is None:
-            continue
-        for d in sink.diagnostics:
+        for d in diagnostics or ():
             key = (d.line, d.message)
             if key in seen:
                 continue
@@ -454,10 +540,12 @@ def _lint_source_impl(
 @dataclass
 class SourceAnalysis:
     """One STLlint pass over one source: its lint report and the facts
-    the same checker runs recorded."""
+    the same checker runs recorded, with the :class:`PassRecorder` that
+    recorded them."""
 
     report: FileReport
     table: FactTable
+    record: PassRecorder
 
     @property
     def failures(self) -> list[LintFinding]:
@@ -473,13 +561,14 @@ def analyze_source(
     source: str,
     path: str = "<string>",
     config: Optional[LintConfig] = None,
+    prior: Optional[SourceAnalysis] = None,
 ) -> SourceAnalysis:
     """Lint ``source`` and collect its facts in one pass (see
-    :func:`_lint_source_impl`'s ``facts``)."""
-    recorder = FactRecorder()
+    :func:`_lint_source_impl`'s ``facts`` and ``prior``)."""
+    recorder = PassRecorder()
     report = _lint_source_impl(source, path=path, config=config,
-                               facts=recorder)
-    return SourceAnalysis(report, recorder.table())
+                               facts=recorder, prior=prior)
+    return recorder.analysis(report)
 
 
 def _failed_file_report(path: str, check: str, message: str) -> FileReport:
@@ -493,7 +582,7 @@ def _failed_file_report(path: str, check: str, message: str) -> FileReport:
 
 def _lint_file_impl(
     path: PathLike, config: Optional[LintConfig] = None,
-    summaries: object = None, facts: Optional[FactRecorder] = None,
+    summaries: object = None, facts: Optional[PassRecorder] = None,
 ) -> FileReport:
     p = pathlib.Path(path)
     try:

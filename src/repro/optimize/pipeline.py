@@ -19,10 +19,12 @@ Four stages, each traced as its own span when tracing is active:
    optimizing its own output proposes nothing).  Any failure reverts to
    the original source.
 
-So a module costs two passes: the original's and the rewrite's.  A
-caller that already ran the original's pass under the default
+So a module costs the original's pass plus the rewrite's runs of the
+call-graph components the renames touched (the rest replay, see
+:func:`repro.lint.driver._replayable`).  A caller that already ran the
+original's pass under the default
 :class:`~repro.lint.driver.LintConfig` (the analysis session, right
-after a lint) may hand it in as ``analysis``, leaving one.
+after a lint) may hand it in as ``analysis``.
 
 This is the end-to-end loop Section 3.2 sketches: "linear search on a
 sorted sequence → binary search", driven by STLlint-derived flow facts
@@ -257,14 +259,18 @@ def apply_rewrites(source: str, plans: list[PlannedRewrite]) -> str:
     """Stage 3: column-precise callee renaming.  Only ``name(...)`` call
     nodes whose (line, name) matches a plan are touched; everything else
     — formatting, comments, strings mentioning the name — is preserved."""
-    if not plans:
-        return source
+    return _rename_calls(source, ast.parse(source), plans) if plans else source
+
+
+def _rename_calls(source: str, tree: ast.Module,
+                  plans: list[PlannedRewrite]) -> str:
+    """:func:`apply_rewrites` over ``tree``, the parse of ``source``."""
     wanted = {(p.line, p.call): p.replacement for p in plans}
     lines = source.splitlines(keepends=True)
     # Collect (line, col_start, col_end, replacement), applied
     # right-to-left per line so earlier columns stay valid.
     edits: list[tuple[int, int, int, str]] = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
             continue
         replacement = wanted.get((node.func.lineno, node.func.id))
@@ -357,9 +363,8 @@ def _optimize_source_impl(
         # treat the file as an internal failure, never plan from them.
         raise RuntimeError(
             f"STLlint pass incomplete: {analysis.failures[0].message}")
-    table = analysis.table
 
-    def select() -> list[PlannedRewrite]:
+    def select(table: FactTable) -> list[PlannedRewrite]:
         selected = plan_rewrites(table, taxonomy, resource, size)
         if monomorphize:
             from .monomorphize import plan_monomorphizations
@@ -372,10 +377,10 @@ def _optimize_source_impl(
     if deadline is not None and deadline.expired():
         return _timeout_result(result, path, deadline.budget)
     if tr is None:
-        plans = select()
+        plans = select(analysis.table)
     else:
         with tr.span("optimize.select", cat="optimize", path=path) as sp:
-            plans = select()
+            plans = select(analysis.table)
             sp.set("plans", len(plans))
             for p in plans:
                 tr.event(
@@ -389,18 +394,22 @@ def _optimize_source_impl(
     if deadline is not None and deadline.expired():
         return _timeout_result(result, path, deadline.budget)
     if tr is None:
-        optimized = apply_rewrites(source, plans)
+        optimized = _rename_calls(source, analysis.record.tree, plans)
     else:
         with tr.span("optimize.rewrite", cat="optimize", path=path) as sp:
-            optimized = apply_rewrites(source, plans)
+            optimized = _rename_calls(source, analysis.record.tree, plans)
             sp.set("rewrites", len(plans))
+    runs = {}
 
     def verify() -> tuple[bool, str]:
         # No new warnings/errors relative to the input (the original's
         # pass was complete, so a LINT-INTERNAL/LINT-TIMEOUT in the
         # rewrite's pass is new and reverts before its partial facts
-        # are re-planned)...
-        rewritten = analyze_source(optimized, path=path)
+        # are re-planned)...  Only the components the renames touched
+        # run again; the rest replay the original's record.
+        rewritten = analyze_source(optimized, path=path, prior=analysis)
+        runs["reused"] = rewritten.record.reused
+        runs["reran"] = len(rewritten.record.runs) - runs["reused"]
         introduced = (_problem_findings(rewritten.report)
                       - _problem_findings(analysis.report))
         if introduced:
@@ -410,14 +419,7 @@ def _optimize_source_impl(
             return False, f"re-lint found new problems ({rendered})"
         # ...and nothing further to do: the pipeline is idempotent (the
         # re-plan runs the same pass set, including OPT-MONO when on).
-        retable = rewritten.table
-        again = plan_rewrites(retable, taxonomy, resource, size)
-        if monomorphize:
-            from .monomorphize import plan_monomorphizations
-
-            again += plan_monomorphizations(
-                retable, {(p.line, p.call) for p in again}
-            )
+        again = select(rewritten.table)
         if again:
             return False, (
                 f"not idempotent: optimized output still proposes "
@@ -440,6 +442,8 @@ def _optimize_source_impl(
             with tr.span("optimize.verify", cat="optimize", path=path) as sp:
                 ok, reason = verify()
                 sp.set("ok", ok)
+                for name, count in runs.items():
+                    sp.set(name, count)
     except SyntaxError as exc:
         ok, reason = False, f"rewritten source does not parse: {exc.msg}"
     except Exception as exc:  # noqa: BLE001 - verification crash == revert

@@ -6,9 +6,10 @@ lint driver without a recorder, and ``collect_facts``'s own loop over
 the top-level defs — as the oracle, and requires the fused pass to give
 byte-identical findings, an equal fact table and equal plans.  The
 pass-count half counts ``FixpointChecker.run`` calls: a cold lint then
-optimize of one file costs two passes, and the session's handoff of the
-lint pass to the optimizer is refused whenever that pass could differ
-from the optimizer's own.
+optimize of one file costs one pass plus the verify pass's re-runs of
+the call-graph components the rewrite touched, and the session's
+handoff of the lint pass to the optimizer is refused whenever that pass
+could differ from the optimizer's own.
 """
 
 import ast
@@ -221,6 +222,9 @@ def scan(v: "list", x):
     return find(v.begin(), v.end(), x)
 '''
 F = 3          # prepare, lookup, scan
+#: Verify re-runs the rewritten ``lookup`` and ``prepare``, its callee;
+#: ``scan`` shares no name with them and is replayed.
+V = 2
 
 
 @pytest.fixture
@@ -258,14 +262,31 @@ def test_cold_lint_then_optimize_is_two_passes(tmp_path, runs, cache):
     report = session.lint_file(target)
     result = session.optimize_file(target)
     assert result.plans
-    assert runs["n"] == 2 * F
+    assert runs["n"] == F + V
     assert (report.to_dict(), result.to_dict()) == want
 
 
 def test_standalone_optimize_is_two_passes(tmp_path, runs):
     target = _program(tmp_path)
     result = AnalysisSession().optimize_file(target)
-    assert result.plans and runs["n"] == 2 * F
+    assert result.plans and runs["n"] == F + V
+
+
+def test_one_rewrite_among_independent_defs_reruns_one(tmp_path, runs):
+    # k defs that name no other def: one component each, and only the
+    # rewritten one runs again.
+    k = 5
+    source = SORT_THEN_FIND + "".join(
+        f'\n\ndef scan{i}(v: "list", x):\n'
+        f'    return find(v.begin(), v.end(), x)\n' for i in range(k - 2))
+    target = tmp_path / "mod.py"
+    target.write_text(source)
+    want = _optimize_source_impl(source, str(target)).to_dict()
+    runs["n"] = 0
+    result = AnalysisSession().optimize_file(target)
+    assert [p.function for p in result.plans] == ["lookup"]
+    assert runs["n"] == k + 1
+    assert result.to_dict() == want
 
 
 def test_lint_paths_hands_nothing_off(tmp_path, runs):
@@ -274,7 +295,7 @@ def test_lint_paths_hands_nothing_off(tmp_path, runs):
     session.lint_paths([target])
     assert runs["n"] == F
     session.optimize_file(target)
-    assert runs["n"] == 3 * F
+    assert runs["n"] == 2 * F + V
 
 
 def test_preseeded_summaries_refuse_the_handoff(tmp_path, runs):
@@ -295,7 +316,7 @@ def test_preseeded_summaries_refuse_the_handoff(tmp_path, runs):
     report = session.lint_file(target)
     result = session.optimize_file(target)
     assert session.counters["lint_analyzed"] == 1
-    assert runs["n"] == 3 * F
+    assert runs["n"] == 2 * F + V
     assert (report.to_dict(), result.to_dict()) == want
 
 
@@ -306,7 +327,7 @@ def test_non_default_concept_pass_refuses_the_handoff(tmp_path, runs):
     session = AnalysisSession(AnalysisConfig(concept_pass=False))
     session.lint_file(target)
     result = session.optimize_file(target)
-    assert runs["n"] == 3 * F
+    assert runs["n"] == 2 * F + V
     assert result.to_dict() == want_result
 
 
@@ -316,5 +337,5 @@ def test_handoff_is_keyed_by_content(tmp_path, runs):
     session.lint_file(target)
     target.write_text(HELPER_PROGRAM.replace("lookup", "search"))
     result = session.optimize_file(target)
-    assert runs["n"] == 3 * F
+    assert runs["n"] == 2 * F + V
     assert [p.function for p in result.plans] == ["search"]

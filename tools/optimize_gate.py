@@ -12,7 +12,10 @@ guard must refuse.  The gate checks:
 - every changed file verifies (rewritten source re-lints with no new
   findings) and nothing is reverted;
 - the pipeline is idempotent: optimizing the optimized output plans
-  zero further rewrites.
+  zero further rewrites;
+- the verify stage's pass, which re-runs only the call-graph components
+  the rewrite touched, equals a full pass over the optimized text:
+  the same report and the same fact recordings, in order.
 
 Run:  python tools/optimize_gate.py          (from the repo root)
 """
@@ -24,6 +27,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis import AnalysisConfig, AnalysisSession  # noqa: E402
+from repro.lint.driver import analyze_source  # noqa: E402
+from repro.optimize import pipeline  # noqa: E402
 
 #: The complete set of (file, function, call, replacement) rewrites the
 #: example directory must produce — no more, no less.
@@ -32,7 +37,31 @@ EXPECTED = {
 }
 
 
+def _same_pass(got, want) -> bool:
+    return (got.report.to_dict() == want.report.to_dict()
+            and got.table.calls == want.table.calls
+            and got.table.facts == want.table.facts)
+
+
 def main() -> int:
+    # The verify stage's passes, by the text they analyzed: the pipeline
+    # calls ``analyze_source`` with the original's pass as ``prior``.
+    verify_passes: dict = {}
+
+    def capture(source, **kwargs):
+        analysis = analyze_source(source, **kwargs)
+        if kwargs.get("prior") is not None:
+            verify_passes[source] = analysis
+        return analysis
+
+    pipeline.analyze_source = capture
+    try:
+        return _run(verify_passes)
+    finally:
+        pipeline.analyze_source = analyze_source
+
+
+def _run(verify_passes: dict) -> int:
     ok = True
     actual: set = set()
     session = AnalysisSession(AnalysisConfig())
@@ -51,6 +80,12 @@ def main() -> int:
             ok = False
             print(f"optimize gate: {path.name} changed but did not verify")
         if result.changed:
+            got = verify_passes.get(result.optimized)
+            want = analyze_source(result.optimized, path=str(path))
+            if got is None or not _same_pass(got, want):
+                ok = False
+                print(f"optimize gate: {path.name} verify pass differs "
+                      f"from a full pass over the optimized text")
             again = session.optimize_source(result.optimized, path=str(path))
             if again.plans:
                 ok = False
@@ -72,7 +107,8 @@ def main() -> int:
 
     if ok:
         print("optimize gate: OK — examples produce exactly the expected "
-              "rewrites, all verified and idempotent")
+              "rewrites, all verified and idempotent, each verify pass "
+              "equal to a full one")
     return 0 if ok else 1
 
 
