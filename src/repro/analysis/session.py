@@ -6,11 +6,11 @@ One object unifies what used to be four loose entry points
 behind one :class:`~repro.analysis.config.AnalysisConfig`, and adds the
 two things a *service* needs that a batch CLI does not:
 
-- **incrementality** — per-file results are served from the
-  content-hash-keyed on-disk cache (:mod:`repro.analysis.cache`) when
-  the file, the same-project modules its analysis reads (see
-  :mod:`repro.analysis.deps`), and the semantic config are all
-  unchanged;
+- **incrementality** — per-file lint reports and optimize results are
+  served from the content-hash-keyed on-disk cache
+  (:mod:`repro.analysis.cache`) when the file, the same-project modules
+  its analysis reads (see :mod:`repro.analysis.deps`), and the semantic
+  config are all unchanged;
 - **parallelism** — cache misses are sharded across a
   ``multiprocessing`` pool (``config.jobs``), and because every file's
   analysis is independent and results are merged back in discovery
@@ -27,7 +27,6 @@ import os
 import pathlib
 from typing import Optional, Sequence, Union
 
-from repro.facts.records import FactTable
 from repro.lint.driver import (
     FileReport,
     LintConfig,
@@ -49,12 +48,9 @@ from .schema import (
     SCHEMA_VERSION,
     SchemaError,
     decode_envelope,
-    fact_table_to_payload,
     file_report_to_payload,
     make_envelope,
     optimize_result_to_payload,
-    summary_table_from_payload,
-    summary_table_to_payload,
 )
 
 PathLike = Union[str, pathlib.Path]
@@ -124,8 +120,6 @@ class AnalysisSession:
             "lint_from_cache": 0,
             "optimize_analyzed": 0,
             "optimize_from_cache": 0,
-            "facts_analyzed": 0,
-            "facts_from_cache": 0,
             "imports_scanned": 0,
             "imports_from_cache": 0,
         }
@@ -217,40 +211,25 @@ class AnalysisSession:
 
     def _lint_miss(self, f: pathlib.Path, sha: Optional[str],
                    deps_fp: str, handoff: bool = False) -> FileReport:
-        """Analyze one file, pre-seeding (and afterwards persisting) its
-        interprocedural summary table when the cache is on.
+        """Analyze one file and cache its report when the cache is on.
 
         With ``handoff``, a pass the optimizer could have run itself
         also records facts and is kept for the next optimize miss: the
-        summary table started empty (a pre-seeded one skips callee
-        bodies, so their recordings would be missing and the meets would
-        claim too much), the analysis knobs equal the default
-        :class:`LintConfig`'s (what the optimizer verifies with), and no
-        crash or deadline cut the pass short.  Recording runs every
-        top-level def, not only lint's, so only :meth:`lint_file` asks
-        for it: of a ``lint_paths`` run's misses only the last could be
-        handed off."""
-        summaries = None
-        fresh = True
-        persist_summaries = self.cache is not None and sha is not None
-        if persist_summaries:
-            summaries = self._get_cached("summaries", f, sha, deps_fp)
-            fresh = summaries is None
-            if summaries is None:
-                from repro.stllint.summaries import SummaryTable
-
-                summaries = SummaryTable()
+        analysis knobs equal the default :class:`LintConfig`'s (what the
+        optimizer verifies with), and no crash or deadline cut the pass
+        short.  Recording runs every top-level def, not only lint's, so
+        only :meth:`lint_file` asks for it: of a ``lint_paths`` run's
+        misses only the last could be handed off."""
         config = self.config.to_lint_config()
         default = LintConfig()
         recorder = None
-        if handoff and sha is not None and fresh and (
+        if handoff and sha is not None and (
                 config.concept_pass, config.interprocedural,
                 config.timeout_s) == (
                 default.concept_pass, default.interprocedural,
                 default.timeout_s):
             recorder = PassRecorder()
-        report = _lint_file_impl(f, config, summaries=summaries,
-                                 facts=recorder)
+        report = _lint_file_impl(f, config, facts=recorder)
         self.counters["lint_analyzed"] += 1
         if recorder is not None:
             analysis = recorder.analysis(report)
@@ -259,9 +238,6 @@ class AnalysisSession:
         if sha is not None and _cacheable(report.findings):
             self._store("lint", f, sha, deps_fp,
                         file_report_to_payload(report))
-            if persist_summaries and len(summaries):
-                self._store("summaries", f, sha, deps_fp,
-                            summary_table_to_payload(summaries))
         return report
 
     def lint_file(self, path: PathLike) -> FileReport:
@@ -439,30 +415,6 @@ class AnalysisSession:
                 results[i] = self._optimize_miss(
                     f, hashes.get(f), fingerprints.get(f, ""), write)
         return [r for r in results if r is not None]
-
-    # -- facts ---------------------------------------------------------------
-
-    def collect_facts_file(self, path: PathLike) -> FactTable:
-        """Collect STLlint facts for one file, cached like lint results."""
-        from repro.stllint.facts_collection import collect_facts
-
-        f = pathlib.Path(path)
-        read = self._read(f)
-        if read is None:
-            raise OSError(f"cannot read {f}")
-        source, sha = read
-        cached = self._get_cached("facts", f, sha, "")
-        if cached is not None:
-            self.counters["facts_from_cache"] += 1
-            return cached
-        table = collect_facts(
-            source,
-            interprocedural=self.config.interprocedural,
-        )
-        self.counters["facts_analyzed"] += 1
-        if self.cache is not None:
-            self._store("facts", f, sha, "", fact_table_to_payload(table))
-        return table
 
     # -- service operations --------------------------------------------------
 

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 from repro.facts.records import FactRecorder, FactTable
 from repro.resilience import Deadline, DeadlineExceeded
 from repro.stllint.dataflow import FixpointChecker
-from repro.stllint.diagnostics import Severity
+from repro.stllint.diagnostics import Severity, source_lines
 from repro.stllint.interpreter import module_function_table
 from repro.stllint.specs import CONTAINER_SPECS
 from repro.stllint.summaries import SummaryTable
@@ -293,14 +293,13 @@ def _replayable(prior: Optional["SourceAnalysis"], tree: ast.Module,
     holds no edited line.  Exact, since summaries are keyed by callee
     name and a call needs a name: no summary state crosses components.
     If the skeleton moved (line count, top-level statements, run list),
-    or a lone ``\\r`` breaks a line the parser counts, nothing replays."""
+    nothing replays."""
     record = prior.record if prior is not None else None
-    old = record.source.split("\n") if record is not None else []
-    new = source.split("\n")         # the parser's lines, but for a lone \r
+    old = source_lines(record.source) if record is not None else []
+    new = source_lines(source)
     # Statement k owns the lines after statement k-1 up to its own end.
     ends = [stmt.end_lineno for stmt in tree.body]
     if (record is None or record.tree is None or prior.failures
-            or source.count("\r") != source.count("\r\n")
             or len(old) != len(new)
             or [run[0] for run in record.runs] != keys
             or [stmt.end_lineno for stmt in record.tree.body] != ends):
@@ -334,16 +333,10 @@ def _lint_source_impl(
     source: str,
     path: str = "<string>",
     config: Optional[LintConfig] = None,
-    summaries: object = None,
     facts: Optional[PassRecorder] = None,
     prior: Optional["SourceAnalysis"] = None,
 ) -> FileReport:
     """Lint one module given as source text (implementation).
-
-    ``summaries`` optionally pre-seeds the engine's
-    interprocedural :class:`~repro.stllint.summaries.SummaryTable` — the
-    analysis service passes a table deserialized from its cache, which
-    is sound because tables are keyed by this file's content hash.
 
     ``facts`` makes the same pass the optimizer's fact producer: every
     checker run records into it.  The optimizer needs facts for every
@@ -352,9 +345,7 @@ def _lint_source_impl(
     no diagnostics and do not count as checked, but a crash or deadline
     in them is still reported (LINT-INTERNAL / LINT-TIMEOUT), since it
     leaves the facts incomplete.  The recorder only observes, so the
-    findings are those of a pass without it.  A pre-seeded
-    ``summaries`` table skips callee bodies and so their recordings;
-    pass a fresh one (or none) when the facts will be planned from.
+    findings are those of a pass without it.
 
     ``prior``, with ``facts``, is a complete pass over this module before
     an edit that moved no line.  Runs :func:`_replayable` clears replay
@@ -362,7 +353,7 @@ def _lint_source_impl(
     run order; the rest run again, so the result is a full pass's."""
     config = config or LintConfig()
     report = FileReport(path=path)
-    lines = source.splitlines()
+    lines = source_lines(source)
     suppressions = collect_suppressions(lines)
     try:
         tree = ast.parse(source)
@@ -413,11 +404,10 @@ def _lint_source_impl(
                      function=function, check=check)
 
     functions = module_function_table(tree) if config.interprocedural else {}
-    if summaries is None:
-        # One table per file: every function's interprocedural effects
-        # are summarized once per argument shape and reused across all
-        # callers in the module.
-        summaries = SummaryTable()
+    # One table per file: every function's interprocedural effects are
+    # summarized once per argument shape and reused across all callers
+    # in the module.
+    summaries = SummaryTable()
     lintable, imports = _scan_module(tree)
     run_list = lintable
     if facts is not None:
@@ -582,7 +572,7 @@ def _failed_file_report(path: str, check: str, message: str) -> FileReport:
 
 def _lint_file_impl(
     path: PathLike, config: Optional[LintConfig] = None,
-    summaries: object = None, facts: Optional[PassRecorder] = None,
+    facts: Optional[PassRecorder] = None,
 ) -> FileReport:
     p = pathlib.Path(path)
     try:
@@ -601,10 +591,10 @@ def _lint_file_impl(
         tr = _trace.ACTIVE
         if tr is None:
             return _lint_source_impl(source, path=str(p), config=config,
-                                     summaries=summaries, facts=facts)
+                                     facts=facts)
         with tr.span("lint.file", cat="lint", path=str(p)) as sp:
             report = _lint_source_impl(source, path=str(p), config=config,
-                                       summaries=summaries, facts=facts)
+                                       facts=facts)
             sp.set("functions_checked", report.functions_checked)
             sp.set("findings", len(report.findings))
         return report

@@ -56,6 +56,7 @@ from ..sequences.taxonomy import (
     kind_weights,
     stl_taxonomy,
 )
+from ..stllint.diagnostics import LINE_BREAK, source_lines
 from ..trace import core as _trace
 
 PathLike = Union[str, pathlib.Path]
@@ -266,7 +267,8 @@ def _rename_calls(source: str, tree: ast.Module,
                   plans: list[PlannedRewrite]) -> str:
     """:func:`apply_rewrites` over ``tree``, the parse of ``source``."""
     wanted = {(p.line, p.call): p.replacement for p in plans}
-    lines = source.splitlines(keepends=True)
+    # The parser's line n is parts[2n - 2]; its ending follows it.
+    parts = LINE_BREAK.split(source)
     # Collect (line, col_start, col_end, replacement), applied
     # right-to-left per line so earlier columns stay valid.
     edits: list[tuple[int, int, int, str]] = []
@@ -281,9 +283,9 @@ def _rename_calls(source: str, tree: ast.Module,
             node.func.end_col_offset, replacement,
         ))
     for lineno, start, end, replacement in sorted(edits, reverse=True):
-        text = lines[lineno - 1]
-        lines[lineno - 1] = text[:start] + replacement + text[end:]
-    return "".join(lines)
+        text = parts[2 * lineno - 2]
+        parts[2 * lineno - 2] = text[:start] + replacement + text[end:]
+    return "".join(parts)
 
 
 def _problem_findings(report: FileReport) -> set[tuple[int, str]]:
@@ -454,7 +456,7 @@ def _optimize_source_impl(
         if not ok:
             result.optimized = result.original
 
-    src_lines = source.splitlines()
+    src_lines = source_lines(source)
     for p in plans:
         line_text = (
             src_lines[p.line - 1] if 1 <= p.line <= len(src_lines) else ""

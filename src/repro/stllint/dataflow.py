@@ -48,7 +48,7 @@ from .abstract_values import (
     join_values,
 )
 from .cfg import lower_function
-from .diagnostics import DiagnosticSink
+from .diagnostics import DiagnosticSink, source_lines
 from .interpreter import Checker, Env, module_function_table
 from .ir import (
     BasicBlock,
@@ -443,7 +443,7 @@ def check_source(
     """
     source = textwrap.dedent(source)
     tree = ast.parse(source)
-    lines = source.splitlines()
+    lines = source_lines(source)
     functions = module_function_table(tree) if interprocedural else {}
     combined = DiagnosticSink(lines)
     summaries = SummaryTable()

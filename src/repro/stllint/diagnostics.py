@@ -10,6 +10,7 @@ message, and the source line, and render in the paper's format::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -38,6 +39,19 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return self.render()
+
+
+#: The line breaks the parser counts, captured: ``LINE_BREAK.split``
+#: alternates line text and line ending.
+LINE_BREAK = re.compile(r"(\r\n|\r|\n)")
+
+
+def source_lines(source: str) -> list[str]:
+    """``source`` split at the parser's line breaks, so that the parser's
+    line ``n`` is item ``n - 1``.  :meth:`str.splitlines` also breaks at
+    form feeds, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85`` and
+    ``\\u2028``/``\\u2029``, which the parser does not count."""
+    return LINE_BREAK.split(source)[::2]
 
 
 class DiagnosticSink:

@@ -123,7 +123,10 @@ def _sentinel_name(k: int) -> str:
 
 class SummaryTable:
     """Memoized function summaries, shared across one analysis run
-    (one ``check_source``/``collect_facts``/lint-file invocation)."""
+    (one ``check_source`` or lint-file pass over one module).  A table
+    starts empty and lives only as long as its pass, so every summary a
+    pass applies was computed, and its callee's facts recorded, in that
+    pass."""
 
     def __init__(self) -> None:
         self._cache: dict[tuple, Summary] = {}
@@ -131,25 +134,6 @@ class SummaryTable:
         #: these is (mutual) recursion and bails out with an explicit
         #: note.
         self._computing: set[str] = set()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    # -- persistence accessors ----------------------------------------------
-    # The analysis service serializes tables to disk keyed by file
-    # content hash (:mod:`repro.analysis.schema`); these two methods are
-    # its stable seam into the memo so the cache never reaches into
-    # ``_cache`` directly.
-
-    def export_items(self):
-        """Iterate ``((callee_name, shapes), Summary)`` pairs."""
-        return self._cache.items()
-
-    def insert(self, key: tuple, summary: "Summary") -> None:
-        """Pre-seed one memoized summary (deserialized from disk).  Only
-        sound when ``key`` was computed for the *same* module content —
-        the cache guarantees that by keying tables on the file hash."""
-        self._cache[key] = summary
 
     # -- call-site entry ----------------------------------------------------
 

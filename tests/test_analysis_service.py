@@ -253,20 +253,6 @@ class TestOptimizeCaching:
         assert s2.counters["optimize_from_cache"] == 1
 
 
-class TestFactsCaching:
-    def test_facts_round_trip_through_cache(self, tmp_path, config):
-        target = tmp_path / "m.py"
-        target.write_text(OPTIMIZABLE)
-        s = AnalysisSession(config)
-        t1 = s.collect_facts_file(target)
-        s2 = AnalysisSession(config)
-        t2 = s2.collect_facts_file(target)
-        assert s2.counters["facts_from_cache"] == 1
-        assert analysis_schema.fact_table_to_payload(t1) == \
-            analysis_schema.fact_table_to_payload(t2)
-        assert t2.calls  # the sort/find call sites survived
-
-
 class TestSchema:
     def test_old_schema_version_discarded_not_misread(self, tmp_path,
                                                       config):
@@ -309,20 +295,7 @@ class TestSchema:
             {"path": "x.py", "functions_checked": 0, "suppressed": 0,
              "findings": []})
         with pytest.raises(SchemaError):
-            analysis_schema.decode_envelope(env, "facts")
-
-    def test_summary_table_round_trip(self):
-        from repro.lint.driver import LintConfig, _lint_source_impl
-        from repro.stllint.summaries import SummaryTable
-
-        table = SummaryTable()
-        report = _lint_source_impl(CALLS, config=LintConfig(),
-                                   summaries=table)
-        assert len(table) > 0
-        assert any("singular" in f.message for f in report.findings)
-        payload = analysis_schema.summary_table_to_payload(table)
-        again = analysis_schema.summary_table_from_payload(payload)
-        assert analysis_schema.summary_table_to_payload(again) == payload
+            analysis_schema.decode_envelope(env, "optimize")
 
     def test_report_json_carries_both_versions(self, tmp_path):
         proj = write_project(tmp_path / "p", a=CLEAN)
@@ -497,6 +470,33 @@ class TestParallel:
         assert s.counters["lint_from_cache"] == 3
         assert s.counters["lint_analyzed"] == 1
         assert len(report.files) == 4
+
+    def test_serial_and_pooled_runs_store_the_same_entries(self, tmp_path):
+        # ``use`` calls ``make_it``, so the pass over CALLS builds a
+        # non-empty summary table; the cache still holds only the lint
+        # and optimize results the tools read back, whichever path
+        # analyzed the misses.
+        proj = write_project(tmp_path / "p", a=CALLS, b=OPTIMIZABLE,
+                             c=BUGGY)
+        names = {}
+        for jobs in (1, 2):
+            config = AnalysisConfig(cache=True, jobs=jobs,
+                                    cache_dir=str(tmp_path / f"c{jobs}"))
+            cold = AnalysisSession(config)
+            cold.lint_paths([proj])
+            cold.optimize_paths([proj])
+            names[jobs] = sorted(p.name for p in cold.cache.root.iterdir())
+            analysis_cache.reset_stats()
+            warm = AnalysisSession(config)
+            warm.lint_paths([proj])
+            warm.optimize_paths([proj])
+            assert analysis_cache.stats()["misses"] == 0
+            assert warm.counters["lint_from_cache"] == 3
+            assert warm.counters["optimize_from_cache"] == 3
+        assert names[1] == names[2]
+        assert sorted(n.split("-")[0] for n in names[1]) == [
+            "imports", "lint", "lint", "lint",
+            "optimize", "optimize", "optimize"]
 
 
 class TestDeprecationShims:

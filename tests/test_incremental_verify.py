@@ -228,20 +228,43 @@ def test_skeleton_mismatch_falls_back_to_a_full_pass():
     assert got.record.reused == 0
 
 
+#: A comment holding a form feed, then a past-end deref on line 4 and a
+#: sort-then-find whose find is on line 4.
+FEED_DEREF = ('def f(v: "vector"):\n    # a\fb\n    it = v.end()\n'
+              '    return it.deref()  # stllint: ignore[past-end-deref]\n')
+FEED_SORT_THEN_FIND = ('def lookup(v: "vector", x):\n    # a\fb\n'
+                       '    sort(v.begin(), v.end())\n'
+                       '    return find(v.begin(), v.end(), x)\n')
+
+
 def test_line_breaks_the_parser_does_not_count():
     # A form feed is a line break to ``str.splitlines`` but not to the
-    # parser, and ``\r\n`` is one break to both: the edited lines are
-    # found in the parser's numbering.  A lone ``\r`` is a break only to
-    # the parser: a full pass.
+    # parser; ``\n``, ``\r\n`` and a lone ``\r`` are one break each.
+    # Replay, suppressions, source lines and the rewrite's column surgery
+    # all count lines as the parser does.
     feed = CALLER_SEES_HELPER.replace("    return helper", "    #\f\n"
                                       "    return helper")
-    for source, reused in ((feed, 1),
-                           (CALLER_SEES_HELPER.replace("\n", "\r\n"), 1),
-                           (CALLER_SEES_HELPER.replace("\n", "\r"), 0)):
-        plans, got, want = _verify_both_ways(source)
+    for newline in ("\n", "\r\n", "\r"):
+        plans, got, want = _verify_both_ways(feed.replace("\n", newline))
         assert plans
         _assert_same(got, want)
-        assert got.record.reused == reused
+        assert got.record.reused == 1
+
+        report = analyze_source(FEED_DEREF.replace("\n", newline)).report
+        assert (report.suppressed, report.findings) == (1, [])
+        bare = analyze_source(FEED_DEREF.replace(
+            "  # stllint: ignore[past-end-deref]", "").replace("\n", newline))
+        assert [(f.line, f.check, f.source_line)
+                for f in bare.report.findings] == [
+            (4, "past-end-deref", "    return it.deref()")]
+
+        source = FEED_SORT_THEN_FIND.replace("\n", newline)
+        result = _optimize_source_impl(source)
+        assert result.verified and not result.reverted
+        assert result.optimized == source.replace("return find",
+                                                  "return lower_bound")
+        assert [(f.line, f.source_line) for f in result.findings] == [
+            (4, "    return find(v.begin(), v.end(), x)")]
 
 
 def test_verify_span_counts_reran_and_reused_runs():

@@ -298,25 +298,24 @@ def test_lint_paths_hands_nothing_off(tmp_path, runs):
     assert runs["n"] == 2 * F + V
 
 
-def test_preseeded_summaries_refuse_the_handoff(tmp_path, runs):
+def test_relint_after_a_discarded_entry_hands_off(tmp_path, runs):
     target = _program(tmp_path)
     want = _reference(target)
     config = AnalysisConfig(cache=True, cache_dir=str(tmp_path / "cache"))
     first = AnalysisSession(config)
     first.lint_file(target)
-    # Drop the lint result but keep the persisted summary table, so the
-    # next lint miss starts from a pre-seeded table.
+    # Drop the lint result: the next lint misses, and its pass starts
+    # from an empty summary table like any other.
     sha = first._read(target)[1]
     first.cache.discard(make_key(
         "lint", str(target.resolve()), sha, config.fingerprint("lint"),
         "", SCHEMA_VERSION))
-    assert first._get_cached("summaries", target, sha, "") is not None
     runs["n"] = 0
     session = AnalysisSession(config)
     report = session.lint_file(target)
     result = session.optimize_file(target)
     assert session.counters["lint_analyzed"] == 1
-    assert runs["n"] == 2 * F + V
+    assert runs["n"] == F + V
     assert (report.to_dict(), result.to_dict()) == want
 
 
