@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""What ``python -m repro.lint`` finds (Sections 2 and 3.1, end to end).
+"""What ``repro.analysis lint`` finds (Sections 2 and 3.1, end to end).
 
 Every function below is *dead code* — nothing here ever calls them — and
 that is the point: the linter checks them statically, the way STLlint
@@ -19,7 +19,7 @@ that is the point: the linter checks them statically, the way STLlint
   shown).
 
 Run:  python examples/lint_demo.py       (lints this very file)
-      python -m repro.lint examples/     (lints the whole directory)
+      python -m repro.analysis lint examples/  (the whole directory)
 """
 
 from repro.concepts import where

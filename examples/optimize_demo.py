@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""What ``python -m repro.optimize`` rewrites (Section 3.2, end to end).
+"""What ``repro.analysis optimize`` rewrites (Section 3.2, end to end).
 
 Both functions below are *dead code* analyzed statically, like
 ``lint_demo.py``.  The optimizer collects STLlint facts, consults the
@@ -16,7 +16,7 @@ sequence taxonomy, and:
   story, not a missed optimization.
 
 Run:  python examples/optimize_demo.py            (optimizes this file, dry)
-      python -m repro.optimize --diff examples/optimize_demo.py
+      python -m repro.analysis optimize --diff examples/optimize_demo.py
 """
 
 

@@ -8,9 +8,9 @@ Public surface::
     report = session.lint_paths(["src"])      # warm files from cache
     result = session.optimize_file("mod.py")  # same config, same cache
 
-The ``repro.lint`` and ``repro.optimize`` command-line tools are views
-over a session, and ``python -m repro.analysis`` exposes the same
-surface as one CLI and a line-delimited-JSON daemon.
+``python -m repro.analysis`` exposes the same surface as the one
+analysis command line (``lint``, ``optimize``, ...) and a
+line-delimited-JSON daemon.
 """
 
 from .cache import (

@@ -1,53 +1,133 @@
 """Command-line entry point: ``python -m repro.analysis <command>``.
 
-One binary over the unified session:
+The one command line over the unified session:
 
-- ``lint`` / ``optimize`` — the batch tools, but incremental: unchanged
-  files are served from the on-disk cache (disable with ``--no-cache``);
+- ``lint`` — STLlint over files and directories (Section 3.1);
+- ``optimize`` — the Section 3.2 optimizer: report rewrites (``--diff``
+  to show them), gate on them (``--check``) or apply them (``--write``);
 - ``serve`` — line-delimited JSON daemon on stdin/stdout;
 - ``watch`` — poll a path set, re-linting only what changed;
 - ``stats`` — session/cache configuration and counters;
 - ``invalidate`` — drop cache entries (for given paths, or all).
 
-Exit codes follow the shared 0/1/2/3 contract (see ``--help``).
+Every command builds one :class:`~repro.analysis.session.AnalysisSession`
+from its flags.  Unchanged files are served from the on-disk result
+cache unless ``--no-cache`` is given; results are identical either way.
+The 0/1/2/3 exit-code contract (:data:`EXIT_CODES_EPILOG`) is shared
+with the daemon (:mod:`repro.analysis.service`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import pathlib
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .args import (
-    EXIT_CODES_EPILOG,
-    EXIT_USAGE,
-    common_parser,
-    lint_exit_code,
-    optimize_exit_code,
-    session_from_args,
-    traced,
-)
+from repro.lint.suppressions import all_check_codes
+
+from .config import DEFAULT_RESOURCE, DEFAULT_SIZE, AnalysisConfig
+from .session import AnalysisSession
+
+#: The exit-code contract of every command and of the daemon.
+EXIT_OK = 0        # clean: nothing at/above threshold, nothing outstanding
+EXIT_FINDINGS = 1  # findings/outstanding rewrites/reverted files
+EXIT_USAGE = 2     # bad arguments
+EXIT_PARTIAL = 3   # run finished but some per-file analysis was cut short
+
+EXIT_CODES_EPILOG = """\
+exit codes (shared by every command and the serve daemon):
+  0  clean — no finding at/above the threshold, nothing outstanding
+  1  findings — a finding reached --fail-on, --check found outstanding
+     rewrites, or a failed verification reverted a file
+  2  usage error — bad arguments or no paths given
+  3  partial results — crash isolation or a --timeout-s deadline turned
+     part of the analysis into *-INTERNAL / *-TIMEOUT findings; the
+     reported findings are valid but incomplete (and are never cached)
+"""
+
+
+def lint_exit_code(report, fail_on: str) -> int:
+    """0/1/3 for a :class:`~repro.lint.driver.ProjectReport`."""
+    if report.partial:
+        return EXIT_PARTIAL
+    return EXIT_FINDINGS if report.fails(fail_on) else EXIT_OK
+
+
+def optimize_exit_code(results, check: bool = False,
+                       write: bool = False) -> int:
+    """0/1/3 for a list of optimizer results."""
+    from repro.optimize.pipeline import OPT_INTERNAL, OPT_TIMEOUT
+
+    partial = any(
+        f.check in (OPT_INTERNAL, OPT_TIMEOUT)
+        for r in results for f in r.findings
+    )
+    if partial:
+        return EXIT_PARTIAL
+    if any(r.reverted for r in results):
+        return EXIT_FINDINGS
+    outstanding = sum(
+        len(r.plans) for r in results if not (write and r.verified)
+    )
+    if check and outstanding:
+        return EXIT_FINDINGS
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Incremental analysis service: cached, parallel lint "
-                    "and optimize behind one session, as a CLI or daemon.",
+        description="STLlint and the source-to-source optimizer over one "
+                    "cached, parallel analysis session, as a CLI or "
+                    "daemon.",
         epilog=EXIT_CODES_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    parent = common_parser(cache_default=True)
+
+    # Options every command shares.  Their dests (and those of the
+    # lint/optimize options below) are AnalysisConfig field names.
+    parent = argparse.ArgumentParser(add_help=False)
+    g = parent.add_argument_group("common analysis options")
+    g.add_argument(
+        "--timeout-s", type=float, default=None, metavar="SECONDS",
+        help="per-file analysis deadline; on expiry the file gets a "
+             "*-TIMEOUT finding and the run continues (exit code 3)",
+    )
+    g.add_argument(
+        "--trace", type=pathlib.Path, default=None, metavar="OUT.json",
+        help="record analysis spans and write a Chrome trace-event JSON "
+             "(load via chrome://tracing)",
+    )
+    g.add_argument(
+        "--jobs", "-j", type=int, default=1, metavar="N",
+        help="worker processes for files the cache cannot serve "
+             "(0 = all cores); output is bit-identical to --jobs 1",
+    )
+    g.add_argument("--json", action="store_true",
+                   help="emit machine-readable JSON on stdout")
+    g.add_argument(
+        "--no-cache", dest="cache", action="store_false",
+        help="disable the on-disk result cache (default: enabled)",
+    )
+    g.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="cache location (default: $REPRO_ANALYSIS_CACHE, else "
+             "$XDG_CACHE_HOME/repro-analysis)",
+    )
 
     p_lint = sub.add_parser(
         "lint", parents=[parent],
-        help="lint paths (cache-accelerated)",
+        help="lint paths: iterator/invalidation checking, library "
+             "pre/postconditions and @where concept conformance",
         epilog=EXIT_CODES_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_lint.add_argument("paths", nargs="+",
+    p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint")
     p_lint.add_argument(
         "--fail-on",
@@ -55,26 +135,59 @@ def build_parser() -> argparse.ArgumentParser:
         default="warning",
         help="least severe finding that fails the run (default: warning)",
     )
+    p_lint.add_argument(
+        "--no-concept-pass", dest="concept_pass", action="store_false",
+        help="skip @where call-site conformance checking",
+    )
+    p_lint.add_argument(
+        "--no-interprocedural", dest="interprocedural",
+        action="store_false", help="do not analyze same-module calls",
+    )
+    p_lint.add_argument(
+        "--exclude", action="append", default=[], metavar="GLOB",
+        help="glob pattern of paths to skip (repeatable)",
+    )
+    p_lint.add_argument(
+        "--list-checks", action="store_true",
+        help="print every check code usable in "
+             "'# stllint: ignore[<check>]' and exit",
+    )
 
     p_opt = sub.add_parser(
         "optimize", parents=[parent],
-        help="report/apply rewrites (cache-accelerated)",
+        help="report, check or apply verified algorithm rewrites",
         epilog=EXIT_CODES_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p_opt.add_argument("paths", nargs="+",
+    p_opt.add_argument("paths", nargs="*",
                        help="files or directories to optimize")
-    mode = p_opt.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true",
-                      help="exit 1 if any rewrite is outstanding")
-    mode.add_argument("--write", action="store_true",
-                      help="apply verified rewrites in place")
-
-    p_serve = sub.add_parser(
-        "serve", parents=[parent],
-        help="line-delimited JSON daemon on stdin/stdout",
+    p_opt.add_argument("--check", action="store_true",
+                       help="report only; exit 1 if any rewrite is "
+                            "outstanding")
+    p_opt.add_argument("--write", action="store_true",
+                       help="apply verified rewrites to the files in place")
+    p_opt.add_argument("--diff", action="store_true",
+                       help="print a unified diff for each changed file")
+    p_opt.add_argument(
+        "--resource", default=DEFAULT_RESOURCE,
+        help="complexity resource driving selection "
+             f"(default: {DEFAULT_RESOURCE})",
     )
-    del p_serve  # only the shared options
+    p_opt.add_argument(
+        "--size", type=float, default=DEFAULT_SIZE,
+        help="size n at which estimated savings are priced "
+             f"(default: {DEFAULT_SIZE:g})",
+    )
+    p_opt.add_argument(
+        "--monomorphize", action="store_true",
+        help="also run the OPT-MONO pass: rewrite generic call sites "
+             "whose container kind is the same on every path to their "
+             "specialized direct-call spellings (e.g. sort -> "
+             "sort__vector)",
+    )
+
+    sub.add_parser("serve", parents=[parent],
+                   help="line-delimited JSON daemon on stdin/stdout")
 
     p_watch = sub.add_parser(
         "watch", parents=[parent],
@@ -97,62 +210,113 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
+    parser.print_usage(sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("error: no command given", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(parser, "no command given")
+    if args.command == "lint" and args.list_checks:
+        for code in all_check_codes():
+            print(code)
+        return EXIT_OK
+    if args.command == "optimize" and args.check and args.write:
+        return _usage_error(parser,
+                            "--check and --write are mutually exclusive")
+    if args.command in ("lint", "optimize") and not args.paths:
+        return _usage_error(parser, "no paths given")
 
-    session = session_from_args(
-        args, **({"fail_on": args.fail_on}
-                 if getattr(args, "fail_on", None) else {}))
+    config = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(AnalysisConfig)
+              if hasattr(args, f.name)}
+    if "exclude" in config:
+        config["exclude"] = tuple(config["exclude"])
+    session = AnalysisSession(AnalysisConfig(**config))
     batch = args.command in ("lint", "optimize")
-    with traced(args, f"analysis.{args.command}" if batch else None,
-                "analysis"):
-        rc = _run(args, session)
-    return rc
+    with _traced(args, f"analysis.{args.command}" if batch else None):
+        return _run(args, session)
 
 
-def _run(args: argparse.Namespace, session) -> int:
+@contextlib.contextmanager
+def _traced(args: argparse.Namespace, span: Optional[str]) -> Iterator[None]:
+    """``--trace OUT.json`` enables the global tracer and writes a Chrome
+    trace once the body finishes; while any tracer is active the body
+    runs inside a ``span`` span (none when ``span`` is None) over
+    ``args.paths``."""
+    from repro import trace
+
+    tracer = trace.enable() if args.trace is not None else trace.active()
+    if tracer is None or span is None:
+        yield
+    else:
+        with tracer.span(span, cat="analysis",
+                         paths=[str(p) for p in args.paths]):
+            yield
+    if args.trace is not None:
+        trace.export_chrome(tracer, args.trace)
+        print(f"trace written to {args.trace}", file=sys.stderr)
+
+
+def _run(args: argparse.Namespace, session: AnalysisSession) -> int:
     if args.command == "lint":
         report = session.lint_paths(args.paths)
-        rc = lint_exit_code(report, args.fail_on)
         print(report.to_json() if args.json else report.render_text())
-    elif args.command == "optimize":
+        return lint_exit_code(report, args.fail_on)
+    if args.command == "optimize":
         results = session.optimize_paths(args.paths, write=args.write)
-        rc = optimize_exit_code(results, check=args.check, write=args.write)
-        if args.json:
-            from .schema import SCHEMA_VERSION
-
-            print(json.dumps({
-                "version": 1,
-                "schema_version": SCHEMA_VERSION,
-                "files": [r.to_dict() for r in results],
-            }, indent=2))
-        else:
-            for r in results:
-                print(r.render())
-    elif args.command == "serve":
+        _print_optimize(args, results)
+        return optimize_exit_code(results, check=args.check,
+                                  write=args.write)
+    if args.command == "serve":
         from .service import AnalysisService
 
-        rc = AnalysisService(session).serve()
-    elif args.command == "watch":
+        return AnalysisService(session).serve()
+    if args.command == "watch":
         from .service import watch
 
-        rc = watch(session, args.paths, interval_s=args.interval_s,
-                   max_cycles=args.max_cycles)
-    elif args.command == "stats":
+        return watch(session, args.paths, interval_s=args.interval_s,
+                     max_cycles=args.max_cycles)
+    if args.command == "stats":
         print(json.dumps(session.stats(), indent=2, sort_keys=True))
-        rc = 0
     elif args.command == "invalidate":
         count = session.invalidate(args.paths or None)
         print(json.dumps({"invalidated": count}))
-        rc = 0
-    else:  # pragma: no cover - argparse rejects unknown commands
-        return EXIT_USAGE
-    return rc
+    return EXIT_OK
+
+
+def _print_optimize(args: argparse.Namespace, results: list) -> None:
+    reverted = sum(1 for r in results if r.reverted)
+    if args.json:
+        from .schema import SCHEMA_VERSION
+
+        print(json.dumps({
+            "version": 1,               # legacy key, frozen forever
+            "schema_version": SCHEMA_VERSION,
+            "files": [r.to_dict() for r in results],
+            "summary": {
+                "files": len(results),
+                "rewrites": sum(len(r.plans) for r in results),
+                "reverted": reverted,
+                "written": sum(
+                    1 for r in results
+                    if args.write and r.changed and r.verified
+                ),
+            },
+        }, indent=2))
+        return
+    for r in results:
+        print(r.render())
+        if args.diff and r.changed:
+            sys.stdout.write(r.diff())
+    total = sum(len(r.plans) for r in results)
+    action = "applied" if args.write else "available"
+    print(f"{total} rewrite(s) {action} across {len(results)} file(s)"
+          + (f", {reverted} reverted" if reverted else ""))
 
 
 if __name__ == "__main__":

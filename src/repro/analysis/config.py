@@ -1,12 +1,13 @@
 """One configuration object for the whole analysis surface.
 
-Before this package existed, every entry point grew its own knobs:
-``LintConfig`` for the lint driver, loose keyword arguments for the
-optimizer pipeline, and per-CLI argparse flags that drifted apart.  The
-:class:`AnalysisConfig` dataclass is the single source of truth both
-CLIs, the :class:`~repro.analysis.session.AnalysisSession` façade, and
-the daemon consume; the legacy shapes are derived views
-(:meth:`to_lint_config` / :meth:`from_lint_config`).
+The :class:`AnalysisConfig` dataclass holds every knob of the lint
+driver, the optimizer pipeline and the service: the
+:class:`~repro.analysis.session.AnalysisSession` façade, the
+``python -m repro.analysis`` command line (whose flags are named after
+its fields) and the daemon all build one, and the lint driver
+(:mod:`repro.lint.driver`), the optimizer
+(:mod:`repro.optimize.pipeline`) and
+:func:`~repro.stllint.facts_collection.collect_facts` read it directly.
 
 The config also owns the **fingerprint** that keys the on-disk cache.
 Only fields that can change an analysis *result* participate:
@@ -26,10 +27,8 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.lint.driver import LintConfig
-
-#: Default resource/size mirrored from the optimizer pipeline (imported
-#: lazily there to avoid a config->pipeline->config cycle).
+#: Resource whose guarantee drives the optimizer's selection, and the
+#: size the asymptotic win is priced at for reporting.
 DEFAULT_RESOURCE = "comparisons"
 DEFAULT_SIZE = 1000.0
 
@@ -55,31 +54,6 @@ class AnalysisConfig:
     cache: bool = False                # persistent result cache on/off
     cache_dir: Optional[str] = None    # None = REPRO_ANALYSIS_CACHE or
     #                                    ~/.cache/repro-analysis
-
-    # -- legacy views --------------------------------------------------------
-
-    def to_lint_config(self) -> LintConfig:
-        return LintConfig(
-            fail_on=self.fail_on,
-            concept_pass=self.concept_pass,
-            interprocedural=self.interprocedural,
-            exclude=self.exclude,
-            timeout_s=self.timeout_s,
-        )
-
-    @classmethod
-    def from_lint_config(
-        cls, config: Optional[LintConfig] = None, **overrides,
-    ) -> "AnalysisConfig":
-        config = config or LintConfig()
-        return cls(
-            fail_on=config.fail_on,
-            concept_pass=config.concept_pass,
-            interprocedural=config.interprocedural,
-            exclude=tuple(config.exclude),
-            timeout_s=config.timeout_s,
-            **overrides,
-        )
 
     def with_(self, **overrides) -> "AnalysisConfig":
         return replace(self, **overrides)

@@ -13,9 +13,9 @@ deliberately tiny — it is the :class:`~repro.analysis.session
     {"op": "shutdown"}
 
 Every response carries ``ok`` plus ``exit_code`` with the same 0/1/2/3
-meaning the batch CLIs use (see :data:`repro.analysis.args
+meaning the command line uses (see :data:`repro.analysis.cli
 .EXIT_CODES_EPILOG`), so a client can treat the daemon as a warm,
-long-lived stand-in for ``python -m repro.lint`` / ``repro.optimize``.
+long-lived stand-in for ``python -m repro.analysis lint`` / ``optimize``.
 A malformed line never kills the daemon: it yields an ``ok: false``
 response with ``exit_code: 2`` and the loop continues.
 
@@ -30,7 +30,7 @@ import sys
 import time
 from typing import IO, Optional, Sequence
 
-from .args import EXIT_USAGE, lint_exit_code, optimize_exit_code
+from .cli import EXIT_USAGE, lint_exit_code, optimize_exit_code
 from .session import AnalysisSession
 
 

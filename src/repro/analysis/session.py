@@ -29,7 +29,6 @@ from typing import Optional, Sequence, Union
 
 from repro.lint.driver import (
     FileReport,
-    LintConfig,
     PassRecorder,
     ProjectReport,
     SourceAnalysis,
@@ -74,19 +73,14 @@ def _cacheable(findings) -> bool:
 
 def _lint_worker(item: tuple) -> FileReport:
     path_str, config = item
-    return _lint_file_impl(pathlib.Path(path_str),
-                           config.to_lint_config())
+    return _lint_file_impl(pathlib.Path(path_str), config)
 
 
 def _optimize_worker(item: tuple):
     from repro.optimize.pipeline import _optimize_file_impl
 
     path_str, write, config = item
-    return _optimize_file_impl(
-        pathlib.Path(path_str), write=write, resource=config.resource,
-        size=config.size, timeout_s=config.timeout_s,
-        monomorphize=config.monomorphize,
-    )
+    return _optimize_file_impl(pathlib.Path(path_str), config, write=write)
 
 
 def _pool_map(worker, items: list, jobs: int) -> list:
@@ -206,8 +200,7 @@ class AnalysisSession:
     def lint_source(self, source: str, path: str = "<string>") -> FileReport:
         """Lint in-memory source.  Uncached: text without a file has no
         identity in the dependency universe."""
-        return _lint_source_impl(source, path=path,
-                                 config=self.config.to_lint_config())
+        return _lint_source_impl(source, path=path, config=self.config)
 
     def _lint_miss(self, f: pathlib.Path, sha: Optional[str],
                    deps_fp: str, handoff: bool = False) -> FileReport:
@@ -215,13 +208,12 @@ class AnalysisSession:
 
         With ``handoff``, a pass the optimizer could have run itself
         also records facts and is kept for the next optimize miss: the
-        analysis knobs equal the default :class:`LintConfig`'s (what the
-        optimizer verifies with), and no crash or deadline cut the pass
-        short.  Recording runs every top-level def, not only lint's, so
+        analysis knobs equal the default :class:`AnalysisConfig`'s (what
+        the optimizer verifies with), and no crash or deadline cut the
+        pass short.  Recording runs every top-level def, not only lint's, so
         only :meth:`lint_file` asks for it: of a ``lint_paths`` run's
         misses only the last could be handed off."""
-        config = self.config.to_lint_config()
-        default = LintConfig()
+        config, default = self.config, AnalysisConfig()
         recorder = None
         if handoff and sha is not None and (
                 config.concept_pass, config.interprocedural,
@@ -320,11 +312,8 @@ class AnalysisSession:
         if handoff is not None and sha is not None \
                 and handoff[0] == (str(f), sha):
             analysis = handoff[1]
-        result = _optimize_file_impl(
-            f, write=write, resource=self.config.resource,
-            size=self.config.size, timeout_s=self.config.timeout_s,
-            monomorphize=self.config.monomorphize, analysis=analysis,
-        )
+        result = _optimize_file_impl(f, self.config, write=write,
+                                     analysis=analysis)
         self.counters["optimize_analyzed"] += 1
         # ``--write`` changes the file after analysis, so the cached
         # entry (keyed by the *pre-write* hash) would never be looked up

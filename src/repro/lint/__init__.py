@@ -2,11 +2,12 @@
 "STLlint ... analyzes whole programs").
 
 Layers a project-level harness over the :mod:`repro.stllint` symbolic
-interpreter and the :mod:`repro.concepts` modeling machinery::
+interpreter and the :mod:`repro.concepts` modeling machinery.  Run it
+through the analysis command line::
 
-    python -m repro.lint examples/                 # text report
-    python -m repro.lint src/ --format json        # machine-readable
-    python -m repro.lint app.py --fail-on error    # gate only on errors
+    python -m repro.analysis lint examples/               # text report
+    python -m repro.analysis lint src/ --json             # machine-readable
+    python -m repro.analysis lint app.py --fail-on error  # gate on errors
 
 Or from Python, via the unified analysis session::
 
@@ -18,14 +19,14 @@ Or from Python, via the unified analysis session::
     bad = report.fails("warning")
 
 Per-line suppression uses ``# stllint: ignore[<check>]`` comments; the
-available check codes are listed by ``python -m repro.lint --list-checks``.
+available check codes are listed by
+``python -m repro.analysis lint --list-checks``.
 """
 
 from .concept_pass import ConceptFinding, run_concept_pass
 from .driver import (
     SEVERITY_ORDER,
     FileReport,
-    LintConfig,
     LintFinding,
     ProjectReport,
     discover_files,
@@ -38,14 +39,12 @@ from .suppressions import (
     check_code,
     collect_suppressions,
 )
-from .cli import main
 
 __all__ = [
-    "LintConfig", "LintFinding", "FileReport", "ProjectReport",
+    "LintFinding", "FileReport", "ProjectReport",
     "discover_files",
     "SEVERITY_ORDER",
     "run_concept_pass", "ConceptFinding",
     "check_code", "all_check_codes", "collect_suppressions", "ALL_CHECKS",
     "UNUSED_SUPPRESSION", "UNKNOWN_SUPPRESSION_CODE",
-    "main",
 ]

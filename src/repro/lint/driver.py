@@ -22,7 +22,7 @@ import pathlib
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.facts.records import FactRecorder, FactTable
 from repro.resilience import Deadline, DeadlineExceeded
@@ -45,6 +45,11 @@ from .suppressions import (
     is_suppressed,
 )
 
+if TYPE_CHECKING:
+    # A runtime import would be circular: the repro.analysis package
+    # imports this module.
+    from repro.analysis.config import AnalysisConfig
+
 #: Severity rank, most severe first (for --fail-on thresholds).
 SEVERITY_ORDER: dict[str, int] = {
     "error": 0,
@@ -54,17 +59,6 @@ SEVERITY_ORDER: dict[str, int] = {
 }
 
 PathLike = Union[str, pathlib.Path]
-
-
-@dataclass
-class LintConfig:
-    """Knobs for one lint run."""
-
-    fail_on: str = "warning"          # least severe level that fails the run
-    concept_pass: bool = True         # check @where call sites
-    interprocedural: bool = True      # analyze same-module calls
-    exclude: tuple[str, ...] = ()     # glob patterns matched against paths
-    timeout_s: Optional[float] = None  # per-file analysis deadline
 
 
 @dataclass
@@ -332,7 +326,7 @@ def _replayable(prior: Optional["SourceAnalysis"], tree: ast.Module,
 def _lint_source_impl(
     source: str,
     path: str = "<string>",
-    config: Optional[LintConfig] = None,
+    config: Optional[AnalysisConfig] = None,
     facts: Optional[PassRecorder] = None,
     prior: Optional["SourceAnalysis"] = None,
 ) -> FileReport:
@@ -351,7 +345,10 @@ def _lint_source_impl(
     an edit that moved no line.  Runs :func:`_replayable` clears replay
     its diagnostics (through dedup and suppressions) and recordings in
     run order; the rest run again, so the result is a full pass's."""
-    config = config or LintConfig()
+    if config is None:
+        from repro.analysis.config import AnalysisConfig
+
+        config = AnalysisConfig()
     report = FileReport(path=path)
     lines = source_lines(source)
     suppressions = collect_suppressions(lines)
@@ -550,7 +547,7 @@ class SourceAnalysis:
 def analyze_source(
     source: str,
     path: str = "<string>",
-    config: Optional[LintConfig] = None,
+    config: Optional[AnalysisConfig] = None,
     prior: Optional[SourceAnalysis] = None,
 ) -> SourceAnalysis:
     """Lint ``source`` and collect its facts in one pass (see
@@ -571,7 +568,7 @@ def _failed_file_report(path: str, check: str, message: str) -> FileReport:
 
 
 def _lint_file_impl(
-    path: PathLike, config: Optional[LintConfig] = None,
+    path: PathLike, config: Optional[AnalysisConfig] = None,
     facts: Optional[PassRecorder] = None,
 ) -> FileReport:
     p = pathlib.Path(path)
@@ -638,16 +635,3 @@ def discover_files(
             seen.add(key)
             unique.append(p)
     return unique
-
-
-def _lint_paths_impl(
-    paths: Sequence[PathLike], config: Optional[LintConfig] = None
-) -> ProjectReport:
-    """Serial whole-project lint (implementation).  The analysis service
-    (:class:`repro.analysis.AnalysisSession`) layers caching and the
-    worker pool on top of this; results are identical by construction."""
-    config = config or LintConfig()
-    report = ProjectReport()
-    for f in discover_files(paths, config.exclude):
-        report.files.append(_lint_file_impl(f, config))
-    return report

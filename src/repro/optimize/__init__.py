@@ -11,9 +11,9 @@ output to verify no precondition was broken and nothing further remains
 (idempotence).
 
 Use :meth:`repro.analysis.AnalysisSession.optimize_source` /
-``optimize_file`` programmatically, or ``python -m repro.optimize
-<paths>`` (``--check`` for CI, ``--write`` to apply, ``--diff`` to
-inspect).
+``optimize_file`` programmatically, or ``python -m repro.analysis
+optimize <paths>`` (``--check`` for CI, ``--write`` to apply, ``--diff``
+to inspect).
 """
 
 from .pipeline import (

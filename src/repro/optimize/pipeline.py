@@ -23,8 +23,8 @@ So a module costs the original's pass plus the rewrite's runs of the
 call-graph components the renames touched (the rest replay, see
 :func:`repro.lint.driver._replayable`).  A caller that already ran the
 original's pass under the default
-:class:`~repro.lint.driver.LintConfig` (the analysis session, right
-after a lint) may hand it in as ``analysis``.
+:class:`~repro.analysis.config.AnalysisConfig` (the analysis session,
+right after a lint) may hand it in as ``analysis``.
 
 This is the end-to-end loop Section 3.2 sketches: "linear search on a
 sorted sequence → binary search", driven by STLlint-derived flow facts
@@ -40,6 +40,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from ..analysis.config import DEFAULT_RESOURCE, DEFAULT_SIZE, AnalysisConfig
 from ..concepts.taxonomy import Taxonomy
 from ..facts.records import FactTable
 from ..lint.driver import (
@@ -60,11 +61,6 @@ from ..stllint.diagnostics import LINE_BREAK, source_lines
 from ..trace import core as _trace
 
 PathLike = Union[str, pathlib.Path]
-
-#: Resource whose guarantee drives selection, and the size the asymptotic
-#: win is priced at for reporting.
-DEFAULT_RESOURCE = "comparisons"
-DEFAULT_SIZE = 1000.0
 
 #: Driver-resilience finding codes (mirroring the linter's LINT-INTERNAL /
 #: LINT-TIMEOUT): an internal exception isolated to one file, and a
@@ -270,7 +266,9 @@ def _rename_calls(source: str, tree: ast.Module,
     # The parser's line n is parts[2n - 2]; its ending follows it.
     parts = LINE_BREAK.split(source)
     # Collect (line, col_start, col_end, replacement), applied
-    # right-to-left per line so earlier columns stay valid.
+    # right-to-left per line so earlier columns stay valid.  The
+    # parser's columns are UTF-8 byte offsets, so each line is cut as
+    # bytes.
     edits: list[tuple[int, int, int, str]] = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
@@ -283,8 +281,10 @@ def _rename_calls(source: str, tree: ast.Module,
             node.func.end_col_offset, replacement,
         ))
     for lineno, start, end, replacement in sorted(edits, reverse=True):
-        text = parts[2 * lineno - 2]
-        parts[2 * lineno - 2] = text[:start] + replacement + text[end:]
+        text = parts[2 * lineno - 2].encode("utf-8")
+        parts[2 * lineno - 2] = (
+            text[:start] + replacement.encode("utf-8") + text[end:]
+        ).decode("utf-8")
     return "".join(parts)
 
 
@@ -329,7 +329,7 @@ def _optimize_source_impl(
     """Run the full facts → select → rewrite → verify pipeline.
 
     ``analysis``, when given, is the pass over ``source`` under the
-    default :class:`~repro.lint.driver.LintConfig` with a fresh
+    default :class:`~repro.analysis.config.AnalysisConfig` with a fresh
     summary table; the facts stage then reuses it.  An incomplete pass
     (LINT-INTERNAL / LINT-TIMEOUT) raises, as a crash would.
 
@@ -508,16 +508,13 @@ def _write_optimized(p: pathlib.Path, source: str,
 
 def _optimize_file_impl(
     path: PathLike,
+    config: AnalysisConfig,
     write: bool = False,
-    taxonomy: Optional[Taxonomy] = None,
-    resource: str = DEFAULT_RESOURCE,
-    size: float = DEFAULT_SIZE,
-    timeout_s: Optional[float] = None,
-    monomorphize: bool = False,
     analysis: Optional[SourceAnalysis] = None,
 ) -> OptimizeResult:
-    """Optimize one file on disk; with ``write=True`` the rewritten
-    source replaces the file (only when verification passed).
+    """Optimize one file on disk under ``config``'s ``resource``,
+    ``size``, ``timeout_s`` and ``monomorphize``; with ``write=True`` the
+    rewritten source replaces the file (only when verification passed).
     ``analysis`` is passed through to :func:`_optimize_source_impl`.
 
     Per-file crash isolation: any internal exception — decode failure,
@@ -529,12 +526,13 @@ def _optimize_file_impl(
         source = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return _internal_result(str(p), "", exc)
-    deadline = Deadline.after(timeout_s) if timeout_s is not None else None
+    deadline = (Deadline.after(config.timeout_s)
+                if config.timeout_s is not None else None)
     try:
         result = _optimize_source_impl(
-            source, path=str(p), taxonomy=taxonomy, resource=resource,
-            size=size, deadline=deadline, monomorphize=monomorphize,
-            analysis=analysis,
+            source, path=str(p), resource=config.resource,
+            size=config.size, deadline=deadline,
+            monomorphize=config.monomorphize, analysis=analysis,
         )
         if write and result.changed and result.verified:
             _write_optimized(p, source, result)

@@ -2,15 +2,16 @@
 
 :func:`call_with_policy` is the one retry loop in the system — the
 reliable transport re-implements the *schedule* over simulator timers
-(it cannot block), but tool drivers and tests retry through here.  Time
-never passes implicitly: sleeping is delegated to an injected ``sleep``
-callable (default: none — the loop retries immediately, which is what
-cooperative drivers and simulations want).
+(it cannot block) rather than calling it.  Time never passes
+implicitly: sleeping is delegated to an injected ``sleep`` callable
+(default: none — the loop retries immediately, which is what
+cooperative callers and simulations want).
 
-:func:`isolated` is the crash-isolation primitive the lint/optimize
-drivers build their per-file "internal error, run continues" behavior
-on: it converts an unexpected exception into a structured
-:class:`IsolatedFailure` value instead of a traceback.
+:func:`isolated` converts an unexpected exception into a structured
+:class:`IsolatedFailure` value instead of a traceback.  The lint and
+optimize drivers use neither function: they isolate per-file crashes
+with their own ``try``/``except`` (LINT-INTERNAL / OPT-INTERNAL
+findings) and bound per-file work with :class:`Deadline` only.
 
 Trace events (all behind the usual ``ACTIVE is None`` guard):
 ``resilience.retry`` per retry, ``resilience.give_up`` when the budget

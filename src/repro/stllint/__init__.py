@@ -38,7 +38,6 @@ from .archetype_check import (
 from .dataflow import (
     FixpointChecker,
     FixpointStats,
-    check_function,
     check_source,
 )
 from .dataflow import report as fixpoint_report
@@ -73,7 +72,7 @@ __all__ = [
     "AbstractBool", "AbstractContainer", "AbstractIterator", "AbstractValue",
     "Position", "Validity",
     "Diagnostic", "DiagnosticSink", "Severity",
-    "Checker", "Env", "check_function", "check_source",
+    "Checker", "Env", "check_source",
     "collect_facts",
     "module_function_table",
     "FixpointChecker", "FixpointStats", "Summary", "SummaryTable",

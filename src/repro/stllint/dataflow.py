@@ -458,16 +458,6 @@ def check_source(
     return combined
 
 
-def check_function(fn_or_source: Any) -> DiagnosticSink:
-    """Check a single function given as source text or a Python function
-    object (its source is retrieved with :mod:`inspect`)."""
-    if isinstance(fn_or_source, str):
-        return check_source(fn_or_source)
-    import inspect
-
-    return check_source(inspect.getsource(fn_or_source))
-
-
 # ---------------------------------------------------------------------------
 # Stats reporting: the ``stllint`` group of repro.trace.counters
 # ---------------------------------------------------------------------------

@@ -42,11 +42,13 @@ def collect_facts(
     :class:`RuntimeError` when a checker crash left the facts incomplete
     (a partial table could claim properties a missing path refutes).
     """
-    from ..lint.driver import LintConfig, analyze_source
+    from ..analysis.config import AnalysisConfig
+    from ..lint.driver import analyze_source
 
     source = textwrap.dedent(source)
     ast.parse(source)
-    config = LintConfig(concept_pass=False, interprocedural=interprocedural)
+    config = AnalysisConfig(concept_pass=False,
+                            interprocedural=interprocedural)
     tr = _trace.ACTIVE
     if tr is None:
         analysis = analyze_source(source, config=config)

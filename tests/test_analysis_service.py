@@ -5,6 +5,7 @@ contract."""
 
 import io
 import json
+import pathlib
 import warnings
 
 import pytest
@@ -18,7 +19,7 @@ from repro.analysis import (
 from repro.analysis import cache as analysis_cache
 from repro.analysis import deps as analysis_deps
 from repro.analysis import schema as analysis_schema
-from repro.analysis.args import (
+from repro.analysis.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -67,6 +68,9 @@ def use(v: "vector"):
 @pytest.fixture()
 def config(tmp_path):
     return AnalysisConfig(cache=True, cache_dir=str(tmp_path / "cache"))
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def write_project(root, **modules):
@@ -671,6 +675,39 @@ class TestAnalysisCLI:
     def test_no_command_is_usage_error(self, capsys):
         assert analysis_main([]) == 2
 
+    @pytest.mark.parametrize("command", ["lint", "optimize"])
+    def test_subcommand_prints_the_session_result_under_its_flags(
+            self, command, tmp_path, capsys, monkeypatch):
+        configs = []
+        real_init = AnalysisSession.__init__
+
+        def recording_init(self, config=None):
+            real_init(self, config)
+            configs.append(self.config)
+
+        monkeypatch.setattr(AnalysisSession, "__init__", recording_init)
+        if command == "lint":
+            target = str(write_project(tmp_path / "p", a=BUGGY, b=CLEAN))
+            analysis_main(["lint", "--no-cache", "--json", target])
+            assert capsys.readouterr().out == AnalysisSession().lint_paths(
+                [target]).to_json() + "\n"
+            flags = ["--exclude", "*b.py", "--no-concept-pass",
+                     "--no-interprocedural"]
+            want = {"exclude": ("*b.py",), "concept_pass": False,
+                    "interprocedural": False}
+        else:
+            target = str(EXAMPLES / "optimize_demo.py")
+            analysis_main(["optimize", "--no-cache", "--json", target])
+            assert json.loads(capsys.readouterr().out)["summary"] == {
+                "files": 1, "rewrites": 1, "reverted": 0, "written": 0}
+            flags = ["--resource", "io_ops", "--size", "64",
+                     "--monomorphize"]
+            want = {"resource": "io_ops", "size": 64.0,
+                    "monomorphize": True}
+        analysis_main([command, "--no-cache", *flags, target])
+        capsys.readouterr()
+        assert {k: getattr(configs[-1], k) for k in want} == want
+
     def test_watch_subcommand(self, tmp_path, capsys):
         proj = write_project(tmp_path / "p", a=CLEAN)
         rc = analysis_main([
@@ -693,11 +730,3 @@ class TestConfig:
         with pytest.raises(ValueError):
             base.fingerprint("nope")
 
-    def test_round_trip_with_lint_config(self):
-        cfg = AnalysisConfig(concept_pass=False, fail_on="error",
-                             exclude=("x",))
-        lc = cfg.to_lint_config()
-        back = AnalysisConfig.from_lint_config(lc)
-        assert back.concept_pass is False
-        assert back.fail_on == "error"
-        assert back.exclude == ("x",)

@@ -11,15 +11,14 @@ import textwrap
 import pytest
 
 from repro.analysis import AnalysisConfig, AnalysisSession
+from repro.analysis.cli import main as analysis_main
 from repro.lint import (
     ALL_CHECKS,
     UNKNOWN_SUPPRESSION_CODE,
     UNUSED_SUPPRESSION,
-    LintConfig,
     all_check_codes,
     check_code,
     collect_suppressions,
-    main,
     run_concept_pass,
 )
 from repro.stllint import (
@@ -33,13 +32,16 @@ from repro.stllint import (
 
 
 def lint_source(source, path="<string>", config=None):
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_source(source, path=path)
+    return AnalysisSession(config).lint_source(source, path=path)
 
 
 def lint_paths(paths, config=None):
-    session = AnalysisSession(AnalysisConfig.from_lint_config(config))
-    return session.lint_paths(paths)
+    return AnalysisSession(config).lint_paths(paths)
+
+
+def lint_cli(argv):
+    """``python -m repro.analysis lint --no-cache <argv>``."""
+    return analysis_main(["lint", "--no-cache", *argv])
 
 
 def msgs(report, severity=None):
@@ -274,8 +276,8 @@ def f(v: "vector"):
     shrink(v)
     return it.deref()
 '''
-        flagged = lint_source(src, config=LintConfig(interprocedural=True))
-        plain = lint_source(src, config=LintConfig(interprocedural=False))
+        flagged = lint_source(src, config=AnalysisConfig(interprocedural=True))
+        plain = lint_source(src, config=AnalysisConfig(interprocedural=False))
         assert any(f.check == "singular-deref" for f in flagged.findings)
         assert not any(f.check == "singular-deref" for f in plain.findings)
 
@@ -455,7 +457,7 @@ class TestConceptPass:
 
     def test_disabled_by_config(self):
         report = lint_source(
-            CONCEPT_SRC, config=LintConfig(concept_pass=False)
+            CONCEPT_SRC, config=AnalysisConfig(concept_pass=False)
         )
         assert not report.findings
 
@@ -529,7 +531,7 @@ class TestDriver:
     def test_exclude_patterns(self, tmp_path):
         (tmp_path / "buggy.py").write_text(BUGGY)
         report = lint_paths(
-            [tmp_path], LintConfig(exclude=("*buggy*",))
+            [tmp_path], AnalysisConfig(exclude=("*buggy*",))
         )
         assert not report.files
 
@@ -576,23 +578,23 @@ class TestCli:
         clean = tmp_path / "clean.py"
         clean.write_text(CLEAN)
 
-        assert main([str(clean)]) == 0
-        assert main([str(buggy)]) == 1
-        assert main([str(buggy), "--fail-on", "error"]) == 0
-        assert main([str(buggy), "--fail-on", "never"]) == 0
-        assert main([]) == 2
+        assert lint_cli([str(clean)]) == 0
+        assert lint_cli([str(buggy)]) == 1
+        assert lint_cli([str(buggy), "--fail-on", "error"]) == 0
+        assert lint_cli([str(buggy), "--fail-on", "never"]) == 0
+        assert lint_cli([]) == 2
         capsys.readouterr()
 
     def test_json_output(self, tmp_path, capsys):
         buggy = tmp_path / "buggy.py"
         buggy.write_text(BUGGY)
-        main([str(buggy), "--format", "json"])
+        lint_cli([str(buggy), "--json"])
         out = capsys.readouterr().out
         data = json.loads(out)
         assert data["summary"]["warnings"] >= 1
 
     def test_list_checks(self, capsys):
-        assert main(["--list-checks"]) == 0
+        assert lint_cli(["--list-checks"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "singular-deref" in out
         assert "concept-conformance" in out
@@ -652,7 +654,7 @@ class TestCrashIsolation:
             return checker
 
         monkeypatch.setattr(lint_driver, "FixpointChecker", exploding_checker)
-        rc = main([str(tmp_path)])
+        rc = lint_cli([str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 3                          # partial results
         assert "Traceback" not in captured.err
@@ -667,12 +669,12 @@ class TestCrashIsolation:
         assert "decode" in internal[0].message
         # good.py still linted.
         assert any(f.path.endswith("good.py") for f in report.findings)
-        assert main([str(tmp_path)]) == 3
+        assert lint_cli([str(tmp_path)]) == 3
         capsys.readouterr()
 
     def test_timeout_becomes_finding(self, tmp_path):
         (tmp_path / "slow.py").write_text(BUGGY)
-        report = lint_paths([tmp_path], LintConfig(timeout_s=0.0))
+        report = lint_paths([tmp_path], AnalysisConfig(timeout_s=0.0))
         assert [f.check for f in report.findings] == ["LINT-TIMEOUT"]
         assert report.partial
 

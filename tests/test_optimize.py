@@ -1,5 +1,6 @@
 """The end-to-end optimizer: facts -> select -> rewrite -> verify, the
-``python -m repro.optimize`` CLI, and the per-stage trace spans."""
+``python -m repro.analysis optimize`` command, and the per-stage trace
+spans."""
 
 import json
 
@@ -7,11 +8,16 @@ import pytest
 
 from repro import trace
 from repro.analysis import AnalysisSession
+from repro.analysis.cli import main as analysis_main
 from repro.facts import collect_facts
 from repro.optimize import apply_rewrites, plan_rewrites
-from repro.optimize.cli import main
 
 SESSION = AnalysisSession()
+
+
+def optimize_cli(argv):
+    """``python -m repro.analysis optimize --no-cache <argv>``."""
+    return analysis_main(["optimize", "--no-cache", *argv])
 
 SORT_THEN_FIND = '''
 def lookup(v: "vector", key):
@@ -33,6 +39,14 @@ def lookup(v: "vector", key):
     it = find(v.begin(), v.end(), key)
     return it
 '''
+
+#: Non-ASCII text before the call on its line: the parser's columns are
+#: UTF-8 byte offsets, not string indices.
+NON_ASCII_BEFORE_FIND = (
+    'def f(v: "vector", x):\n'
+    '    sort(v.begin(), v.end())\n'
+    '    y = "\u00e9\u00e9"; return find(v.begin(), v.end(), x)\n'
+)
 
 
 class TestPlanning:
@@ -81,6 +95,10 @@ class TestRewriting:
         assert "it = lower_bound(" in rewritten
         # A plan for a different line touches nothing here.
         assert apply_rewrites(src, plans) == src
+        result = SESSION.optimize_source(NON_ASCII_BEFORE_FIND)
+        assert result.verified and not result.reverted
+        assert result.optimized == NON_ASCII_BEFORE_FIND.replace(
+            "return find(", "return lower_bound(")
 
     def test_idempotent(self):
         once = SESSION.optimize_source(SORT_THEN_FIND)
@@ -149,24 +167,24 @@ class TestCli:
         clean = tmp_path / "clean.py"
         clean.write_text(MUTATION_BETWEEN)
 
-        assert main([str(clean), "--check"]) == 0
-        assert main([str(prog)]) == 0          # report-only: informational
-        assert main([str(prog), "--check"]) == 1
-        assert main([str(prog), "--check", "--write"]) == 2
-        assert main([]) == 2
+        assert optimize_cli([str(clean), "--check"]) == 0
+        assert optimize_cli([str(prog)]) == 0  # report-only: informational
+        assert optimize_cli([str(prog), "--check"]) == 1
+        assert optimize_cli([str(prog), "--check", "--write"]) == 2
+        assert optimize_cli([]) == 2
         capsys.readouterr()
 
     def test_write_then_check_passes(self, tmp_path, capsys):
         prog = tmp_path / "prog.py"
         prog.write_text(SORT_THEN_FIND)
-        assert main([str(prog), "--write"]) == 0
-        assert main([str(prog), "--check"]) == 0
+        assert optimize_cli([str(prog), "--write"]) == 0
+        assert optimize_cli([str(prog), "--check"]) == 0
         capsys.readouterr()
 
     def test_json_output(self, tmp_path, capsys):
         prog = tmp_path / "prog.py"
         prog.write_text(SORT_THEN_FIND)
-        main([str(prog), "--format", "json"])
+        optimize_cli([str(prog), "--json"])
         data = json.loads(capsys.readouterr().out)
         assert data["summary"]["rewrites"] == 1
         assert data["files"][0]["rewrites"][0]["call"] == "find"
@@ -174,7 +192,7 @@ class TestCli:
     def test_diff_output(self, tmp_path, capsys):
         prog = tmp_path / "prog.py"
         prog.write_text(SORT_THEN_FIND)
-        main([str(prog), "--diff"])
+        optimize_cli([str(prog), "--diff"])
         out = capsys.readouterr().out
         assert "+    it = lower_bound(" in out
 
@@ -198,11 +216,11 @@ class TestTracing:
         prog = tmp_path / "prog.py"
         prog.write_text(SORT_THEN_FIND)
         out = tmp_path / "trace.json"
-        main([str(prog), "--trace", str(out)])
+        optimize_cli([str(prog), "--trace", str(out)])
         capsys.readouterr()
         data = json.loads(out.read_text())
         names = {ev.get("name") for ev in data["traceEvents"]}
-        assert "optimize.run" in names
+        assert "analysis.optimize" in names
         assert "optimize.facts" in names
 
 
@@ -264,7 +282,7 @@ class TestCrashIsolation:
             return real_collect(source, **kwargs)
 
         monkeypatch.setattr(pipeline, "analyze_source", explode_on_first)
-        rc = main([str(tmp_path)])
+        rc = optimize_cli([str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 3
         assert "Traceback" not in captured.err
@@ -273,7 +291,7 @@ class TestCrashIsolation:
     def test_timeout_leaves_file_untouched(self, tmp_path, capsys):
         target = tmp_path / "mod.py"
         target.write_text(SORT_THEN_FIND)
-        rc = main([str(target), "--timeout-s", "0", "--write"])
+        rc = optimize_cli([str(target), "--timeout-s", "0", "--write"])
         capsys.readouterr()
         assert rc == 3
         assert target.read_text() == SORT_THEN_FIND
@@ -283,7 +301,7 @@ class TestCrashIsolation:
         (tmp_path / "bad.py").write_bytes(b"\xff\xfe junk")
         good = tmp_path / "good.py"
         good.write_text(SORT_THEN_FIND)
-        rc = main([str(tmp_path), "--write"])
+        rc = optimize_cli([str(tmp_path), "--write"])
         capsys.readouterr()
         assert rc == 3                          # partial, but...
         assert "lower_bound" in good.read_text()  # ...good.py was optimized
@@ -375,10 +393,10 @@ class TestMonomorphize:
     def test_cli_monomorphize_flag(self, tmp_path, capsys):
         prog = tmp_path / "prog.py"
         prog.write_text(SORT_ONLY_VECTOR)
-        assert main([str(prog)]) == 0           # off: nothing to do
+        assert optimize_cli([str(prog)]) == 0           # off: nothing to do
         out_off = capsys.readouterr().out
         assert "sort__vector" not in out_off
-        assert main([str(prog), "--monomorphize", "--diff"]) == 0
+        assert optimize_cli([str(prog), "--monomorphize", "--diff"]) == 0
         out_on = capsys.readouterr().out
         assert "sort__vector" in out_on
 

@@ -22,7 +22,7 @@ from repro.analysis import AnalysisConfig, AnalysisSession
 from repro.analysis.cache import make_key
 from repro.analysis.schema import SCHEMA_VERSION
 from repro.facts.records import FactRecorder
-from repro.lint.driver import LintConfig, _lint_source_impl, analyze_source
+from repro.lint.driver import _lint_source_impl, analyze_source
 from repro.optimize.pipeline import _optimize_source_impl, plan_rewrites
 from repro.stllint import facts_collection
 from repro.stllint.dataflow import FixpointChecker
@@ -69,7 +69,7 @@ def test_fused_pass_matches_the_two_loops():
         except SyntaxError:
             continue
         want_report = _lint_source_impl(source, path=name,
-                                        config=LintConfig())
+                                        config=AnalysisConfig())
         got = analyze_source(source, path=name)
         assert got.report.to_dict() == want_report.to_dict(), name
         assert got.table.facts == want_table.facts, name
@@ -118,7 +118,7 @@ def outer(x):
 
 def test_function_set_rule():
     got = analyze_source(FUNCTION_SET)
-    plain_report = _lint_source_impl(FUNCTION_SET, config=LintConfig())
+    plain_report = _lint_source_impl(FUNCTION_SET, config=AnalysisConfig())
     # Diagnostics only for lint's list: ``plain``'s singular deref is
     # not reported, and the findings are those of a plain lint.
     assert got.report.to_dict() == plain_report.to_dict()

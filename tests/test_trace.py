@@ -331,8 +331,9 @@ class TestStatsReport:
         env.pop("REPRO_STATS", None)
         env.update(extra_env)
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint",
-             os.path.join(EXAMPLES, "lint_demo.py"), "--fail-on", "never"],
+            [sys.executable, "-m", "repro.analysis", "lint",
+             "--no-cache", os.path.join(EXAMPLES, "lint_demo.py"),
+             "--fail-on", "never"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -351,16 +352,17 @@ class TestStatsReport:
 
 class TestLintTraceCLI:
     def test_trace_flag_writes_valid_chrome_trace(self, tmp_path):
-        from repro.lint.cli import main
+        from repro.analysis.cli import main
 
         out = tmp_path / "lint_trace.json"
-        code = main([os.path.join(EXAMPLES, "lint_demo.py"),
+        code = main(["lint", "--no-cache",
+                     os.path.join(EXAMPLES, "lint_demo.py"),
                      "--trace", str(out), "--fail-on", "never"])
         trace.disable()  # the flag enables the global tracer
         assert code == 0
         evs = trace.validate_chrome_trace(json.loads(out.read_text()))
         names = {e["name"] for e in evs}
-        assert {"lint.run", "lint.file", "lint.function",
+        assert {"analysis.lint", "lint.file", "lint.function",
                 "lint.concept-pass", "lint.finding"} <= names
         fn_spans = [e for e in evs
                     if e["name"] == "lint.function" and e["ph"] == "X"]
@@ -391,14 +393,14 @@ class TestLintTraceCLI:
         assert run["args"]["paths"] == [os.path.join(EXAMPLES, demo)]
 
     def test_env_activation_subprocess(self, tmp_path):
-        """The acceptance-criteria command: REPRO_TRACE=1 python -m
-        repro.lint examples/lint_demo.py --trace out.json."""
+        """REPRO_TRACE=1 python -m repro.analysis lint --no-cache
+        examples/lint_demo.py --trace out.json."""
         out = tmp_path / "out.json"
         env = dict(os.environ, REPRO_TRACE="1",
                    PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint",
-             os.path.join(EXAMPLES, "lint_demo.py"),
+            [sys.executable, "-m", "repro.analysis", "lint",
+             "--no-cache", os.path.join(EXAMPLES, "lint_demo.py"),
              "--trace", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )

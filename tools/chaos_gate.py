@@ -5,13 +5,14 @@ Three scenarios, all seeded and in-process:
 
 1. **lint chaos** — a ``RuntimeError`` is injected into a fixed subset of
    checker runs (through the driver's ``FixpointChecker`` binding) while
-   linting a scratch tree.  The run must exit 3 (partial results), print one
-   LINT-INTERNAL finding per injection, never a traceback, and still
-   report the real bugs in spared files.
+   ``python -m repro.analysis lint --no-cache`` lints a scratch tree.
+   The run must exit 3 (partial results), print one LINT-INTERNAL
+   finding per injection, never a traceback, and still report the real
+   bugs in spared files.
 2. **optimize chaos** — the same treatment for ``analyze_source`` during
-   ``python -m repro.optimize --write``.  The no-torn-write invariant is
-   checked: every file on disk is either the untouched original or the
-   fully verified rewrite.
+   ``python -m repro.analysis optimize --no-cache --write``.  The
+   no-torn-write invariant is checked: every file on disk is either the
+   untouched original or the fully verified rewrite.
 3. **cache chaos** — the same checker-seam injection through
    ``python -m repro.analysis lint`` with the result cache enabled.
    Partial (LINT-INTERNAL) results must never be cached: a clean re-run
@@ -50,9 +51,7 @@ from repro.distributed.algorithms.replog import (  # noqa: E402
     run_replicated_log,
 )
 from repro.lint import driver as lint_driver  # noqa: E402
-from repro.lint.cli import main as lint_main  # noqa: E402
 from repro.optimize import pipeline  # noqa: E402
-from repro.optimize.cli import main as optimize_main  # noqa: E402
 
 BUGGY = '''
 def f(v: "vector"):
@@ -107,7 +106,8 @@ def lint_chaos(tmp: pathlib.Path) -> bool:
 
     lint_driver.FixpointChecker = chaotic_checker
     try:
-        rc, out, err = _run_cli(lint_main, [str(tree)])
+        rc, out, err = _run_cli(
+            analysis_main, ["lint", "--no-cache", str(tree)])
     finally:
         lint_driver.FixpointChecker = real_checker
 
@@ -140,7 +140,8 @@ def optimize_chaos(tmp: pathlib.Path) -> bool:
 
     pipeline.analyze_source = chaotic_collect
     try:
-        rc, out, err = _run_cli(optimize_main, [str(tree), "--write"])
+        rc, out, err = _run_cli(
+            analysis_main, ["optimize", "--no-cache", str(tree), "--write"])
     finally:
         pipeline.analyze_source = real_collect
 
