@@ -89,44 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    # Options every command shares.  Their dests (and those of the
-    # lint/optimize options below) are AnalysisConfig field names.
-    parent = argparse.ArgumentParser(add_help=False)
-    g = parent.add_argument_group("common analysis options")
-    g.add_argument(
-        "--timeout-s", type=float, default=None, metavar="SECONDS",
-        help="per-file analysis deadline; on expiry the file gets a "
-             "*-TIMEOUT finding and the run continues (exit code 3)",
-    )
-    g.add_argument(
-        "--trace", type=pathlib.Path, default=None, metavar="OUT.json",
-        help="record analysis spans and write a Chrome trace-event JSON "
-             "(load via chrome://tracing)",
-    )
-    g.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes for files the cache cannot serve "
-             "(0 = all cores); output is bit-identical to --jobs 1",
-    )
-    g.add_argument("--json", action="store_true",
-                   help="emit machine-readable JSON on stdout")
-    g.add_argument(
-        "--no-cache", dest="cache", action="store_false",
-        help="disable the on-disk result cache (default: enabled)",
-    )
-    g.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache location (default: $REPRO_ANALYSIS_CACHE, else "
-             "$XDG_CACHE_HOME/repro-analysis)",
-    )
-
     p_lint = sub.add_parser(
-        "lint", parents=[parent],
+        "lint",
         help="lint paths: iterator/invalidation checking, library "
              "pre/postconditions and @where concept conformance",
         epilog=EXIT_CODES_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    _add_common_options(p_lint, analyzes=True, reports=True)
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint")
     p_lint.add_argument(
@@ -154,11 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_opt = sub.add_parser(
-        "optimize", parents=[parent],
+        "optimize",
         help="report, check or apply verified algorithm rewrites",
         epilog=EXIT_CODES_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    _add_common_options(p_opt, analyzes=True, reports=True)
     p_opt.add_argument("paths", nargs="*",
                        help="files or directories to optimize")
     p_opt.add_argument("--check", action="store_true",
@@ -186,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
              "sort__vector)",
     )
 
-    sub.add_parser("serve", parents=[parent],
-                   help="line-delimited JSON daemon on stdin/stdout")
+    p_serve = sub.add_parser(
+        "serve", help="line-delimited JSON daemon on stdin/stdout")
+    _add_common_options(p_serve, analyzes=True)
 
     p_watch = sub.add_parser(
-        "watch", parents=[parent],
-        help="poll paths, re-linting what changed",
-    )
+        "watch", help="poll paths, re-linting what changed")
+    _add_common_options(p_watch, analyzes=True)
     p_watch.add_argument("paths", nargs="+",
                          help="files or directories to watch")
     p_watch.add_argument("--interval-s", type=float, default=1.0,
@@ -200,14 +171,58 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--max-cycles", type=int, default=None, metavar="N",
                          help="stop after N cycles (default: run forever)")
 
-    sub.add_parser("stats", parents=[parent],
-                   help="print session/cache configuration and counters")
+    p_stats = sub.add_parser(
+        "stats", help="print session/cache configuration and counters "
+                      "as JSON")
+    _add_common_options(p_stats)
 
-    p_inv = sub.add_parser("invalidate", parents=[parent],
-                           help="drop cache entries")
+    p_inv = sub.add_parser("invalidate", help="drop cache entries")
+    _add_common_options(p_inv)
     p_inv.add_argument("paths", nargs="*",
                        help="paths whose entries to drop (none = all)")
     return parser
+
+
+def _add_common_options(parser: argparse.ArgumentParser, *,
+                        analyzes: bool = False,
+                        reports: bool = False) -> None:
+    """The shared options a command reads.  Every command reads the cache
+    (``stats`` reports it, ``invalidate`` drops from it); commands that
+    analyze files (``analyzes``) take the analysis knobs and may turn the
+    cache off; ``lint`` and ``optimize`` (``reports``) also print JSON.
+    The dests are AnalysisConfig field names."""
+    g = parser.add_argument_group("common analysis options")
+    if analyzes:
+        g.add_argument(
+            "--timeout-s", type=float, default=None, metavar="SECONDS",
+            help="per-file analysis deadline; on expiry the file gets a "
+                 "*-TIMEOUT finding and the run continues (exit code 3)",
+        )
+        g.add_argument(
+            "--trace", type=pathlib.Path, default=None, metavar="OUT.json",
+            help="record analysis spans and write a Chrome trace-event "
+                 "JSON (load via chrome://tracing)",
+        )
+        g.add_argument(
+            "--jobs", "-j", type=int, default=1, metavar="N",
+            help="worker processes for files the cache cannot serve "
+                 "(0 = all cores); output is bit-identical to --jobs 1",
+        )
+    if reports:
+        g.add_argument("--json", action="store_true",
+                       help="emit machine-readable JSON on stdout")
+    if analyzes:
+        g.add_argument(
+            "--no-cache", dest="cache", action="store_false",
+            help="disable the on-disk result cache (default: enabled)",
+        )
+    else:
+        parser.set_defaults(cache=True)
+    g.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="cache location (default: $REPRO_ANALYSIS_CACHE, else "
+             "$XDG_CACHE_HOME/repro-analysis)",
+    )
 
 
 def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
@@ -250,16 +265,17 @@ def _traced(args: argparse.Namespace, span: Optional[str]) -> Iterator[None]:
     ``args.paths``."""
     from repro import trace
 
-    tracer = trace.enable() if args.trace is not None else trace.active()
+    out = getattr(args, "trace", None)
+    tracer = trace.enable() if out is not None else trace.active()
     if tracer is None or span is None:
         yield
     else:
         with tracer.span(span, cat="analysis",
                          paths=[str(p) for p in args.paths]):
             yield
-    if args.trace is not None:
-        trace.export_chrome(tracer, args.trace)
-        print(f"trace written to {args.trace}", file=sys.stderr)
+    if out is not None:
+        trace.export_chrome(tracer, out)
+        print(f"trace written to {out}", file=sys.stderr)
 
 
 def _run(args: argparse.Namespace, session: AnalysisSession) -> int:

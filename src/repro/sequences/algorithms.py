@@ -38,7 +38,8 @@ from ..concepts.builtins import (
 )
 from .errors import EmptyRangeError, IteratorRangeError
 from .function_objects import Less
-from .iterators import IteratorBase, require_same_container
+from .iterators import IteratorBase, require_same_container, walk
+from .storage import SequenceFacade
 
 _default_less = Less()
 
@@ -103,10 +104,8 @@ def _distance_random(first: Any, last: Any) -> int:
 def for_each(first: IteratorBase, last: IteratorBase, fn: Callable[[Any], Any]) -> None:
     """Requires: Input Iterator."""
     require_same_container(first, last)
-    it = first.clone()
-    while not it.equals(last):
-        fn(it.deref())
-        it.increment()
+    for v in walk(first.clone(), last):
+        fn(v)
 
 
 def find(first: IteratorBase, last: IteratorBase, value: Any) -> IteratorBase:
@@ -118,10 +117,9 @@ def find(first: IteratorBase, last: IteratorBase, value: Any) -> IteratorBase:
     """
     require_same_container(first, last)
     it = first.clone()
-    while not it.equals(last):
-        if it.deref() == value:
+    for v in walk(it, last):
+        if v == value:
             return it
-        it.increment()
     return it
 
 
@@ -131,10 +129,9 @@ def find_if(
     """Requires: Input Iterator."""
     require_same_container(first, last)
     it = first.clone()
-    while not it.equals(last):
-        if pred(it.deref()):
+    for v in walk(it, last):
+        if pred(v):
             return it
-        it.increment()
     return it
 
 
@@ -142,22 +139,18 @@ def count(first: IteratorBase, last: IteratorBase, value: Any) -> int:
     """Requires: Input Iterator."""
     require_same_container(first, last)
     n = 0
-    it = first.clone()
-    while not it.equals(last):
-        if it.deref() == value:
+    for v in walk(first.clone(), last):
+        if v == value:
             n += 1
-        it.increment()
     return n
 
 
 def count_if(first: IteratorBase, last: IteratorBase, pred: Callable[[Any], bool]) -> int:
     require_same_container(first, last)
     n = 0
-    it = first.clone()
-    while not it.equals(last):
-        if pred(it.deref()):
+    for v in walk(first.clone(), last):
+        if pred(v):
             n += 1
-        it.increment()
     return n
 
 
@@ -165,10 +158,9 @@ def equal(first1: IteratorBase, last1: IteratorBase, first2: IteratorBase) -> bo
     """Requires: Input Iterator × 2."""
     it1 = first1.clone()
     it2 = first2.clone()
-    while not it1.equals(last1):
-        if it1.deref() != it2.deref():
+    for v in walk(it1, last1):
+        if v != it2.deref():
             return False
-        it1.increment()
         it2.increment()
     return True
 
@@ -195,10 +187,9 @@ def max_element(
     best = first.clone()
     it = first.clone()
     it.increment()
-    while not it.equals(last):
-        if less(best.deref(), it.deref()):
+    for v in walk(it, last):
+        if less(best.deref(), v):
             best = it.clone()
-        it.increment()
     return best
 
 
@@ -214,10 +205,9 @@ def min_element(
     best = first.clone()
     it = first.clone()
     it.increment()
-    while not it.equals(last):
-        if less(it.deref(), best.deref()):
+    for v in walk(it, last):
+        if less(v, best.deref()):
             best = it.clone()
-        it.increment()
     return best
 
 
@@ -230,10 +220,8 @@ def accumulate(
     """Left fold.  Requires: Input Iterator."""
     require_same_container(first, last)
     acc = init
-    it = first.clone()
-    while not it.equals(last):
-        acc = op(acc, it.deref())
-        it.increment()
+    for v in walk(first.clone(), last):
+        acc = op(acc, v)
     return acc
 
 
@@ -395,11 +383,8 @@ copy_into = GenericFunction("copy_into")
                     name="copy_into<Container> (element-wise)")
 def _copy_into_elementwise(src: Any, dst: Any) -> Any:
     """Append all of ``src`` onto ``dst``, one element at a time."""
-    it = src.begin()
-    last = src.end()
-    while not it.equals(last):
-        dst.push_back(it.deref())
-        it.increment()
+    for v in walk(src.begin(), src.end()):
+        dst.push_back(v)
     return dst
 
 
@@ -425,9 +410,8 @@ def copy(first: IteratorBase, last: IteratorBase, out: IteratorBase) -> Iterator
     room."""
     it = first.clone()
     o = out.clone()
-    while not it.equals(last):
-        o.set(it.deref())
-        it.increment()
+    for v in walk(it, last):
+        o.set(v)
         o.increment()
     return o
 
@@ -593,9 +577,10 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     """"If they can be accessed efficiently via indexing (as with an array)
     we can apply the more-efficient quicksort algorithm" (Section 2.1).
 
-    The n elements are read once through ``at`` and quicksorted in a
-    list; ``set_at`` then writes back only the positions whose element
-    changed (by identity: elements that compare equal may still differ).
+    The n elements are read once (one ``Storage.slice`` on a façade,
+    through ``at`` otherwise) and quicksorted in a list; ``set_at`` then
+    writes back only the positions whose element changed (by identity:
+    elements that compare equal may still differ).
     The comparator sees exactly the calls an element-swapping quicksort
     through ``at``/``set_at`` would make, but a sort costs n reads and at
     most n writes, and an already-sorted container is not written at all
@@ -604,8 +589,11 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     A comparator that raises, and a broken comparator's ``IndexError`` or
     ``ValueError`` (see :func:`_quicksort`), leave the container
     untouched: contents, epoch and facts are as before the call."""
-    at = container.at
-    before = [at(k) for k in range(container.size())]
+    if isinstance(container, SequenceFacade):
+        before = container.storage().slice(0, container.size())
+    else:
+        at = container.at
+        before = [at(k) for k in range(container.size())]
     buf = before.copy()
     _quicksort(buf, 0, len(buf), less)
     set_at = container.set_at

@@ -50,16 +50,6 @@ class Deque(SequenceFacade):
     def _register_iterator(self, it: DequeIterator) -> None:
         self._iterators.register(it)
 
-    def _end_index(self) -> int:
-        return self._store.length()
-
-    def _get(self, index: int) -> Any:
-        return self._store.get(index)
-
-    def _set(self, index: int, value: Any) -> None:
-        self._store.set(index, value)
-        self._commit_mutation("write")
-
     # -- Container interface --------------------------------------------------------
 
     def begin(self) -> DequeIterator:

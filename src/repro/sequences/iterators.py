@@ -16,6 +16,9 @@ The iterator interface is the one the concepts in
 - ``clone()``                 independent copy (Forward Iterator's multipass)
 - ``equals(other)``           position equality
 - ``advance(n)`` / ``distance(other)`` / ``less(other)``   random access
+
+Range algorithms read through :func:`walk`, which makes the same checks
+as a loop over ``equals``/``deref``/``increment`` without the calls.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .errors import (
     PastTheEndError,
     SingularIteratorError,
 )
+from .storage import SequenceFacade
+
+_SINGULAR = "attempt to use a singular (invalidated) iterator"
+_DEREF_PAST_END = "attempt to dereference a past-the-end iterator"
+_INCREMENT_PAST_END = "attempt to increment a past-the-end iterator"
 
 
 class IteratorBase:
@@ -54,9 +62,7 @@ class IteratorBase:
 
     def _require_valid(self) -> None:
         if not self._valid:
-            raise SingularIteratorError(
-                "attempt to use a singular (invalidated) iterator"
-            )
+            raise SingularIteratorError(_SINGULAR)
 
     # -- Python interop --------------------------------------------------------
 
@@ -132,7 +138,7 @@ class IndexIterator(RandomAccessMixin, IteratorBase):
     def deref(self) -> Any:
         self._require_valid()
         if self._index >= self._container._end_index():
-            raise PastTheEndError("attempt to dereference a past-the-end iterator")
+            raise PastTheEndError(_DEREF_PAST_END)
         return self._container._get(self._index)
 
     def set(self, value: Any) -> None:
@@ -144,7 +150,7 @@ class IndexIterator(RandomAccessMixin, IteratorBase):
     def increment(self) -> None:
         self._require_valid()
         if self._index >= self._container._end_index():
-            raise PastTheEndError("attempt to increment a past-the-end iterator")
+            raise PastTheEndError(_INCREMENT_PAST_END)
         self._index += 1
 
     def decrement(self) -> None:
@@ -185,7 +191,7 @@ class NodeIterator(IteratorBase):
     def deref(self) -> Any:
         self._require_valid()
         if self._node is self._container._sentinel:
-            raise PastTheEndError("attempt to dereference a past-the-end iterator")
+            raise PastTheEndError(_DEREF_PAST_END)
         return self._node.value
 
     def set(self, value: Any) -> None:
@@ -197,7 +203,7 @@ class NodeIterator(IteratorBase):
     def increment(self) -> None:
         self._require_valid()
         if self._node is self._container._sentinel:
-            raise PastTheEndError("attempt to increment a past-the-end iterator")
+            raise PastTheEndError(_INCREMENT_PAST_END)
         self._node = self._node.next
 
     def decrement(self) -> None:
@@ -266,7 +272,133 @@ def require_same_container(first: IteratorBase, last: IteratorBase) -> None:
 def python_range(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
     """Adapt an iterator range to a Python generator (read-only)."""
     require_same_container(first, last)
-    it = first.clone()
-    while not it.equals(last):
-        yield it.deref()
-        it.increment()
+    yield from walk(first.clone(), last)
+
+
+# ---------------------------------------------------------------------------
+# walk: the one checked traversal
+# ---------------------------------------------------------------------------
+
+#: A walk over a façade's store reads ``WALK_CHUNK_FIRST`` values with
+#: one ``Storage.slice``, then doubles the chunk up to ``WALK_CHUNK_CAP``.
+#: A walk that stops early, or whose callback mutates the container (each
+#: mutation restarts the schedule), reads little past where it stops; a
+#: full scan of n values costs about n / WALK_CHUNK_CAP reads.
+WALK_CHUNK_FIRST = 16
+WALK_CHUNK_CAP = 1024
+
+_INDEX_OPS = (IndexIterator.equals, IndexIterator.deref,
+              IndexIterator.increment, IteratorBase._require_valid)
+_NODE_OPS = (NodeIterator.equals, NodeIterator.deref,
+             NodeIterator.increment, IteratorBase._require_valid)
+
+
+def _plain(it: Any, family: type, ops: tuple) -> bool:
+    """Is ``it`` a ``family`` iterator whose traversal operations are the
+    family's own (not overridden by a subclass or patched)?"""
+    cls = type(it)
+    return (issubclass(cls, family) and cls.equals is ops[0]
+            and cls.deref is ops[1] and cls.increment is ops[2]
+            and cls._require_valid is ops[3])
+
+
+def walk(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
+    """Yield the values of ``[first, last)``, moving ``first`` as it goes:
+    while the consumer holds a value, ``first`` points at it, and after
+    the last one it equals ``last``.
+
+    The walk makes the checks the loop ``while not first.equals(last):
+    yield first.deref(); first.increment()`` makes, at the same steps,
+    and raises the same exceptions.  That loop is what it runs for
+    iterators other than the two built-in families, so archetypes and
+    user models see exactly the operations they always saw.  For the
+    built-in families the checks are attribute tests:
+
+    - an :class:`IndexIterator` over a :class:`SequenceFacade` reads
+      values in chunks through ``Storage.slice`` (see
+      :data:`WALK_CHUNK_FIRST`), and reads again whenever the façade's
+      ``epoch`` has moved, so a callback's writes are seen at the next
+      step.  This relies on the façade being its store's sole owner:
+      every change to the store goes through the façade.
+    - a :class:`NodeIterator` follows ``node.next``.
+    """
+    if _plain(first, IndexIterator, _INDEX_OPS) \
+            and _plain(last, IndexIterator, _INDEX_OPS):
+        c = first._container
+        if isinstance(c, SequenceFacade):
+            return _walk_facade(first, last, c)
+    elif _plain(first, NodeIterator, _NODE_OPS) \
+            and _plain(last, NodeIterator, _NODE_OPS):
+        return _walk_nodes(first, last)
+    return _walk_generic(first, last)
+
+
+def _walk_generic(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
+    while not first.equals(last):
+        yield first.deref()
+        first.increment()
+
+
+def _walk_facade(first: IndexIterator, last: IndexIterator,
+                 c: SequenceFacade) -> PyIterator[Any]:
+    store = c._store
+    epoch, n = c.epoch, store.length()
+    chunk: list[Any] = []
+    lo = hi = 0                         # chunk holds positions [lo, hi)
+    size = WALK_CHUNK_FIRST
+    while True:
+        # first.equals(last)
+        if not (first._valid and last._valid):
+            raise SingularIteratorError(_SINGULAR)
+        i = first._index
+        if i == last._index and c is last._container:
+            return
+        # first.deref()
+        if i >= n:
+            raise PastTheEndError(_DEREF_PAST_END)
+        if not lo <= i < hi:
+            hi = min(i + size, n)
+            if i < last._index < hi:
+                hi = last._index
+            chunk, lo = store.slice(i, hi), i
+            if size < WALK_CHUNK_CAP:
+                size *= 2
+        yield chunk[i - lo]
+        # first.increment(); the consumer may have mutated the container
+        if not first._valid:
+            raise SingularIteratorError(_SINGULAR)
+        if c.epoch != epoch:
+            epoch, n, size = c.epoch, store.length(), WALK_CHUNK_FIRST
+            hi = lo
+        if i >= n:
+            raise PastTheEndError(_INCREMENT_PAST_END)
+        first._index = i + 1
+
+
+def _walk_nodes(first: NodeIterator, last: NodeIterator) -> PyIterator[Any]:
+    c = first._container
+    sentinel = c._sentinel
+    while True:
+        # first.equals(last)
+        if not (first._valid and last._valid):
+            raise SingularIteratorError(_SINGULAR)
+        node = first._node
+        if node is last._node:
+            return
+        # first.deref(); splice can move first to another list
+        if first._container is not c:
+            c = first._container
+            sentinel = c._sentinel
+        if node is sentinel:
+            raise PastTheEndError(_DEREF_PAST_END)
+        yield node.value
+        # first.increment()
+        if not first._valid:
+            raise SingularIteratorError(_SINGULAR)
+        if first._container is not c:
+            c = first._container
+            sentinel = c._sentinel
+        node = first._node
+        if node is sentinel:
+            raise PastTheEndError(_INCREMENT_PAST_END)
+        first._node = node.next

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 from ..concepts.complexity import BigO, constant, linear
@@ -225,7 +226,7 @@ class DequeStorage(Storage):
         self._items.append(value)
 
     def slice(self, start: int, stop: int) -> list[Any]:
-        return list(self._items)[start:stop]
+        return list(islice(self._items, start, stop))
 
     def clear(self) -> None:
         self._items.clear()
@@ -375,6 +376,18 @@ class SequenceFacade:
 
     def close(self) -> None:
         self._store.close()
+
+    # -- index plumbing used by IndexIterator --------------------------------------
+
+    def _end_index(self) -> int:
+        return self._store.length()
+
+    def _get(self, index: int) -> Any:
+        return self._store.get(index)
+
+    def _set(self, index: int, value: Any) -> None:
+        self._store.set(index, value)
+        self._commit_mutation("write")
 
     # -- the choke point -----------------------------------------------------------
 

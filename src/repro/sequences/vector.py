@@ -65,16 +65,6 @@ class Vector(SequenceFacade):
     def _register_iterator(self, it: VectorIterator) -> None:
         self._iterators.register(it)
 
-    def _end_index(self) -> int:
-        return self._store.length()
-
-    def _get(self, index: int) -> Any:
-        return self._store.get(index)
-
-    def _set(self, index: int, value: Any) -> None:
-        self._store.set(index, value)
-        self._commit_mutation("write")
-
     def _grow_for(self, extra: int) -> bool:
         """Ensure capacity; returns True when a reallocation happened."""
         needed = self._store.length() + extra

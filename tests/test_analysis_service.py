@@ -23,6 +23,7 @@ from repro.analysis.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
     EXIT_PARTIAL,
+    build_parser,
     lint_exit_code,
     optimize_exit_code,
 )
@@ -674,6 +675,38 @@ class TestAnalysisCLI:
 
     def test_no_command_is_usage_error(self, capsys):
         assert analysis_main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--json"],
+        ["stats", "--jobs", "2"],
+        ["invalidate", "--no-cache"],
+        ["invalidate", "--trace", "out.json"],
+        ["serve", "--json"],
+        ["watch", "--json", "src"],
+    ])
+    def test_commands_reject_options_they_do_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            analysis_main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("lint", {"fail_on", "concept_pass", "interprocedural", "exclude",
+                  "list_checks"}),
+        ("optimize", {"check", "write", "diff", "resource", "size",
+                      "monomorphize"}),
+    ])
+    def test_lint_and_optimize_keep_every_option(self, command, extra):
+        args = build_parser().parse_args([command, "--json", "p"])
+        assert set(vars(args)) == {
+            "command", "paths", "timeout_s", "trace", "jobs", "json",
+            "cache", "cache_dir"} | extra
+        assert args.json and args.cache
+
+    def test_stats_and_invalidate_use_the_cache(self):
+        for command in ("stats", "invalidate"):
+            args = build_parser().parse_args([command, "--cache-dir", "d"])
+            assert (args.cache, args.cache_dir) == (True, "d")
 
     @pytest.mark.parametrize("command", ["lint", "optimize"])
     def test_subcommand_prints_the_session_result_under_its_flags(
