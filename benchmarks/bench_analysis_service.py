@@ -16,13 +16,19 @@ Standalone mode (the CI analysis-service smoke job)::
 writes ``benchmarks/out/analysis_service.json`` and exits nonzero if a
 warm run re-analyzes anything, an edit re-analyzes other than the edited
 file plus the files that read it, a served report differs from a
-cacheless lint, or parallel findings differ from serial.
+cacheless lint, or parallel findings differ from serial.  It also holds
+the cache to a deterministic I/O budget, counted by an audit hook rather
+than timed: the warm pass opens exactly one cache file (the manifest)
+and writes none, the one-file comment edit writes exactly two (its
+entry and the manifest), and reverting the edit analyzes nothing.
 """
 
 import io
 import json
+import os
 import pathlib
 import shutil
+import sys
 import tempfile
 import time
 
@@ -236,6 +242,38 @@ def _expected_dirty(files, edited: pathlib.Path) -> int:
                    for f in scans if f != edited)
 
 
+class _CacheIO:
+    """Files opened under one directory while the block runs, split into
+    reads and writes by their open flags (``mkstemp`` is a write)."""
+
+    active = None
+
+    def __init__(self, root: pathlib.Path) -> None:
+        self.root = os.path.abspath(root) + os.sep
+        self.reads: list = []
+        self.writes: list = []
+
+    def __enter__(self):
+        if not getattr(_CacheIO, "hooked", False):
+            sys.addaudithook(_CacheIO._hook)
+            _CacheIO.hooked = True
+        _CacheIO.active = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CacheIO.active = None
+
+    @staticmethod
+    def _hook(event, args) -> None:
+        self = _CacheIO.active
+        if self is None or event != "open" or isinstance(args[0], int):
+            return
+        path = os.path.abspath(os.fsdecode(args[0]))
+        if path.startswith(self.root):
+            writes = args[2] & (os.O_WRONLY | os.O_RDWR)
+            (self.writes if writes else self.reads).append(path)
+
+
 def _measure() -> dict:
     """Cold -> warm -> one-file-edit over a scratch copy of src/repro."""
     result = {"workload": "copy of src/repro"}
@@ -246,16 +284,19 @@ def _measure() -> dict:
                                 cache_dir=str(pathlib.Path(td) / "cache"))
 
         cold, c_cold, t_cold = run_cycle(config, [tree])
-        warm, c_warm, t_warm = run_cycle(config, [tree])
+        with _CacheIO(pathlib.Path(config.cache_dir)) as warm_io:
+            warm, c_warm, t_warm = run_cycle(config, [tree])
 
         # Touch one real module; only it and the files whose read-name
         # closure reaches it may re-analyze.
-        edited = tree / "optimize" / "cli.py"
-        edited.write_text(edited.read_text(encoding="utf-8")
-                          + "\n# touched by bench\n", encoding="utf-8")
+        edited = tree / "optimize" / "monomorphize.py"
+        original = edited.read_text(encoding="utf-8")
+        edited.write_text(original + "\n# touched by bench\n",
+                          encoding="utf-8")
         files = _files(tree)
         expected_dirty = _expected_dirty(files, edited)
-        after, c_edit, t_edit = run_cycle(config, [tree])
+        with _CacheIO(pathlib.Path(config.cache_dir)) as edit_io:
+            after, c_edit, t_edit = run_cycle(config, [tree])
 
         result.update({
             "files": len(files),
@@ -277,6 +318,16 @@ def _measure() -> dict:
         result["parallel_ms"] = t_parallel * 1e3
         result["parallel_identical"] = serial.to_json() == parallel.to_json()
         result["edit_identical"] = after.to_dict() == serial.to_dict()
+
+        # Revert the edit: its bytes were keyed by the cold pass.
+        edited.write_text(original, encoding="utf-8")
+        _, c_revert, _ = run_cycle(config, [tree])
+        result.update({
+            "warm_cache_reads": len(warm_io.reads),
+            "warm_cache_writes": len(warm_io.writes),
+            "edit_cache_writes": len(edit_io.writes),
+            "revert_analyzed": c_revert["lint_analyzed"],
+        })
 
         # Protocol smoke against the warmed cache.
         in_stream = io.StringIO("\n".join(json.dumps(r) for r in [
@@ -305,6 +356,9 @@ def _measure() -> dict:
         and result["edit_analyzed"] < result["files"]
         and result["parallel_identical"]
         and result["protocol_ok"]
+        and (result["warm_cache_reads"], result["warm_cache_writes"],
+             result["edit_cache_writes"], result["revert_analyzed"])
+        == (1, 0, 2, 0)
     )
     return result
 
@@ -323,6 +377,10 @@ def _render(m: dict) -> str:
         f"{m['parallel_ms']:.1f} ms — identical output: "
         f"{m['parallel_identical']}",
         f"  LDJSON protocol smoke ok: {m['protocol_ok']}",
+        f"  cache I/O: warm pass read {m['warm_cache_reads']} file(s), "
+        f"wrote {m['warm_cache_writes']}; the edit wrote "
+        f"{m['edit_cache_writes']}; its revert re-analyzed "
+        f"{m['revert_analyzed']} (budget 1, 0, 2, 0)",
     ])
 
 
@@ -344,8 +402,8 @@ def main(argv=None) -> int:
     if not m["ok"]:
         print("FAIL: warm run re-analyzed files, edit invalidation drifted "
               "from the read-name closure, a served report differed from "
-              "a cacheless lint, parallel output diverged, or the "
-              "protocol smoke failed")
+              "a cacheless lint, parallel output diverged, the "
+              "protocol smoke failed, or the cache I/O left its budget")
         return 1
     return 0
 

@@ -17,19 +17,28 @@ by construction, never by bookkeeping: editing a file, changing a
 semantically relevant knob, upgrading the payload
 schema, or editing a module the analysis reads each produce a
 different key, and the stale entry is simply never looked up again.
-There is no mutable index to corrupt and no coherence protocol to get
-wrong — the only delete paths are the explicit ``invalidate`` operation
-and the discard of an entry that fails schema validation on read.
+The only delete paths are the explicit ``invalidate`` operation and the
+discard of an entry that fails validation on read.
 
 The dependency fingerprint itself needs every file's imported and read
 names, and those are cached the same way, under
 ``imports/<content-sha256>.json``.  Both lists are a pure function of
 the file's bytes, so the key holds nothing else — no path, no config,
-no dependencies — and the store is not an index either: an entry can be
-missing (the file is scanned again) but never stale, because different
-bytes have a different name.  Two files with equal bytes share one
-entry, which is correct for the same reason.  A warm pass therefore
-parses only the files whose bytes changed.
+no dependencies — and an entry can be missing (the file is scanned
+again) but never stale, because different bytes have a different name.
+Two files with equal bytes share one entry, which is correct for the
+same reason.
+
+The one mutable file is a pass's **manifest**, under
+``manifests/<kind>-<digest>.json``, one per (kind, schema version,
+config fingerprint, exclude patterns, root set): per discovered file the
+content sha, the import scan, the dependency closure and fingerprint,
+and the result payload.  It is an accelerator, not an authority: a
+row serves only when the file's freshly hashed bytes and freshly
+derived dependency fingerprint equal the row's, so a row can be unused
+but never stale, and a manifest of another version, identity or shape is
+discarded whole.  A warm pass reads one manifest instead of one import
+entry and one result entry per file.
 
 Entries are single JSON files written atomically (temp file +
 ``os.replace``) with sorted keys, so concurrent writers (worker
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -116,6 +126,24 @@ _counters.register("analysis.cache", stats, _report, _tracks)
 
 #: Version of the ``imports/`` entry format; any other value is discarded.
 IMPORTS_SCHEMA_VERSION = 2
+#: Version of the ``manifests/`` file format; any other value is discarded.
+MANIFEST_VERSION = 1
+#: The fields of a manifest row.
+_ROW_FIELDS = {"sha", "names", "reads", "deps", "closure", "payload"}
+
+
+def _strings(*lists: Any) -> bool:
+    """Each argument is a list of strings.  The type checks map in C,
+    since a warm pass checks every manifest row."""
+    return all(type(x) is list for x in lists) \
+        and set(map(type, itertools.chain(*lists))) <= {str}
+
+
+def _row_ok(row: Any) -> bool:
+    return (type(row) is dict and row.keys() == _ROW_FIELDS
+            and isinstance(row["sha"], str) and isinstance(row["deps"], str)
+            and type(row["payload"]) in (dict, type(None))
+            and _strings(row["names"], row["reads"], row["closure"]))
 
 
 def content_hash(data: bytes) -> str:
@@ -148,21 +176,31 @@ class AnalysisCache:
     def _entry_path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 
+    def _load(self, path: pathlib.Path, valid=lambda doc: True) -> Any:
+        """The JSON document at ``path`` if ``valid`` accepts it, else
+        ``None``.  One that is unreadable, undecodable or rejected is
+        deleted and counted as a discard, never half-read."""
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if valid(doc):
+                return doc
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            pass
+        self._discard(path)
+        return None
+
     def get(self, key: str) -> Optional[dict]:
         """Return the stored envelope for ``key``, or ``None`` (counted
         as a miss).  An unreadable/undecodable entry is discarded."""
-        path = self._entry_path(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-            envelope = json.loads(raw)
-        except (OSError, ValueError):
-            if path.exists():
-                self.discard(key)
+        envelope = self._load(self._entry_path(key))
+        if envelope is None:
             STATS.misses += 1
             self._trace_event("miss", key)
-            return None
-        STATS.hits += 1
-        self._trace_event("hit", key)
+        else:
+            STATS.hits += 1
+            self._trace_event("hit", key)
         return envelope
 
     def put(self, key: str, envelope: dict) -> None:
@@ -175,12 +213,13 @@ class AnalysisCache:
     def discard(self, key: str) -> None:
         """Remove an entry that failed validation (old schema, torn
         write from a pre-atomic era, hand-edited junk)."""
-        try:
-            self._entry_path(key).unlink()
-        except OSError:
-            pass
+        self._discard(self._entry_path(key))
+
+    def _discard(self, path: pathlib.Path) -> None:
+        with contextlib.suppress(OSError):
+            path.unlink()
         STATS.discards += 1
-        self._trace_event("discard", key)
+        self._trace_event("discard", path.stem)
 
     # -- import store --------------------------------------------------------
 
@@ -194,49 +233,69 @@ class AnalysisCache:
         :func:`repro.analysis.deps.scan_imports`) of the file whose bytes
         hash to ``content_sha``, or ``None``.  An entry of another
         version or shape is discarded, never half-read."""
-        path = self._imports_path(content_sha)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            entry = None
-        if isinstance(entry, dict) \
-                and entry.get("schema_version") == IMPORTS_SCHEMA_VERSION:
-            scan = entry.get("names"), entry.get("reads")
-            if all(isinstance(names, list)
-                   and all(isinstance(n, str) for n in names)
-                   for names in scan):
-                return scan
-        with contextlib.suppress(OSError):
-            path.unlink()
-        return None
+        entry = self._load(self._imports_path(content_sha), lambda e: (
+            isinstance(e, dict)
+            and e.get("schema_version") == IMPORTS_SCHEMA_VERSION
+            and _strings(e.get("names"), e.get("reads"))))
+        return None if entry is None else (entry["names"], entry["reads"])
 
     def put_imports(self, content_sha: str,
                     scan: tuple[Iterable[str], Iterable[str]]) -> None:
-        _write_atomic(self._imports_path(content_sha), {
-            "schema_version": IMPORTS_SCHEMA_VERSION,
-            "names": sorted(scan[0]),
-            "reads": sorted(scan[1]),
-        })
+        """Store a scan, unless these bytes' entry exists already."""
+        path = self._imports_path(content_sha)
+        if not path.exists():
+            _write_atomic(path, {
+                "schema_version": IMPORTS_SCHEMA_VERSION,
+                "names": sorted(scan[0]),
+                "reads": sorted(scan[1]),
+            })
+
+    # -- manifests -----------------------------------------------------------
+
+    def _manifest_path(self, identity: dict) -> pathlib.Path:
+        digest = hashlib.sha256(json.dumps(
+            identity, sort_keys=True).encode("utf-8")).hexdigest()[:32]
+        return self.root / "manifests" / f"{identity['kind']}-{digest}.json"
+
+    def get_manifest(self, identity: dict) -> dict[str, dict]:
+        """The rows, by resolved path, of the manifest for ``identity``,
+        or ``{}``.  A manifest of another version, identity or shape is
+        discarded, never half-read."""
+        doc = self._load(self._manifest_path(identity), lambda d: (
+            isinstance(d, dict) and d.get("version") == MANIFEST_VERSION
+            and d.get("identity") == identity
+            and isinstance(d.get("rows"), dict)
+            and all(map(_row_ok, d["rows"].values()))))
+        return {} if doc is None else doc["rows"]
+
+    def put_manifest(self, identity: dict, rows: dict[str, dict]) -> None:
+        _write_atomic(self._manifest_path(identity), {
+            "version": MANIFEST_VERSION, "identity": identity, "rows": rows})
 
     # -- maintenance ---------------------------------------------------------
 
     def entries(self) -> Iterator[pathlib.Path]:
-        if not self.root.is_dir():
-            return iter(())
+        # ``glob`` yields nothing under a directory that does not exist.
         return iter(sorted(self.root.glob("*-*.json")))
 
     def invalidate(self, paths: Optional[list[str]] = None) -> int:
-        """Remove entries.  With ``paths`` given, only entries whose
-        recorded source path matches one of them (by resolved path);
-        otherwise everything, the import store included.  Returns the
-        number of result entries removed."""
+        """Remove entries.  With ``paths`` given, only entries and
+        manifest rows recorded for one of them (by resolved path);
+        otherwise everything, the import store and the manifests
+        included.  Returns the number of result entries removed."""
         wanted = None
-        if paths is not None:
-            wanted = {str(pathlib.Path(p).resolve()) for p in paths}
-        else:
+        if paths is None:
             shutil.rmtree(self.root / "imports", ignore_errors=True)
+            shutil.rmtree(self.root / "manifests", ignore_errors=True)
+        else:
+            wanted = {str(pathlib.Path(p).resolve()) for p in paths}
+            for path in sorted((self.root / "manifests").glob("*.json")):
+                doc = self._load(path, lambda d: isinstance(d, dict)
+                                 and isinstance(d.get("rows"), dict))
+                if doc is not None and wanted & doc["rows"].keys():
+                    doc["rows"] = {p: row for p, row in doc["rows"].items()
+                                   if p not in wanted}
+                    _write_atomic(path, doc)
         removed = 0
         for entry in self.entries():
             if wanted is not None:

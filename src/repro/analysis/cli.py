@@ -99,12 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_options(p_lint, analyzes=True, reports=True)
     p_lint.add_argument("paths", nargs="*",
                         help="files or directories to lint")
-    p_lint.add_argument(
-        "--fail-on",
-        choices=("error", "warning", "suggestion", "note", "never"),
-        default="warning",
-        help="least severe finding that fails the run (default: warning)",
-    )
+    _add_fail_on(p_lint)
     p_lint.add_argument(
         "--no-concept-pass", dest="concept_pass", action="store_false",
         help="skip @where call-site conformance checking",
@@ -170,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS", help="poll period (default: 1)")
     p_watch.add_argument("--max-cycles", type=int, default=None, metavar="N",
                          help="stop after N cycles (default: run forever)")
+    _add_fail_on(p_watch)
 
     p_stats = sub.add_parser(
         "stats", help="print session/cache configuration and counters "
@@ -181,6 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("paths", nargs="*",
                        help="paths whose entries to drop (none = all)")
     return parser
+
+
+def _add_fail_on(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--fail-on",
+        choices=("error", "warning", "suggestion", "note", "never"),
+        default="warning",
+        help="least severe finding that fails the run (default: warning)",
+    )
 
 
 def _add_common_options(parser: argparse.ArgumentParser, *,

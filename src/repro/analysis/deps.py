@@ -44,7 +44,9 @@ analyzed set are not tracked.
 A file's names depend on its bytes alone, so a caller with a store of
 them (the analysis session keeps one in its cache directory, see
 :mod:`repro.analysis.cache`) passes a ``scan_of`` that parses only the
-files it has not seen before.
+files it has not seen before; and a caller that knows every scan and
+file name unchanged passes the closures it got last time, so no graph
+is built at all.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import pathlib
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from repro.lint.concept_pass import reads_imports
 
@@ -152,27 +154,31 @@ def reachable(graph, roots: Iterable) -> set:
 def dependency_fingerprints(
     files: Iterable[pathlib.Path],
     hashes: dict[pathlib.Path, str],
-    scan_of: Callable[[pathlib.Path], tuple[Iterable[str], Iterable[str]]],
-) -> dict[pathlib.Path, str]:
+    scan_of: Optional[Callable[[pathlib.Path],
+                               tuple[Iterable[str], Iterable[str]]]] = None,
+    closures: Optional[dict[pathlib.Path, list[pathlib.Path]]] = None,
+) -> tuple[dict[pathlib.Path, str], dict[pathlib.Path, list[pathlib.Path]]]:
     """Per-file digest over the (path-stem, content-hash) pairs of the
-    files linting it reads: its read names' files and everything they
-    import, transitively; ``""`` when it reads none.  Stems rather than
-    full paths keep the fingerprint stable when the same tree is
-    analyzed from a different working directory.  ``scan_of`` gives a
-    file's :func:`scan_imports`, from a store or a fresh parse alike."""
-    scans = {f: scan_of(f) for f in files}
-    graph = dependency_graph(scans, lambda f: scans[f][0])
-    reads = dependency_graph(scans, lambda f: scans[f][1])
-    # The search runs over indices: ints hash in C, paths in Python.
-    nodes = list(graph)
-    index = {f: i for i, f in enumerate(nodes)}
-    edges = [[index[d] for d in graph[f]] for f in nodes]
-    items = [f"{f.name}:{hashes.get(f, '')}" for f in nodes]
-    out: dict[pathlib.Path, str] = {}
-    for i, f in enumerate(nodes):
-        deps = reachable(edges, [index[d] for d in reads[f]])
-        deps.discard(i)
-        out[f] = hashlib.sha256("\x1f".join(
-            sorted(items[d] for d in deps)).encode("utf-8")
-        ).hexdigest()[:16] if deps else ""
-    return out
+    files linting it reads, and those files (its *closure*): its read
+    names' files and everything they import, transitively; ``""`` and
+    ``[]`` when it reads none.  Stems rather than full paths keep the
+    fingerprint stable when the same tree is analyzed from a different
+    working directory.
+
+    ``scan_of`` gives a file's :func:`scan_imports`, from a store or a
+    fresh parse alike.  A caller that knows no file's scan and no file
+    name changed since it last computed the closures passes them
+    instead, and no graph is built."""
+    files = list(files)
+    if closures is None:
+        scans = {f: scan_of(f) for f in files}
+        graph = dependency_graph(files, lambda f: scans[f][0])
+        reads = dependency_graph(files, lambda f: scans[f][1])
+        closures = {f: sorted(reachable(graph, reads[f]) - {f})
+                    for f in files}
+    fingerprints = {
+        f: hashlib.sha256("\x1f".join(sorted(
+            f"{d.name}:{hashes.get(d, '')}" for d in closures[f]
+        )).encode("utf-8")).hexdigest()[:16] if closures[f] else ""
+        for f in files}
+    return fingerprints, closures

@@ -170,7 +170,13 @@ def decode_envelope(envelope: Any, kind: str,
     payload = envelope.get("payload")
     if not isinstance(payload, dict):
         raise SchemaError("payload is not an object")
+    return decode_payload(kind, payload, source)
 
+
+def decode_payload(kind: str, payload: dict,
+                   source: Optional[str] = None) -> Any:
+    """Decode one payload of ``kind``, accepting it only if it survives
+    a decode→re-encode round trip (see :func:`decode_envelope`)."""
     if kind == "lint":
         value = file_report_from_payload(payload)
         again = file_report_to_payload(value)

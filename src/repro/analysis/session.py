@@ -10,7 +10,8 @@ two things a *service* needs that a batch CLI does not:
   served from the content-hash-keyed on-disk cache
   (:mod:`repro.analysis.cache`) when the file, the same-project modules
   its analysis reads (see :mod:`repro.analysis.deps`), and the semantic
-  config are all unchanged;
+  config are all unchanged, and a warm ``*_paths`` pass reads one
+  manifest rather than two cache files per source file;
 - **parallelism** — cache misses are sharded across a
   ``multiprocessing`` pool (``config.jobs``), and because every file's
   analysis is independent and results are merged back in discovery
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from repro.lint.driver import (
     FileReport,
@@ -34,12 +35,13 @@ from repro.lint.driver import (
     SourceAnalysis,
     _lint_file_impl,
     _lint_source_impl,
-    discover_files,
+    discover,
 )
 from repro.lint.suppressions import LINT_INTERNAL, LINT_TIMEOUT
 from repro.resilience import Deadline
 from repro.trace import core as _trace
 
+from . import cache as _cache
 from . import deps as _deps
 from .cache import AnalysisCache, content_hash, make_key
 from .config import AnalysisConfig
@@ -47,6 +49,7 @@ from .schema import (
     SCHEMA_VERSION,
     SchemaError,
     decode_envelope,
+    decode_payload,
     file_report_to_payload,
     make_envelope,
     optimize_result_to_payload,
@@ -62,8 +65,27 @@ _UNCACHEABLE_CHECKS = frozenset({
 })
 
 
+_TO_PAYLOAD = {"lint": file_report_to_payload,
+               "optimize": optimize_result_to_payload}
+
+
 def _cacheable(findings) -> bool:
     return all(f.check not in _UNCACHEABLE_CHECKS for f in findings)
+
+
+class _Tracked(NamedTuple):
+    """One readable file of a cached pass and its new manifest row."""
+
+    path: pathlib.Path
+    resolved: str
+    data: bytes
+    row: dict
+
+    @property
+    def source(self) -> str:
+        # Decoded on demand: a lint served from the manifest never needs
+        # the text, and bytes that a row holds decoded when it was made.
+        return self.data.decode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +93,12 @@ def _cacheable(findings) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _lint_worker(item: tuple) -> FileReport:
-    path_str, config = item
-    return _lint_file_impl(pathlib.Path(path_str), config)
-
-
-def _optimize_worker(item: tuple):
+def _worker(item: tuple):
+    kind, path_str, write, config = item
+    if kind == "lint":
+        return _lint_file_impl(pathlib.Path(path_str), config)
     from repro.optimize.pipeline import _optimize_file_impl
 
-    path_str, write, config = item
     return _optimize_file_impl(pathlib.Path(path_str), config, write=write)
 
 
@@ -135,65 +154,218 @@ class AnalysisSession:
             return None
 
     def _project_state(
-        self, files: list[pathlib.Path],
-    ) -> tuple[dict, dict, dict]:
-        """sources, content hashes, and dependency fingerprints for one
-        discovered file set (the coherence universe of this call)."""
-        sources: dict[pathlib.Path, str] = {}
-        hashes: dict[pathlib.Path, str] = {}
-        for f in files:
-            read = self._read(f)
-            if read is not None:
-                sources[f], hashes[f] = read
-        fingerprints = _deps.dependency_fingerprints(
-            list(sources), hashes,
-            lambda f: self._imports_of(sources[f], hashes[f]))
-        return sources, hashes, fingerprints
+        self, files: list[tuple[pathlib.Path, str]], rows: dict[str, dict],
+    ) -> dict[int, _Tracked]:
+        """Every readable discovered file's new manifest row, by
+        discovery index: its sha, import scan, and dependency closure and
+        fingerprint.  The scan of unchanged bytes comes from the old
+        ``rows``, any other from the import store or a fresh parse, and
+        the closures are rebuilt only when some scan or the file set
+        moved."""
+        state: dict[int, _Tracked] = {}
+        same_graph, moved = True, False
+        for i, (f, resolved) in enumerate(files):
+            try:
+                data = f.read_bytes()
+            except OSError:
+                continue
+            sha = content_hash(data)
+            old = rows.get(resolved)
+            if old is not None and old["sha"] == sha:
+                state[i] = _Tracked(f, resolved, data, dict(old))
+                self.counters["imports_from_cache"] += 1
+            else:
+                try:
+                    source = data.decode("utf-8")
+                except UnicodeDecodeError:
+                    continue
+                names, reads = map(sorted, self._imports_of(
+                    source, sha, store=old is None))
+                if old is not None:
+                    # Keep the scan of the bytes this row held, for a
+                    # revert to them.
+                    self.cache.put_imports(
+                        old["sha"], (old["names"], old["reads"]))
+                same_graph = same_graph and old is not None \
+                    and (names, reads) == (old["names"], old["reads"])
+                moved = True
+                state[i] = _Tracked(f, resolved, data, {
+                    "sha": sha, "names": names, "reads": reads})
+        if not moved and len(state) == len(rows):
+            return state    # every row stands, fingerprints included
+        by_path = {t.path: t for t in state.values()}
+        closures = None
+        if same_graph and len(state) == len(rows):
+            closures = {f: list(map(pathlib.Path, rows[t.resolved]["closure"]))
+                        for f, t in by_path.items()}
+        fingerprints, closures = _deps.dependency_fingerprints(
+            by_path, {f: t.row["sha"] for f, t in by_path.items()},
+            lambda f: (by_path[f].row["names"], by_path[f].row["reads"]),
+            closures)
+        for f, t in by_path.items():
+            t.row["deps"] = fingerprints[f]
+            t.row["closure"] = list(map(str, closures[f]))
+        return state
 
-    def _imports_of(self, source: str, sha: str):
+    def _imports_of(self, source: str, sha: str, store: bool):
         """A file's imported and read names, from the content-addressed
-        import store when its bytes were scanned before, else parsed and
-        stored."""
+        import store when its bytes were scanned before, else parsed and,
+        with ``store``, stored."""
         scan = self.cache.get_imports(sha)
         if scan is not None:
             self.counters["imports_from_cache"] += 1
             return scan
         scan = _deps.scan_imports(source)
         self.counters["imports_scanned"] += 1
-        self.cache.put_imports(sha, scan)
+        if store:
+            self.cache.put_imports(sha, scan)
         return scan
 
-    def _get_cached(self, kind: str, path: pathlib.Path, sha: str,
-                    deps_fp: str, source: Optional[str] = None):
-        if self.cache is None:
-            return None
-        key = make_key(kind, str(path.resolve()), sha,
-                       self.config.fingerprint(
-                           "optimize" if kind == "optimize" else "lint"),
+    def _get_cached(self, kind: str, resolved: str, sha: str,
+                    deps_fp: str, source: str):
+        """``(value, payload)`` of the entry keyed by these inputs, or
+        None."""
+        key = make_key(kind, resolved, sha, self.config.fingerprint(kind),
                        deps_fp, SCHEMA_VERSION)
         envelope = self.cache.get(key)
         if envelope is None:
             return None
         try:
-            return decode_envelope(envelope, kind, source=source)
+            return decode_envelope(envelope, kind, source=source), \
+                envelope["payload"]
         except SchemaError:
             self.cache.discard(key)
             return None
 
-    def _store(self, kind: str, path: pathlib.Path, sha: str,
-               deps_fp: str, payload: dict) -> None:
-        if self.cache is None:
-            return
-        fingerprint = self.config.fingerprint(
-            "optimize" if kind == "optimize" else "lint")
-        key = make_key(kind, str(path.resolve()), sha, fingerprint,
-                       deps_fp, SCHEMA_VERSION)
-        self.cache.put(key, make_envelope(kind, {
-            "path": str(path),
-            "content_sha256": sha,
-            "fingerprint": fingerprint,
-            "deps": deps_fp,
-        }, payload))
+    def _keep(self, kind: str, resolved: str, sha: Optional[str],
+              deps_fp: str, result, write: bool = False) -> Optional[dict]:
+        """Store a fresh result under its key, and return its payload,
+        when the cache is on and the result is cacheable."""
+        # ``--write`` changes the file after analysis, so an entry keyed
+        # by the *pre-write* hash would never be looked up again.
+        if self.cache is None or sha is None \
+                or not _cacheable(result.findings) \
+                or (write and result.changed and result.verified):
+            return None
+        payload = _TO_PAYLOAD[kind](result)
+        fingerprint = self.config.fingerprint(kind)
+        self.cache.put(
+            make_key(kind, resolved, sha, fingerprint, deps_fp,
+                     SCHEMA_VERSION),
+            make_envelope(kind, {
+                "path": resolved,
+                "content_sha256": sha,
+                "fingerprint": fingerprint,
+                "deps": deps_fp,
+            }, payload))
+        return payload
+
+    def _file(self, kind: str, path: PathLike, write: bool = False):
+        """One file, served from its keyed entry when warm.  The
+        dependency universe of a single-file call is just the file
+        itself, and no manifest is read or written."""
+        f = pathlib.Path(path)
+        source, sha = self._read(f) or (None, None)
+        resolved = str(f.resolve()) if self.cache is not None else ""
+        if self.cache is not None and sha is not None:
+            hit = self._get_cached(kind, resolved, sha, "", source)
+            if hit is not None:
+                self.counters[f"{kind}_from_cache"] += 1
+                return self._write_served(f, source, hit[0]) \
+                    if write else hit[0]
+        result = self._lint_miss(f, sha) if kind == "lint" \
+            else self._optimize_miss(f, write, sha)
+        self._keep(kind, resolved, sha, "", result, write)
+        return result
+
+    def _paths_pass(self, kind: str, paths: Sequence[PathLike],
+                    write: bool = False) -> list:
+        """The one loop behind :meth:`lint_paths` and
+        :meth:`optimize_paths`.  A file is served from its manifest row
+        when its sha and dependency fingerprint match, else from its
+        keyed entry; the rest are analyzed across the worker pool and
+        merged in discovery order (bit-identical to a serial run).  The
+        manifest is rewritten only when a row changed."""
+        files = discover(paths, self.config.exclude)
+        results: list = [None] * len(files)
+        state: dict[int, _Tracked] = {}
+        rows: dict[str, dict] = {}
+        if self.cache is not None:
+            identity = {
+                "kind": kind, "schema_version": SCHEMA_VERSION,
+                "fingerprint": self.config.fingerprint(kind),
+                "exclude": list(self.config.exclude),
+                "roots": [[str(pathlib.Path(p)),
+                           str(pathlib.Path(p).resolve())] for p in paths],
+            }
+            rows = self.cache.get_manifest(identity)
+            state = self._project_state(files, rows)
+        misses: list[int] = []
+        for i, (f, _) in enumerate(files):
+            t = state.get(i)
+            served = None if t is None else self._serve(
+                kind, t, rows.get(t.resolved))
+            if served is None:
+                misses.append(i)
+                continue
+            self.counters[f"{kind}_from_cache"] += 1
+            results[i] = self._write_served(f, t.source, served) \
+                if write else served
+
+        mapped = _pool_map(_worker, [
+            (kind, str(files[i][0]), write, self.config) for i in misses
+        ], self.config.jobs)
+        self.counters[f"{kind}_analyzed"] += len(misses)
+        for i, result in zip(misses, mapped):
+            results[i] = result
+            t = state.get(i)
+            if t is not None:
+                t.row["payload"] = self._keep(
+                    kind, t.resolved, t.row["sha"], t.row["deps"], result,
+                    write)
+        if self.cache is not None:
+            new_rows = {t.resolved: t.row for t in state.values()}
+            if new_rows != rows:
+                self.cache.put_manifest(identity, new_rows)
+        return [r for r in results if r is not None]
+
+    def _serve(self, kind: str, t: _Tracked, old: Optional[dict]):
+        """The cached value for one tracked file, from its old manifest
+        row or its keyed entry, or None; sets the new row's payload."""
+        row = t.row
+        if old is not None and old["payload"] is not None \
+                and (old["sha"], old["deps"]) == (row["sha"], row["deps"]) \
+                and old["payload"].get("path") == str(t.path):
+            try:
+                value = decode_payload(
+                    kind, old["payload"],
+                    t.source if kind == "optimize" else None)
+            except SchemaError:
+                pass
+            else:
+                row["payload"] = old["payload"]
+                _cache.STATS.hits += 1
+                return value
+        hit = self._get_cached(kind, t.resolved, row["sha"], row["deps"],
+                               t.source)
+        row["payload"] = None if hit is None else hit[1]
+        return None if hit is None else hit[0]
+
+    @staticmethod
+    def _write_served(f: pathlib.Path, source: str, cached):
+        """A served optimize result under ``write`` applies its
+        rewrite, as a fresh analysis would."""
+        if cached.changed and cached.verified:
+            from repro.optimize.pipeline import (
+                _internal_result,
+                _write_optimized,
+            )
+
+            try:
+                _write_optimized(f, source, cached)
+            except Exception as exc:  # noqa: BLE001 - isolate
+                return _internal_result(str(f), source, exc)
+        return cached
 
     # -- lint ----------------------------------------------------------------
 
@@ -202,20 +374,19 @@ class AnalysisSession:
         identity in the dependency universe."""
         return _lint_source_impl(source, path=path, config=self.config)
 
-    def _lint_miss(self, f: pathlib.Path, sha: Optional[str],
-                   deps_fp: str, handoff: bool = False) -> FileReport:
-        """Analyze one file and cache its report when the cache is on.
+    def _lint_miss(self, f: pathlib.Path, sha: Optional[str]) -> FileReport:
+        """Analyze one file for :meth:`lint_file`.
 
-        With ``handoff``, a pass the optimizer could have run itself
+        With ``sha``, a pass the optimizer could have run itself
         also records facts and is kept for the next optimize miss: the
         analysis knobs equal the default :class:`AnalysisConfig`'s (what
         the optimizer verifies with), and no crash or deadline cut the
         pass short.  Recording runs every top-level def, not only lint's, so
-        only :meth:`lint_file` asks for it: of a ``lint_paths`` run's
-        misses only the last could be handed off."""
+        ``lint_paths`` misses, of which only the last could be handed
+        off, go straight to the worker pool instead."""
         config, default = self.config, AnalysisConfig()
         recorder = None
-        if handoff and sha is not None and (
+        if sha is not None and (
                 config.concept_pass, config.interprocedural,
                 config.timeout_s) == (
                 default.concept_pass, default.interprocedural,
@@ -227,66 +398,17 @@ class AnalysisSession:
             analysis = recorder.analysis(report)
             if not analysis.failures:
                 self._handoff = ((str(f), sha), analysis)
-        if sha is not None and _cacheable(report.findings):
-            self._store("lint", f, sha, deps_fp,
-                        file_report_to_payload(report))
         return report
 
     def lint_file(self, path: PathLike) -> FileReport:
-        """Lint one file, served from cache when warm.  The dependency
-        universe of a single-file call is just the file itself."""
-        f = pathlib.Path(path)
-        read = self._read(f)
-        sha = read[1] if read is not None else None
-        if sha is not None:
-            cached = self._get_cached("lint", f, sha, "")
-            if cached is not None:
-                self.counters["lint_from_cache"] += 1
-                return cached
-        return self._lint_miss(f, sha, "", handoff=True)
+        """Lint one file, served from cache when warm."""
+        return self._file("lint", path)
 
     def lint_paths(self, paths: Sequence[PathLike]) -> ProjectReport:
         """Lint every Python file under ``paths``: warm files from the
         cache, cold files across the worker pool, merged in discovery
         order (bit-identical to a serial run)."""
-        files = discover_files(paths, self.config.exclude)
-        reports: list[Optional[FileReport]] = [None] * len(files)
-        misses: list[int] = []
-        hashes: dict[pathlib.Path, str] = {}
-        fingerprints: dict[pathlib.Path, str] = {}
-        if self.cache is not None:
-            _, hashes, fingerprints = self._project_state(files)
-        for i, f in enumerate(files):
-            sha = hashes.get(f)
-            if sha is not None:
-                cached = self._get_cached(
-                    "lint", f, sha, fingerprints.get(f, ""))
-                if cached is not None:
-                    self.counters["lint_from_cache"] += 1
-                    reports[i] = cached
-                    continue
-            misses.append(i)
-
-        if len(misses) > 1 and self.config.jobs != 1:
-            results = _pool_map(
-                _lint_worker,
-                [(str(files[i]), self.config) for i in misses],
-                self.config.jobs,
-            )
-            for i, report in zip(misses, results):
-                f = files[i]
-                reports[i] = report
-                self.counters["lint_analyzed"] += 1
-                sha = hashes.get(f)
-                if sha is not None and _cacheable(report.findings):
-                    self._store("lint", f, sha, fingerprints.get(f, ""),
-                                file_report_to_payload(report))
-        else:
-            for i in misses:
-                f = files[i]
-                reports[i] = self._lint_miss(
-                    f, hashes.get(f), fingerprints.get(f, ""))
-        return ProjectReport(files=[r for r in reports if r is not None])
+        return ProjectReport(files=self._paths_pass("lint", paths))
 
     # -- optimize ------------------------------------------------------------
 
@@ -303,8 +425,10 @@ class AnalysisSession:
             monomorphize=self.config.monomorphize,
         )
 
-    def _optimize_miss(self, f: pathlib.Path, sha: Optional[str],
-                       deps_fp: str, write: bool):
+    def _optimize_miss(self, f: pathlib.Path, write: bool,
+                       sha: Optional[str]):
+        """Analyze one file for :meth:`optimize_file`, planning from the
+        last lint miss's pass when it analyzed these bytes (``sha``)."""
         from repro.optimize.pipeline import _optimize_file_impl
 
         handoff, self._handoff = self._handoff, None
@@ -315,95 +439,14 @@ class AnalysisSession:
         result = _optimize_file_impl(f, self.config, write=write,
                                      analysis=analysis)
         self.counters["optimize_analyzed"] += 1
-        # ``--write`` changes the file after analysis, so the cached
-        # entry (keyed by the *pre-write* hash) would never be looked up
-        # again for a changed file; store only results that keyed
-        # content still on disk: unchanged files, or non-write runs.
-        changed_on_disk = write and result.changed and result.verified
-        if sha is not None and not changed_on_disk \
-                and _cacheable(result.findings):
-            self._store("optimize", f, sha, deps_fp,
-                        optimize_result_to_payload(result))
         return result
 
     def optimize_file(self, path: PathLike, write: bool = False):
-        from repro.optimize.pipeline import (
-            _internal_result,
-            _write_optimized,
-        )
-
-        f = pathlib.Path(path)
-        read = self._read(f)
-        sha = read[1] if read is not None else None
-        if sha is not None:
-            cached = self._get_cached("optimize", f, sha, "",
-                                      source=read[0])
-            if cached is not None:
-                self.counters["optimize_from_cache"] += 1
-                if write and cached.changed and cached.verified:
-                    try:
-                        _write_optimized(f, read[0], cached)
-                    except Exception as exc:  # noqa: BLE001 - isolate
-                        return _internal_result(str(f), read[0], exc)
-                return cached
-        return self._optimize_miss(f, sha, "", write)
+        return self._file("optimize", path, write)
 
     def optimize_paths(self, paths: Sequence[PathLike],
                        write: bool = False) -> list:
-        files = discover_files(paths, self.config.exclude)
-        results: list = [None] * len(files)
-        misses: list[int] = []
-        sources: dict[pathlib.Path, str] = {}
-        hashes: dict[pathlib.Path, str] = {}
-        fingerprints: dict[pathlib.Path, str] = {}
-        if self.cache is not None:
-            sources, hashes, fingerprints = self._project_state(files)
-        from repro.optimize.pipeline import (
-            _internal_result,
-            _write_optimized,
-        )
-
-        for i, f in enumerate(files):
-            sha = hashes.get(f)
-            if sha is not None:
-                cached = self._get_cached(
-                    "optimize", f, sha, fingerprints.get(f, ""),
-                    source=sources[f])
-                if cached is not None:
-                    self.counters["optimize_from_cache"] += 1
-                    if write and cached.changed and cached.verified:
-                        try:
-                            _write_optimized(f, sources[f], cached)
-                        except Exception as exc:  # noqa: BLE001
-                            cached = _internal_result(
-                                str(f), sources[f], exc)
-                    results[i] = cached
-                    continue
-            misses.append(i)
-
-        if len(misses) > 1 and self.config.jobs != 1:
-            mapped = _pool_map(
-                _optimize_worker,
-                [(str(files[i]), write, self.config) for i in misses],
-                self.config.jobs,
-            )
-            for i, result in zip(misses, mapped):
-                f = files[i]
-                results[i] = result
-                self.counters["optimize_analyzed"] += 1
-                sha = hashes.get(f)
-                changed = write and result.changed and result.verified
-                if sha is not None and not changed \
-                        and _cacheable(result.findings):
-                    self._store(
-                        "optimize", f, sha, fingerprints.get(f, ""),
-                        optimize_result_to_payload(result))
-        else:
-            for i in misses:
-                f = files[i]
-                results[i] = self._optimize_miss(
-                    f, hashes.get(f), fingerprints.get(f, ""), write)
-        return [r for r in results if r is not None]
+        return self._paths_pass("optimize", paths, write)
 
     # -- service operations --------------------------------------------------
 
@@ -415,8 +458,6 @@ class AnalysisSession:
             [str(p) for p in paths] if paths is not None else None)
 
     def stats(self) -> dict:
-        from . import cache as _cache
-
         tr = _trace.ACTIVE
         if tr is not None:
             tr.event("analysis.stats", cat="analysis", **self.counters)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import bisect
 import json
+import os
 import pathlib
 import re
 from collections import deque
@@ -606,7 +607,41 @@ def discover_files(
     paths: Sequence[PathLike], exclude: Iterable[str] = ()
 ) -> list[pathlib.Path]:
     """Expand files/directories into a sorted list of ``*.py`` files."""
-    out: list[pathlib.Path] = []
+    return [f for f, _ in discover(paths, exclude)]
+
+
+def _hidden(part: str) -> bool:
+    return part.startswith(".") or part == "__pycache__"
+
+
+def _py_files(top: str, rel: tuple[str, ...],
+              found: list[tuple[tuple[str, ...], bool]]) -> None:
+    """``Path(top).rglob("*.py")`` without hidden or ``__pycache__``
+    parts, as (parts below ``top``, is a symlink).  Like ``rglob`` it
+    descends into real directories only."""
+    try:
+        with os.scandir(os.path.join(top, *rel)) as it:
+            entries = list(it)
+    except PermissionError:
+        return
+    for entry in entries:
+        if _hidden(entry.name):
+            continue
+        parts = rel + (entry.name,)
+        if entry.name.endswith(".py"):
+            found.append((parts, entry.is_symlink()))
+        if entry.is_dir(follow_symlinks=False):
+            _py_files(top, parts, found)
+
+
+def discover(
+    paths: Sequence[PathLike], exclude: Iterable[str] = ()
+) -> list[tuple[pathlib.Path, str]]:
+    """:func:`discover_files` with each file's resolved path, which also
+    de-duplicates it.  Each root is resolved once: the walk does not
+    descend into symlinked directories, so below a resolved root only a
+    symlinked file itself needs resolving."""
+    out: list[tuple[pathlib.Path, str]] = []
     exclude = tuple(exclude)
 
     def excluded(p: pathlib.Path) -> bool:
@@ -615,23 +650,26 @@ def discover_files(
     for raw in paths:
         p = pathlib.Path(raw)
         if p.is_dir():
-            for f in sorted(p.rglob("*.py")):
-                if any(part.startswith(".") or part == "__pycache__"
-                       for part in f.parts):
-                    continue
+            if any(map(_hidden, p.parts)):
+                continue
+            found: list[tuple[tuple[str, ...], bool]] = []
+            _py_files(str(p), (), found)
+            base = str(p.resolve())
+            for parts, link in sorted(found):
+                f = p.joinpath(*parts)
                 if not excluded(f):
-                    out.append(f)
+                    out.append((f, str(f.resolve()) if link
+                                else os.path.join(base, *parts)))
         elif p.suffix == ".py" or p.is_file() or not p.exists():
             # Nonexistent paths are kept: lint_file turns them into an
             # io-error finding rather than a silently empty (passing) run.
             if not excluded(p):
-                out.append(p)
+                out.append((p, str(p.resolve())))
     # De-duplicate while preserving order.
-    unique: list[pathlib.Path] = []
+    unique: list[tuple[pathlib.Path, str]] = []
     seen: set[str] = set()
-    for p in out:
-        key = str(p.resolve())
+    for p, key in out:
         if key not in seen:
             seen.add(key)
-            unique.append(p)
+            unique.append((p, key))
     return unique

@@ -9,6 +9,7 @@ and bytecode is never written: otherwise an edited module would never
 reach the pass, and a cached report would trivially equal an uncached
 one."""
 
+import copy
 import importlib
 import random
 import sys
@@ -318,19 +319,29 @@ class CoherenceProject:
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_seeded_edits_keep_the_cache_coherent(project, seed):
     """After every seeded edit a cached lint equals an uncached one, and
-    the edits do change findings, so the check is not vacuous."""
+    the edits do change findings, so the check is not vacuous.  Every
+    fourth edit reverts the whole project to an earlier state, which
+    re-analyzes nothing: each of its files' bytes and reads were keyed
+    before."""
     rng = random.Random(f"cache-coherence:{seed}")
     proj = CoherenceProject()
     project(**proj.render())
     cached, _, fresh = project.lint()
     assert cached.to_dict() == fresh.to_dict()
     history = [_concept_findings(fresh)]
+    states = [copy.deepcopy(proj.state)]
     served = 0
     for step in range(20):
-        kind = proj.edit(rng)
+        if step % 4 == 3:
+            kind = "revert"
+            proj.state = copy.deepcopy(rng.choice(states[:-1]))
+        else:
+            kind = proj.edit(rng)
+        states.append(copy.deepcopy(proj.state))
         project(**proj.render())
         cached, analyzed, fresh = project.lint()
         assert cached.to_dict() == fresh.to_dict(), (step, kind)
+        assert kind != "revert" or analyzed == 0, step
         history.append(_concept_findings(fresh))
         served += len(fresh.files) - analyzed
     assert served > 0

@@ -5,7 +5,10 @@ contract."""
 
 import io
 import json
+import os
 import pathlib
+import shutil
+import sys
 import warnings
 
 import pytest
@@ -79,6 +82,54 @@ def write_project(root, **modules):
     for name, source in modules.items():
         (root / f"{name}.py").write_text(source)
     return root
+
+
+def drop_manifests(config):
+    """Delete the pass manifests, so the next pass reads the keyed
+    entries and the import store they would otherwise stand in for."""
+    shutil.rmtree(pathlib.Path(config.cache_dir) / "manifests")
+
+
+class CacheIO:
+    """The files opened under one directory while the block runs, as
+    relative paths split into reads and writes.  An audit hook sees
+    ``io.open`` and ``os.open`` alike, so a ``mkstemp`` of an atomic
+    write counts as one write and the ``os.replace`` after it as none."""
+
+    active = None
+    hooked = False
+
+    def __init__(self, root):
+        self.root = os.path.abspath(root) + os.sep
+        self.reads, self.writes = [], []
+
+    def __enter__(self):
+        if not CacheIO.hooked:
+            sys.addaudithook(CacheIO._hook)
+            CacheIO.hooked = True
+        CacheIO.active = self
+        return self
+
+    def __exit__(self, *exc):
+        CacheIO.active = None
+
+    @staticmethod
+    def _hook(event, args):
+        self = CacheIO.active
+        if self is None or event != "open" or isinstance(args[0], int):
+            return
+        path = os.path.abspath(os.fsdecode(args[0]))
+        if path.startswith(self.root):
+            writes = args[2] & (os.O_WRONLY | os.O_RDWR)
+            (self.writes if writes else self.reads).append(
+                os.path.relpath(path, self.root))
+
+
+def copy_of_repro(tmp_path):
+    src = pathlib.Path(analysis_deps.__file__).resolve().parents[1]
+    tree = tmp_path / "tree" / "repro"
+    shutil.copytree(src, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
 
 
 def read_fingerprint_deps(files):
@@ -213,6 +264,24 @@ class TestSessionCaching:
         assert s2.counters["lint_analyzed"] == 1
         assert s2.counters["lint_from_cache"] == 1
 
+    def test_invalidate_does_not_depend_on_the_working_directory(
+            self, tmp_path, config, monkeypatch):
+        # Entries record the resolved path, not the path as discovered,
+        # so a relative lint is invalidated from anywhere, and the
+        # manifest row goes with its entry.
+        proj = write_project(tmp_path / "work" / "proj", a=BUGGY, b=CLEAN)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        AnalysisSession(config).lint_paths(["proj"])
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert AnalysisSession(config).invalidate(
+            [str(proj / "a.py")]) == 1
+        monkeypatch.chdir(tmp_path / "work")
+        s = AnalysisSession(config)
+        s.lint_paths(["proj"])
+        assert (s.counters["lint_analyzed"],
+                s.counters["lint_from_cache"]) == (1, 1)
+
     def test_stats_surface(self, tmp_path, config):
         proj = write_project(tmp_path / "p", a=CLEAN)
         s = AnalysisSession(config)
@@ -221,6 +290,19 @@ class TestSessionCaching:
         assert st["schema_version"] == SCHEMA_VERSION
         assert st["cache_enabled"] and st["cache_entries"] >= 1
         assert st["session"]["lint_analyzed"] == 1
+
+    def test_cache_entries_count_result_entries_only(self, tmp_path,
+                                                     config):
+        proj = write_project(tmp_path / "p", a=BUGGY, b=CLEAN,
+                             m=OPTIMIZABLE)
+        s = AnalysisSession(config)
+        s.lint_paths([proj])
+        s.optimize_paths([proj])
+        root = pathlib.Path(config.cache_dir)
+        assert len(list((root / "manifests").glob("*.json"))) == 2
+        assert len(list((root / "imports").glob("*.json"))) == 3
+        assert s.stats()["cache_entries"] == 6 == len(
+            list(root.glob("*-*.json")))
 
 
 class TestOptimizeCaching:
@@ -270,6 +352,7 @@ class TestSchema:
             envelope = json.loads(entry.read_text())
             envelope["schema_version"] = SCHEMA_VERSION - 1
             entry.write_text(json.dumps(envelope))
+        drop_manifests(config)
 
         analysis_cache.reset_stats()
         s = AnalysisSession(config)
@@ -289,6 +372,7 @@ class TestSchema:
             # the decode->re-encode round trip, not half-load.
             envelope["payload"]["findings"][0]["extra_field"] = 1
             entry.write_text(json.dumps(envelope))
+        drop_manifests(config)
 
         s = AnalysisSession(config)
         s.lint_paths([proj])
@@ -349,17 +433,22 @@ class TestDeps:
                 "utf-8")).hexdigest()[:16] if items else ""
         return out
 
-    def test_store_fingerprints_equal_fresh_parse(self, tmp_path, config):
-        import pathlib
-        import shutil
+    @staticmethod
+    def state_of(session, files, rows=None):
+        """The session's fingerprints over ``files`` (as discovered, with
+        their resolved paths) and its new manifest rows, from the import
+        store alone or with a previous pass's ``rows``."""
+        state = session._project_state(files, rows or {})
+        return ({t.path: t.row["deps"] for t in state.values()},
+                {t.resolved: t.row for t in state.values()})
 
-        from repro.lint.driver import discover_files
+    def test_store_fingerprints_equal_fresh_parse(self, tmp_path, config,
+                                                  monkeypatch):
+        from repro.lint.driver import discover
 
-        src = pathlib.Path(analysis_deps.__file__).resolve().parents[1]
-        tree = tmp_path / "tree" / "repro"
-        shutil.copytree(src, tree,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        files = discover_files([tree])
+        tree = copy_of_repro(tmp_path)
+        pairs = discover([tree])
+        files = [f for f, _ in pairs]
         graph = analysis_deps.dependency_graph(
             files, lambda f: analysis_deps.scan_imports(f.read_text())[0])
         # An import cycle puts a file in its own closure, which the
@@ -371,7 +460,7 @@ class TestDeps:
         distinct = len({f.read_bytes() for f in files})
         for scanned in (distinct, 0):
             session = AnalysisSession(config)
-            _, _, fingerprints = session._project_state(files)
+            fingerprints, _ = self.state_of(session, pairs)
             assert fingerprints == self.fresh_fingerprints(files)
             assert session.counters["imports_scanned"] == scanned
             assert session.counters["imports_from_cache"] == \
@@ -383,7 +472,7 @@ class TestDeps:
         before = self.fresh_fingerprints(files)
         hub.write_text(hub.read_text() + "\nimport repro.lint.driver\n")
         session = AnalysisSession(config)
-        _, _, fingerprints = session._project_state(files)
+        fingerprints, _ = self.state_of(session, pairs)
         assert fingerprints == self.fresh_fingerprints(files) == before
         assert session.counters["imports_scanned"] == 1
         # A leaf that starts reading the hub does change, and so does
@@ -394,12 +483,17 @@ class TestDeps:
         dotted = dotted.removesuffix(".__init__")
         leaf.write_text(leaf.read_text() + f"\nimport {dotted}\n\n"
                         f"@{dotted}.anything()\ndef _hook():\n    pass\n")
-        _, _, reading = AnalysisSession(config)._project_state(files)
+        reading, rows = self.state_of(AnalysisSession(config), pairs)
         assert reading[leaf] and reading == self.fresh_fingerprints(files)
         hub.write_text(hub.read_text() + "\n# touched\n")
-        _, _, edited = AnalysisSession(config)._project_state(files)
+        edited, _ = self.state_of(AnalysisSession(config), pairs)
         assert edited == self.fresh_fingerprints(files)
         assert [f for f in files if edited[f] != reading[f]] == [leaf]
+        # With the previous pass's rows, a comment edit moves no scan,
+        # so the closures are reused and no import graph is built.
+        monkeypatch.setattr(analysis_deps, "module_aliases", None)
+        reused, _ = self.state_of(AnalysisSession(config), pairs, rows)
+        assert reused == edited
 
     def test_warm_pass_scans_nothing(self, tmp_path, config, monkeypatch):
         proj = write_project(tmp_path / "p", a="import b\n" + CALLS,
@@ -433,6 +527,7 @@ class TestDeps:
         entries[1].write_text(
             f'{{"schema_version": {version}, "names": [], "reads": [1]}}')
         entries[2].write_text(f'{{"schema_version": {version}, "nam')
+        drop_manifests(config)
         s = AnalysisSession(config)
         assert s.lint_paths([proj]).to_dict() == first.to_dict()
         assert s.counters["imports_scanned"] == 3
@@ -452,6 +547,155 @@ class TestDeps:
         assert results >= 1
         assert s.invalidate() == results   # result entries only
         assert not list(store.glob("*.json"))
+        assert not (tmp_path / "cache" / "manifests").exists()
+
+
+def corrupt_manifest(how, doc, raw):
+    """The bytes of a manifest damaged in one way."""
+    if how == "truncated":
+        return raw[:len(raw) // 2]
+    if how == "not-json":
+        return "not json at all"
+    if how == "version":
+        doc["version"] += 1
+    elif how == "shape":
+        doc["rows"] = list(doc["rows"].values())
+    elif how == "row-shape":
+        next(iter(doc["rows"].values()))["names"] = "names"
+    elif how == "foreign-payload":
+        # Every row keeps its sha and fingerprint, but serves the next
+        # file's payload.
+        rows = list(doc["rows"].values())
+        payloads = [row["payload"] for row in rows]
+        for row, payload in zip(rows, payloads[1:] + payloads[:1]):
+            row["payload"] = payload
+    return json.dumps(doc)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("how", ["truncated", "not-json", "version",
+                                     "shape", "row-shape",
+                                     "foreign-payload"])
+    def test_bad_manifest_is_rebuilt_never_misread(self, tmp_path, config,
+                                                   how):
+        proj = write_project(tmp_path / "p", a=BUGGY, b=CLEAN, c=CALLS)
+        AnalysisSession(config).lint_paths([proj])
+        (manifest,) = (tmp_path / "cache" / "manifests").glob("*.json")
+        raw = manifest.read_text()
+        manifest.write_text(corrupt_manifest(how, json.loads(raw), raw))
+        s = AnalysisSession(config)
+        report = s.lint_paths([proj])
+        assert report.to_dict() == AnalysisSession().lint_paths(
+            [proj]).to_dict()
+        # Served from the keyed entries, and the manifest rewritten.
+        assert (s.counters["lint_analyzed"],
+                s.counters["lint_from_cache"]) == (0, 3)
+        assert manifest.read_text() == raw
+        with CacheIO(tmp_path / "cache") as io_:
+            AnalysisSession(config).lint_paths([proj])
+        assert (io_.reads, io_.writes) == ([str(
+            manifest.relative_to(tmp_path / "cache"))], [])
+
+    def test_overlapping_root_sets_share_one_cache(self, tmp_path, config):
+        tree = write_project(tmp_path / "tree", a=BUGGY, b=CLEAN)
+        sub = write_project(tree / "sub", c=CALLS, d=BUGGY)
+        edited = sub / "d.py"
+
+        def lint_both():
+            for roots in ([tree], [sub]):
+                s = AnalysisSession(config)
+                assert s.lint_paths(roots).to_dict() == \
+                    AnalysisSession().lint_paths(roots).to_dict()
+
+        lint_both()
+        for text in (CLEAN, BUGGY + "\n# edited\n", BUGGY):
+            edited.write_text(text)
+            lint_both()
+        assert len(list((tmp_path / "cache" / "manifests").glob(
+            "*.json"))) == 2
+        s = AnalysisSession(config)
+        s.lint_paths([tree])
+        assert s.counters["lint_from_cache"] == 4
+
+    def test_io_budget_over_a_copy_of_repro(self, tmp_path, config):
+        """A warm pass reads one cache file and writes none, a comment
+        edit to a leaf writes its entry and the manifest, and a revert
+        to earlier bytes analyzes nothing."""
+        tree = copy_of_repro(tmp_path)
+        cache = pathlib.Path(config.cache_dir)
+        cold = AnalysisSession(config).lint_paths([tree])
+        with CacheIO(cache) as io_:
+            s = AnalysisSession(config)
+            warm = s.lint_paths([tree])
+        assert warm.to_dict() == cold.to_dict()
+        assert s.counters["lint_from_cache"] == len(warm.files) > 100
+        assert len(io_.reads) == 1 and io_.writes == []
+        assert io_.reads[0].startswith("manifests" + os.sep)
+
+        leaf = tree / "analysis" / "__main__.py"
+        original = leaf.read_text()
+        leaf.write_text(original + "\n# edited\n")
+        with CacheIO(cache) as io_:
+            s = AnalysisSession(config)
+            edited = s.lint_paths([tree])
+        assert s.counters["lint_analyzed"] == 1
+        assert sorted(os.path.dirname(w) for w in io_.writes) == [
+            "", "manifests"]
+        assert edited.to_dict() == AnalysisSession().lint_paths(
+            [tree]).to_dict()
+
+        leaf.write_text(original)
+        s = AnalysisSession(config)
+        assert s.lint_paths([tree]).to_dict() == warm.to_dict()
+        assert s.counters["lint_analyzed"] == 0
+
+
+class TestDiscovery:
+    """Each root is resolved once; the lists are the ones the
+    per-file resolving discovery gave."""
+
+    @pytest.fixture()
+    def tree(self, tmp_path, monkeypatch):
+        for rel in ("tree/a.py", "tree/sub/b.py", "tree/sub/c.py",
+                    "tree/pkg/d.py", "outside/x.py"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("x = 1\n")
+        os.symlink("a.py", tmp_path / "tree" / "link.py")
+        os.symlink("../outside/x.py", tmp_path / "tree" / "ext.py")
+        os.symlink("pkg", tmp_path / "tree" / "linkdir")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("roots,expected", [
+        # A symlinked file: its twin drops out, an outside target stays.
+        (["tree"], ["tree/a.py", "tree/ext.py", "tree/pkg/d.py",
+                    "tree/sub/b.py", "tree/sub/c.py"]),
+        # A symlinked directory is not descended into, but is a root.
+        (["tree/linkdir", "tree"], [
+            "tree/linkdir/d.py", "tree/a.py", "tree/ext.py",
+            "tree/sub/b.py", "tree/sub/c.py"]),
+        (["tree", "tree/sub"], ["tree/a.py", "tree/ext.py",
+                                "tree/pkg/d.py", "tree/sub/b.py",
+                                "tree/sub/c.py"]),
+        (["tree/sub", "tree"], ["tree/sub/b.py", "tree/sub/c.py",
+                                "tree/a.py", "tree/ext.py",
+                                "tree/pkg/d.py"]),
+        (["tree/a.py", "tree/../tree/a.py", "./tree/a.py",
+          "tree/link.py"], ["tree/a.py"]),
+    ])
+    def test_lists_match_per_file_resolution(self, tree, roots, expected):
+        from repro.lint.driver import discover, discover_files
+
+        assert [str(f) for f in discover_files(roots)] == expected
+        assert [(str(f), r) for f, r in discover(roots)] == [
+            (f, str(pathlib.Path(f).resolve())) for f in expected]
+
+    def test_one_file_in_two_spellings(self, tree):
+        from repro.lint.driver import discover_files
+
+        spellings = ["tree/sub/b.py", str(tree / "tree" / "sub" / "b.py")]
+        assert [str(f) for f in discover_files(spellings)] == [
+            "tree/sub/b.py"]
 
 
 class TestParallel:
@@ -500,7 +744,7 @@ class TestParallel:
             assert warm.counters["optimize_from_cache"] == 3
         assert names[1] == names[2]
         assert sorted(n.split("-")[0] for n in names[1]) == [
-            "imports", "lint", "lint", "lint",
+            "imports", "lint", "lint", "lint", "manifests",
             "optimize", "optimize", "optimize"]
 
 
@@ -740,6 +984,13 @@ class TestAnalysisCLI:
         analysis_main([command, "--no-cache", *flags, target])
         capsys.readouterr()
         assert {k: getattr(configs[-1], k) for k in want} == want
+
+    def test_watch_fail_on(self, tmp_path, capsys):
+        proj = write_project(tmp_path / "p", a=BUGGY)
+        argv = ["watch", str(proj), "--cache-dir", str(tmp_path / "c"),
+                "--interval-s", "0", "--max-cycles", "1"]
+        assert analysis_main(argv + ["--fail-on", "never"]) == EXIT_OK
+        assert analysis_main(argv) == EXIT_FINDINGS
 
     def test_watch_subcommand(self, tmp_path, capsys):
         proj = write_project(tmp_path / "p", a=CLEAN)
