@@ -267,20 +267,27 @@ def _traced(args: argparse.Namespace, span: Optional[str]) -> Iterator[None]:
     """``--trace OUT.json`` enables the global tracer and writes a Chrome
     trace once the body finishes; while any tracer is active the body
     runs inside a ``span`` span (none when ``span`` is None) over
-    ``args.paths``."""
+    ``args.paths``.  A tracer that ``--trace`` installed is uninstalled
+    on the way out, so later calls in the same process are not traced;
+    one that was active before the call stays active."""
     from repro import trace
 
     out = getattr(args, "trace", None)
-    tracer = trace.enable() if out is not None else trace.active()
-    if tracer is None or span is None:
-        yield
-    else:
-        with tracer.span(span, cat="analysis",
-                         paths=[str(p) for p in args.paths]):
+    prior = trace.active()
+    tracer = trace.enable() if out is not None else prior
+    try:
+        if tracer is None or span is None:
             yield
-    if out is not None:
-        trace.export_chrome(tracer, out)
-        print(f"trace written to {out}", file=sys.stderr)
+        else:
+            with tracer.span(span, cat="analysis",
+                             paths=[str(p) for p in args.paths]):
+                yield
+        if out is not None:
+            trace.export_chrome(tracer, out)
+            print(f"trace written to {out}", file=sys.stderr)
+    finally:
+        if out is not None and prior is None:
+            trace.disable()
 
 
 def _run(args: argparse.Namespace, session: AnalysisSession) -> int:

@@ -270,7 +270,16 @@ def _rename_calls(source: str, tree: ast.Module,
     # parser's columns are UTF-8 byte offsets, so each line is cut as
     # bytes.
     edits: list[tuple[int, int, int, str]] = []
-    for node in ast.walk(tree):
+    lines = {line for line, _ in wanted}
+    # Walk only the top-level statements whose span, which starts at the
+    # first decorator, holds a planned line: no other can hold the call.
+    stmts = []
+    for stmt in tree.body:
+        start = min([stmt.lineno] + [
+            d.lineno for d in getattr(stmt, "decorator_list", ())])
+        if any(start <= line <= stmt.end_lineno for line in lines):
+            stmts.append(stmt)
+    for node in (n for stmt in stmts for n in ast.walk(stmt)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
             continue
         replacement = wanted.get((node.func.lineno, node.func.id))

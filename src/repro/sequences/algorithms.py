@@ -42,6 +42,7 @@ from .iterators import IteratorBase, require_same_container, walk
 from .storage import SequenceFacade
 
 _default_less = Less()
+_LESS_CALL = Less.__call__
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +477,17 @@ def _note_sorted(container: Any, less: Callable[[Any, Any], bool]) -> None:
         container.assert_fact("sorted", check=False)
 
 
+def _unobservable(less: Callable[[Any, Any], bool], items: list) -> bool:
+    """May ``items`` be ordered by the interpreter's ``list.sort``?  Only
+    under the default ``Less`` with its own ``__call__`` (not patched or
+    overridden), over elements of the one exact type ``int`` or ``str``:
+    there ``a < b`` is the built-in comparison ``list.sort`` makes, a
+    strict weak order that runs no user code and cannot raise, so no
+    comparator call can be observed."""
+    return (less is _default_less and type(less).__call__ is _LESS_CALL
+            and set(map(type, items)) in ({int}, {str}))
+
+
 def _quicksort(buf: list, lo: int, hi: int, less: Callable) -> None:
     """Median-of-three quicksort with insertion sort below a cutoff, in
     place on the list ``buf``.
@@ -537,11 +549,15 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     accessed linearly (as with a linked list) we might select a default
     algorithm"): bottom-up merge sort through the Sequence interface.
     O(n log n) comparisons, but every element move is a linked-list
-    operation."""
+    operation.
+
+    Where :func:`_unobservable` holds, ``list.sort`` (stable, like the
+    merge sort) puts the very same element objects in the same order."""
     items = list(container)
     if len(items) <= 1:
         return container
-    runs = [[x] for x in items]
+    runs = ([sorted(items)] if _unobservable(less, items)
+            else [[x] for x in items])
     while len(runs) > 1:
         merged_runs = []
         for i in range(0, len(runs) - 1, 2):
@@ -584,7 +600,10 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     The comparator sees exactly the calls an element-swapping quicksort
     through ``at``/``set_at`` would make, but a sort costs n reads and at
     most n writes, and an already-sorted container is not written at all
-    (its epoch does not move).
+    (its epoch does not move).  Where :func:`_unobservable` holds, no
+    call can be observed and ``list.sort`` orders the list instead: the
+    contents are the quicksort's by value (equal ints may be distinct
+    objects), and the write-back is the same.
 
     A comparator that raises, and a broken comparator's ``IndexError`` or
     ``ValueError`` (see :func:`_quicksort`), leave the container
@@ -595,7 +614,10 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
         at = container.at
         before = [at(k) for k in range(container.size())]
     buf = before.copy()
-    _quicksort(buf, 0, len(buf), less)
+    if _unobservable(less, buf):
+        buf.sort()
+    else:
+        _quicksort(buf, 0, len(buf), less)
     set_at = container.set_at
     for k, value in enumerate(buf):
         if value is not before[k]:

@@ -2,6 +2,7 @@
 ``python -m repro.analysis optimize`` command, and the per-stage trace
 spans."""
 
+import dataclasses
 import json
 
 import pytest
@@ -99,6 +100,23 @@ class TestRewriting:
         assert result.verified and not result.reverted
         assert result.optimized == NON_ASCII_BEFORE_FIND.replace(
             "return find(", "return lower_bound(")
+
+    def test_apply_rewrites_reaches_every_statement_holding_a_plan(self):
+        # A decorator lies before its def's first line, and a planned call
+        # may sit in any top-level statement, nested or not.
+        plan = plan_rewrites(collect_facts(SORT_THEN_FIND))[0]
+        src = ("@register(find(a, b, k))\n"
+               "def f():\n"
+               "    return g(find(a, b, k))\n"
+               "x = find(a, b, k)\n"
+               "class C:\n"
+               "    y = [find(a, b, k)]\n")
+        plans = [dataclasses.replace(plan, line=n) for n in (1, 6)]
+        want = src.splitlines(keepends=True)
+        for n in (1, 6):
+            want[n - 1] = want[n - 1].replace("find(", "lower_bound(")
+        assert (plan.call, plan.replacement) == ("find", "lower_bound")
+        assert apply_rewrites(src, plans) == "".join(want)
 
     def test_idempotent(self):
         once = SESSION.optimize_source(SORT_THEN_FIND)
@@ -222,6 +240,29 @@ class TestTracing:
         names = {ev.get("name") for ev in data["traceEvents"]}
         assert "analysis.optimize" in names
         assert "optimize.facts" in names
+
+    def test_cli_trace_flag_uninstalls_its_tracer(self, tmp_path, capsys):
+        # A tracer left installed would record every later in-process call.
+        prog = tmp_path / "prog.py"
+        prog.write_text(SORT_THEN_FIND)
+        assert trace.active() is None
+        optimize_cli([str(prog), "--trace", str(tmp_path / "trace.json")])
+        capsys.readouterr()
+        assert trace.active() is None
+
+    def test_cli_trace_flag_keeps_a_tracer_already_active(self, tmp_path,
+                                                          capsys):
+        prog = tmp_path / "prog.py"
+        prog.write_text(SORT_THEN_FIND)
+        tracer = trace.enable(trace.Tracer())
+        try:
+            optimize_cli([str(prog), "--trace", str(tmp_path / "trace.json")])
+            assert trace.active() is tracer
+        finally:
+            trace.disable()
+        capsys.readouterr()
+        assert any(r["name"] == "analysis.optimize" for r in tracer.records
+                   if r["type"] == "span")
 
 
 class TestCrashIsolation:

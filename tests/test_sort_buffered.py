@@ -16,13 +16,14 @@ from typing import Any, Callable
 
 import pytest
 
-from repro.sequences import Deque, Vector
+from repro.sequences import Deque, DList, Vector, algorithms
 from repro.sequences.algorithms import (
     _default_less,
     _note_sorted,
     sort,
     sort__deque,
     sort__vector,
+    stable_sort,
 )
 from repro.sequences.backends import ContiguousVector, SqliteSequence
 from repro.sequences.function_objects import (
@@ -394,3 +395,153 @@ def test_backend_sort_survives_reopen_with_revalidated_fact(tmp_path):
     rows = conn.execute("SELECT pos FROM seq ORDER BY pos").fetchall()
     conn.close()
     assert [p for (p,) in rows] == list(range(len(xs)))
+
+
+# ---------------------------------------------------------------------------
+# The native path: list.sort under the unpatched default order on exact
+# int/str elements, where no comparator call can be observed
+# ---------------------------------------------------------------------------
+
+#: (sorter, container class, linear?) — the linear path is the merge sort.
+NATIVE_SORTERS = {
+    "Vector": (sort, Vector, False),
+    "Deque": (sort, Deque, False),
+    "ContiguousVector": (sort, ContiguousVector, False),
+    "DList": (sort, DList, True),
+    "stable_sort": (stable_sort, Vector, True),
+    "sort__vector": (sort__vector, Vector, False),
+    "sort__deque": (sort__deque, Deque, False),
+}
+
+NATIVE_SIZES = (0, 1, 2, 16, 17, 100, 1000)
+
+#: The sorters whose containers hold any object (ContiguousVector stores
+#: machine integers only).
+ANY_ELEMENT = sorted(k for k, (_, make, _) in NATIVE_SORTERS.items()
+                     if make is not ContiguousVector)
+BY_KIND = [(name, "int") for name in sorted(NATIVE_SORTERS)] + [
+    (name, "str") for name in ANY_ELEMENT]
+
+
+def _native_inputs(n: int, kind: str) -> list[list]:
+    """Duplicate-heavy inputs whose equal elements are distinct objects
+    (ints above 256 and built strings are not interned), each also
+    already sorted."""
+    rng = random.Random(2000 + n)
+    if kind == "int":
+        keys = [[rng.randrange(3) * 1000 for _ in range(n)],
+                [rng.randrange(max(1, n // 4)) * 257 for _ in range(n)]]
+    else:
+        keys = [["k" + str(rng.randrange(max(1, n // 4))) for _ in range(n)]]
+    return keys + [sorted(xs) for xs in keys]
+
+
+def _as_original(monkeypatch, sorter):
+    """``sorter`` with whatever ``Less.__call__`` is installed when it runs
+    (:func:`_recorded_run`'s recording one) taken for the original: the
+    guard then decides on the elements alone, and every call is seen."""
+    def run(c, less):
+        with monkeypatch.context() as m:
+            m.setattr(algorithms, "_LESS_CALL", Less.__call__)
+            return sorter(c, less)
+    return run
+
+
+@pytest.mark.parametrize("name,kind", BY_KIND)
+def test_native_path_matches_the_python_path(monkeypatch, name, kind):
+    sorter, make, linear = NATIVE_SORTERS[name]
+    for n in NATIVE_SIZES:
+        for xs in _native_inputs(n, kind):
+            where = f"{name} {kind} n={n} xs={xs[:8]}..."
+            # A recorded Less.__call__ is a patched one: the Python path.
+            ref, ref_calls, _ = _recorded_run(
+                monkeypatch, sorter, make, xs, _default_less)
+            with monkeypatch.context() as m:
+                writes = [] if linear else _count_set_at(m, make())
+                new, calls, exc = _recorded_run(
+                    m, _as_original(m, sorter), make, xs, _default_less)
+            assert exc is None and calls == [], where
+            assert bool(ref_calls) == (n > 1), where
+            assert new.to_list() == ref.to_list() == sorted(xs), where
+            assert new.facts == ref.facts, where
+            if linear:
+                assert all(a is b for a, b in
+                           zip(new.to_list(), ref.to_list())), where
+                assert new.epoch == ref.epoch, where
+            elif xs == sorted(xs):
+                assert writes == [] and new.epoch == 0, where
+            else:
+                assert 0 < new.epoch <= n, where
+
+
+class _CountingInt(int):
+    """An int whose ``<`` can be observed."""
+
+    calls: list = []
+
+    def __lt__(self, other):
+        _CountingInt.calls.append((int(self), int(other)))
+        return int(self) < int(other)
+
+
+def _fallback_inputs() -> dict[str, list]:
+    rng = random.Random(29)
+    floats = [float(rng.randrange(20)) for _ in range(120)]
+    floats[40] = float("nan")
+    return {
+        "bool": [rng.random() < 0.5 for _ in range(120)],
+        "mixed": [1, "a"] + [rng.randrange(9) for _ in range(60)],
+        "nan": floats,
+    }
+
+
+@pytest.mark.parametrize("name", ANY_ELEMENT)
+@pytest.mark.parametrize("case", ["bool", "mixed", "nan"])
+def test_inexact_element_types_take_the_python_path(monkeypatch, name, case):
+    sorter, make, linear = NATIVE_SORTERS[name]
+    xs = _fallback_inputs()[case]
+    new = _recorded_run(monkeypatch, _as_original(monkeypatch, sorter),
+                        make, xs, _default_less)
+    c, calls, exc = new
+    assert calls, "the comparator was called"
+    assert exc is (TypeError if case == "mixed" else None)
+    if linear:
+        # The merge sort's calls, under a comparator that is not the default.
+        old_c, old_calls, old_exc = _recorded_run(monkeypatch, sorter, make,
+                                                  xs, Less())
+        assert (calls, exc) == (old_calls, old_exc), name
+        assert c.to_list() == (xs if exc else old_c.to_list()), name
+    else:
+        old = _recorded_run(monkeypatch, _oracle_sort, make, xs,
+                            _default_less)
+        _assert_same_as_oracle(xs, new, old, f"{name} {case}")
+
+
+@pytest.mark.parametrize("name", ANY_ELEMENT)
+def test_int_subclass_with_its_own_lt_sees_the_python_path_calls(name):
+    sorter, make, _ = NATIVE_SORTERS[name]
+    xs = [_CountingInt(v) for v in random.Random(31).choices(range(40), k=150)]
+    _CountingInt.calls = []
+    sorter(make(xs), Less())
+    want, _CountingInt.calls = _CountingInt.calls, []
+    c = make(xs)
+    sorter(c, _default_less)
+    assert _CountingInt.calls == want and want
+    assert c.to_list() == sorted(xs) and c.has_fact("sorted")
+
+
+@pytest.mark.parametrize("name,kind", BY_KIND)
+def test_patched_less_call_takes_the_python_path(monkeypatch, name, kind):
+    sorter, make, linear = NATIVE_SORTERS[name]
+    xs = _native_inputs(100, kind)[0]
+    new = _recorded_run(monkeypatch, sorter, make, xs, _default_less)
+    if linear:
+        c, calls, _ = new
+        old_c, old_calls, _ = _recorded_run(monkeypatch, sorter, make, xs,
+                                            Less())
+        assert calls == old_calls and calls, name
+        assert c.to_list() == old_c.to_list(), name
+    else:
+        old = _recorded_run(monkeypatch, _oracle_sort, make, xs,
+                            _default_less)
+        _assert_same_as_oracle(xs, new, old, f"{name} {kind}")
