@@ -49,7 +49,8 @@ class DeadlockError(MPIError):
 
 @dataclass
 class _Channels:
-    """Per-(source, dest, tag) mailboxes plus a wildcard queue per dest."""
+    """Per-(source, dest, tag) mailboxes, created on first use by
+    whichever of the sender and the receiver gets there first."""
 
     size: int
     timeout: float
@@ -57,9 +58,13 @@ class _Channels:
 
     def box(self, source: int, dest: int, tag: int) -> "queue.Queue[Any]":
         key = (source, dest, tag)
-        if key not in self.boxes:
-            self.boxes[key] = queue.Queue()
-        return self.boxes[key]
+        box = self.boxes.get(key)
+        if box is None:
+            # setdefault is atomic: when two ranks create a mailbox at
+            # once, both get the one stored first, so no message lands in
+            # a queue nobody reads.
+            box = self.boxes.setdefault(key, queue.Queue())
+        return box
 
 
 class Comm:

@@ -552,10 +552,10 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     operation.
 
     Where :func:`_unobservable` holds, ``list.sort`` (stable, like the
-    merge sort) puts the very same element objects in the same order."""
+    merge sort) puts the very same element objects in the same order.
+    Only the positions whose element changed (by identity) are written
+    back, so a sorted container keeps its epoch."""
     items = list(container)
-    if len(items) <= 1:
-        return container
     runs = ([sorted(items)] if _unobservable(less, items)
             else [[x] for x in items])
     while len(runs) > 1:
@@ -575,11 +575,12 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
         if len(runs) % 2:
             merged_runs.append(runs[-1])
         runs = merged_runs
-    # Rewrite the sequence in place through its own interface.
-    result = runs[0]
+    # Rewrite the moved elements in place through the sequence's own
+    # interface.
     it = container.begin()
-    for v in result:
-        it.set(v)
+    for old, new in zip(items, runs[0] if runs else ()):
+        if new is not old:
+            it.set(new)
         it.increment()
     _note_sorted(container, less)
     return container
@@ -645,7 +646,7 @@ def _sort_backend(container: Any,
                   less: Callable[[Any, Any], bool] = _default_less) -> Any:
     """On a persistent backend, the generic quicksort pays a round trip
     per element read and per element written back; pushing the whole
-    reorder to the backend (one ORDER BY renumbering) costs O(1) trips.
+    reorder to the backend (one ORDER BY statement) costs O(1) trips.
     Only the default order can be delegated — a custom comparator falls
     back to the generic quicksort through the container interface."""
     if less is not _default_less:

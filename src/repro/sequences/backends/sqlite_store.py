@@ -40,16 +40,17 @@ from ..vector import Vector, VectorIterator
 #: Value types sqlite can store natively; anything else is rejected up
 #: front so the failure mode is a StorageError, not a late adapter error.
 _STORABLE = (type(None), int, float, str, bytes)
+#: ``UPDATE ... FROM`` needs SQLite 3.33 and ``AS MATERIALIZED`` 3.35.
+SQLITE_FLOOR = (3, 35)
 
 
 class SqliteStorage(Storage):
     """Elements in a sqlite table ``seq(pos INTEGER PRIMARY KEY, value)``
-    plus a ``facts(name TEXT PRIMARY KEY)`` side table.
-
-    Every operation is one or a few SQL round trips (counted in
-    :attr:`roundtrips`, which the backend tests and bench use to verify
-    that the indexed path really does O(1) trips where a scan does n).
-    """
+    with dense keys ``0..n-1``, plus a ``facts(name TEXT PRIMARY KEY)``
+    side table.  Insert, erase and sort move values between fixed keys.
+    Every operation is one or a few SQL round trips, counted in
+    :attr:`roundtrips` so the backend tests and bench can verify that the
+    indexed path really does O(1) trips where a scan does n."""
 
     capabilities = StorageCapabilities(
         name="sqlite", contiguous=False, persistent=True,
@@ -62,6 +63,10 @@ class SqliteStorage(Storage):
         self._closed = False
         #: SQL round trips performed, for io-cost assertions.
         self.roundtrips = 0
+        if sqlite3.sqlite_version_info < SQLITE_FLOOR:
+            raise StorageError("sqlite store needs SQLite >= %d.%d (UPDATE "
+                               "... FROM, MATERIALIZED), found %s" % (
+                                   *SQLITE_FLOOR, sqlite3.sqlite_version))
         try:
             self._conn = sqlite3.connect(path)
             # quick_check walks the file's btrees, so a truncated or
@@ -84,8 +89,7 @@ class SqliteStorage(Storage):
                 "CREATE TABLE IF NOT EXISTS facts (name TEXT PRIMARY KEY)"
             )
             self._len = self._conn.execute(
-                "SELECT COUNT(*) FROM seq"
-            ).fetchone()[0]
+                "SELECT COUNT(*) FROM seq").fetchone()[0]
         except sqlite3.Error as exc:
             raise StorageError(
                 f"cannot open sqlite store {path!r}: {exc}"
@@ -121,9 +125,8 @@ class SqliteStorage(Storage):
         return self._len
 
     def get(self, index: int) -> Any:
-        row = self._execute(
-            "SELECT value FROM seq WHERE pos = ?", (index,)
-        ).fetchone()
+        row = self._execute("SELECT value FROM seq WHERE pos = ?",
+                            (index,)).fetchone()
         if row is None:
             raise IndexError(f"sqlite store position {index} out of range")
         return row[0]
@@ -132,22 +135,31 @@ class SqliteStorage(Storage):
         self._execute("UPDATE seq SET value = ? WHERE pos = ?",
                       (self._check_storable(value), index))
 
+    def _move(self, rows: str, params: tuple = (), skip: str = "") -> None:
+        """Give position ``p`` the value ``v`` of each ``(p, v)`` row that
+        ``rows`` selects, all read before the first write: keys stay put,
+        rows change in place.  Under ``skip`` a row keeps its value."""
+        if not self._closed and not self._conn.in_transaction:
+            # sqlite3 opens its implicit transaction before INSERT, UPDATE,
+            # DELETE and REPLACE, not WITH: join it, never commit alone.
+            self._conn.execute("BEGIN")
+        self._execute(f"WITH t (p, v) AS MATERIALIZED ({rows}) UPDATE seq "
+                      f"SET value = t.v FROM t WHERE seq.pos = t.p{skip}",
+                      params)
+
     def insert(self, index: int, value: Any) -> None:
-        # Renumber [index, …) up by one with the negate-then-flip idiom so
-        # the dense primary key never collides mid-update.
-        self._check_storable(value)
-        self._execute("UPDATE seq SET pos = -(pos + 1) WHERE pos >= ?",
-                      (index,))
-        self._execute("UPDATE seq SET pos = -pos WHERE pos < 0")
-        self._execute("INSERT INTO seq (pos, value) VALUES (?, ?)",
-                      (index, value))
-        self._len += 1
+        # Append, then rotate [index, n] right by one.
+        self.append(value)
+        if index < self._len - 1:
+            self._move("SELECT IIF(pos < ?, pos + 1, ?), value FROM seq "
+                       "WHERE pos >= ?", (self._len - 1, index, index))
 
     def erase(self, index: int) -> None:
-        self._execute("DELETE FROM seq WHERE pos = ?", (index,))
-        self._execute("UPDATE seq SET pos = -(pos - 1) WHERE pos > ?",
-                      (index,))
-        self._execute("UPDATE seq SET pos = -pos WHERE pos < 0")
+        # Shift (index, n) down by one, then drop the last row.
+        if index < self._len - 1:
+            self._move("SELECT pos - 1, value FROM seq WHERE pos > ?",
+                       (index,))
+        self._execute("DELETE FROM seq WHERE pos = ?", (self._len - 1,))
         self._len -= 1
 
     def append(self, value: Any) -> None:
@@ -156,11 +168,9 @@ class SqliteStorage(Storage):
         self._len += 1
 
     def slice(self, start: int, stop: int) -> list[Any]:
-        rows = self._execute(
+        return [v for (v,) in self._execute(
             "SELECT value FROM seq WHERE pos >= ? AND pos < ? ORDER BY pos",
-            (start, stop),
-        ).fetchall()
-        return [r[0] for r in rows]
+            (start, stop))]
 
     def clear(self) -> None:
         self._execute("DELETE FROM seq")
@@ -182,26 +192,18 @@ class SqliteStorage(Storage):
         row = self._execute(sql, params).fetchone()
         return None if row is None or row[0] is None else row[0]
 
-    def backend_sort(self) -> None:
-        """Reorder the whole sequence inside the database: one window-
-        function renumbering instead of n log n round-tripping element
-        swaps.  ``_order`` is keyed on the old position, so the
-        correlated lookup below is an O(log n) primary-key search per row
-        rather than a scan of ``_order`` per row (O(n²) inside sqlite);
-        ties keep their position order."""
-        self._execute(
-            "CREATE TEMP TABLE _order (pos INTEGER PRIMARY KEY, newpos)"
-        )
-        self._execute(
-            "INSERT INTO _order (pos, newpos) SELECT pos, "
-            "ROW_NUMBER() OVER (ORDER BY value, pos) - 1 FROM seq"
-        )
-        self._execute(
-            "UPDATE seq SET pos = -(SELECT newpos FROM _order "
-            "WHERE _order.pos = seq.pos) - 1"
-        )
-        self._execute("UPDATE seq SET pos = -pos - 1")
-        self._execute("DROP TABLE _order")
+    def backend_sort(self) -> bool:
+        """Sort in one statement: position k takes the k-th value in
+        ``ORDER BY value, pos`` (ties keep their order).  A row is skipped
+        only if it holds the identical value: same storage class, equal,
+        and not a real zero (``0.0 = -0.0``; equal nonzero doubles are
+        identical, and NaN is stored as NULL).  True if a row changed."""
+        before = self._conn.total_changes
+        self._move("SELECT ROW_NUMBER() OVER (ORDER BY value, pos) - 1, "
+                   "value FROM seq", skip=" AND NOT (typeof(seq.value) = "
+                   "typeof(t.v) AND seq.value IS t.v AND (typeof(t.v) <> "
+                   "'real' OR t.v <> 0))")
+        return self._conn.total_changes != before
 
     def is_sorted(self) -> bool:
         """Backend-side sortedness check: one adjacent-pair SQL query."""
@@ -220,9 +222,7 @@ class SqliteStorage(Storage):
         self._conn.commit()
 
     def load_facts(self) -> frozenset[str]:
-        names = {
-            r[0] for r in self._execute("SELECT name FROM facts").fetchall()
-        }
+        names = {n for (n,) in self._execute("SELECT name FROM facts")}
         # Revalidate what we can check cheaply before believing a
         # persisted fact; a stale one is dropped, not trusted.
         if "sorted" in names and not self.is_sorted():
@@ -283,8 +283,8 @@ class SqliteSequence(Vector):
         return self._store.index_lookup(value, lo=lo, hi=hi)
 
     def backend_sort(self) -> None:
-        self._store.backend_sort()
-        self._commit_mutation("reverse")        # in-place reordering
+        if self._store.backend_sort():
+            self._commit_mutation("reverse")    # in-place reordering
         self.assert_fact("sorted", check=False)  # sorted by construction
 
 

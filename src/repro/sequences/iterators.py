@@ -199,6 +199,7 @@ class NodeIterator(IteratorBase):
         if self._node is self._container._sentinel:
             raise PastTheEndError("attempt to write through a past-the-end iterator")
         self._node.value = value
+        self._container._commit_mutation("write")
 
     def increment(self) -> None:
         self._require_valid()

@@ -424,8 +424,10 @@ class SequenceFacade:
                     f"assert_fact({name!r}): the container's contents do "
                     f"not satisfy the property"
                 )
-        self._facts = _closure(self._facts | {name})
-        self._store.sync_facts(self._facts)
+        facts = _closure(self._facts | {name})
+        if facts != self._facts:
+            self._facts = facts
+            self._store.sync_facts(facts)
 
     def has_fact(self, prop: str) -> bool:
         """Does ``prop`` follow from the recorded facts under closure?"""

@@ -222,7 +222,7 @@ def stl_taxonomy() -> Taxonomy:
         destroys=("heap", "heap-except-last"),
         requires_capabilities=("persistent",),
         doc="Delegate the whole reorder to the backing store (one ORDER "
-            "BY renumbering): same comparison bound, O(1) round trips "
+            "BY statement): same comparison bound, O(1) round trips "
             "where element-swapping sorts pay a trip per access.",
     ))
     t.add_algorithm(AlgorithmConcept(

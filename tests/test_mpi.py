@@ -1,5 +1,8 @@
 """Tests for the miniature MPI layer (SPMD point-to-point + collectives)."""
 
+import queue
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.parallel import (
     UnsoundReductionError,
     run_spmd,
 )
+from repro.parallel.mpi import _Channels
 
 
 class TestPointToPoint:
@@ -67,6 +71,37 @@ class TestPointToPoint:
 
         with pytest.raises(MPIError):
             run_spmd(program, size=2, timeout=0.5)
+
+
+class TestMailboxes:
+    def test_concurrent_creation_yields_one_mailbox(self, monkeypatch):
+        # A sender and a receiver asking for the same mailbox at the same
+        # moment must share it, or the message is lost.  The patched
+        # Queue holds each creator until both are inside creation (or,
+        # with a lock-based mailbox, until the wait times out).
+        gate = threading.Barrier(2)
+        real = queue.Queue
+
+        def gated_queue(*args, **kwargs):
+            try:
+                gate.wait(timeout=2.0)
+            except threading.BrokenBarrierError:
+                pass
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(queue, "Queue", gated_queue)
+        channels = _Channels(size=2, timeout=1.0)
+        got = [None, None]
+
+        def ask(slot):
+            got[slot] = channels.box(0, 1, 7)
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got[0] is got[1] is channels.boxes[(0, 1, 7)]
 
 
 class TestCollectives:

@@ -1,0 +1,253 @@
+"""``SqliteStorage`` keeps every row at its position and moves values.
+
+A differential oracle drives seeded streams of insert, erase, set,
+push_back and sort through a :class:`SqliteSequence` and a plain list and
+compares them exactly: by type and sign of zero, not just ``==``, since
+sqlite's ``=`` makes ``1`` and ``1.0``, and ``0.0`` and ``-0.0``, one
+value.  Around it: the number of statements per write does not grow with
+n, the file layout is the one every earlier version wrote and read, and an
+SQLite older than the statements need is refused by name.
+"""
+
+import random
+import sqlite3
+
+import pytest
+
+from repro.sequences.algorithms import sort
+from repro.sequences.backends import SqliteSequence, SqliteStorage
+from repro.sequences.storage import StorageError
+
+#: Values sqlite tells apart only by storage class or by sign: 1 / 1.0 /
+#: True (stored as the integer 1), 0.0 / -0.0, 'a' / b'a', and None.
+MIXED = (1, 1.0, True, 0, 0.0, -0.0, -1.0, 2, 2.5, "a", "b", b"a", b"",
+         None)
+
+#: sqlite's order of storage classes: NULL, numbers, text, blobs.
+_CLASS_RANK = {type(None): 0, int: 1, float: 1, str: 2, bytes: 3}
+
+
+def stored(v):
+    """The value sqlite hands back for ``v``: a bool is an integer."""
+    return int(v) if isinstance(v, bool) else v
+
+
+def exact(xs):
+    """Values by type and ``repr``: ``1 != 1.0`` and ``0.0 != -0.0``."""
+    return [(type(v).__name__, repr(v)) for v in xs]
+
+
+def sql_sorted(xs):
+    """``ORDER BY value, pos``: by storage class, then value, ties kept
+    in position order (``sorted`` is stable)."""
+    return sorted(xs, key=lambda v: (_CLASS_RANK[type(v)],
+                                     0 if v is None else v))
+
+
+def positions(s):
+    conn = s.storage()._conn
+    return [p for (p,) in conn.execute("SELECT pos FROM seq ORDER BY pos")]
+
+
+def run_stream(seed, path, steps=150, reopen_every=7):
+    rng = random.Random(seed)
+    raw = [rng.choice(MIXED) for _ in range(rng.randrange(12))]
+    s = SqliteSequence(raw, path=path)
+    model = [stored(v) for v in raw]
+    ops = ("insert", "insert", "erase", "erase", "set", "push_back", "sort")
+    for step in range(steps):
+        op = rng.choice(ops)
+        if op in ("erase", "set") and not model:
+            op = "push_back"
+        v = rng.choice(MIXED)
+        if op == "insert":
+            i = rng.randrange(len(model) + 1)
+            s.insert(s.iterator(s, i), v)
+            model.insert(i, stored(v))
+        elif op == "erase":
+            i = rng.randrange(len(model))
+            s.erase(s.iterator(s, i))
+            del model[i]
+        elif op == "set":
+            i = rng.randrange(len(model))
+            s.set_at(i, v)
+            model[i] = stored(v)
+        elif op == "push_back":
+            s.push_back(v)
+            model.append(stored(v))
+        else:
+            sort(s)
+            model = sql_sorted(model)
+            assert s.has_fact("sorted")
+        where = f"seed {seed} step {step} {op}"
+        assert exact(s.to_list()) == exact(model), where
+        assert positions(s) == list(range(len(model))), where
+        if path != ":memory:" and step % reopen_every == reopen_every - 1:
+            facts = s.facts
+            s.close()
+            s = SqliteSequence(path=path)
+            assert s.facts == facts, where
+            assert exact(s.to_list()) == exact(model), where
+    s.close()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_in_memory(seed):
+    run_stream(seed, ":memory:")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_oracle_on_file_with_reopens(seed, tmp_path):
+    run_stream(seed, str(tmp_path / "seq.db"))
+
+
+def test_sort_keeps_signed_zeros_and_storage_classes():
+    # Sorting must not skip a row whose stored value is merely equal:
+    # 0.0 = -0.0 and 1 = 1.0 in SQL, but they are different values.
+    for xs in ([0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [1.0, 1, 0],
+               [1, 1.0, 0], ["a", b"a", None, 2, 1.0, 1]):
+        s = SqliteSequence(xs)
+        sort(s)
+        assert exact(s.to_list()) == exact(sql_sorted(xs)), xs
+
+
+def test_resorting_sorted_reals_changes_rows_only_at_zero():
+    # Equal nonzero doubles are identical, so their rows are skipped; a
+    # real zero is rewritten (SQL cannot tell 0.0 from -0.0) unchanged.
+    store = SqliteStorage([-2.5, -2.5, 1.0, 1.0, 3.25, 3.25])
+    assert not store.backend_sort()
+    zeros = [-1.0, -0.0, 0.0, -0.0, 2.0]
+    store = SqliteStorage(zeros)
+    before = store._conn.total_changes
+    assert store.backend_sort()
+    assert store._conn.total_changes - before == 3
+    assert exact(store.slice(0, 5)) == exact(zeros)
+
+
+# ---------------------------------------------------------------------------
+# A move commits with the writes around it, never on its own
+# ---------------------------------------------------------------------------
+
+#: The three writes that move values, on a store of n elements.
+WRITES = {
+    "erase": lambda store, n: store.erase(n // 2),
+    "insert": lambda store, n: store.insert(n // 2, -1),
+    "backend_sort": lambda store, n: store.backend_sort(),
+}
+
+
+def committed_rows(path):
+    """The rows another connection reads: what a crash would leave."""
+    conn = sqlite3.connect(path)
+    rows = conn.execute("SELECT pos, value FROM seq ORDER BY pos").fetchall()
+    conn.close()
+    return rows
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_move_after_a_commit_stays_uncommitted(write, tmp_path):
+    path = str(tmp_path / "seq.db")
+    store = SqliteStorage([3, 1, 4, 1, 5, 9, 2, 6], path=path)
+    store.flush()
+    assert not store._conn.in_transaction
+    before = committed_rows(path)
+    WRITES[write](store, 8)
+    assert store._conn.in_transaction
+    assert committed_rows(path) == before
+    after = [v for (v,) in store._conn.execute(
+        "SELECT value FROM seq ORDER BY pos")]
+    store.close()
+    assert [v for _, v in committed_rows(path)] == after != [
+        v for _, v in before]
+
+
+def test_an_erase_after_sort_is_all_or_nothing_on_file(tmp_path):
+    # sort commits its fact; a following erase's shift and its delete
+    # must still land together, or a crash between them would leave n
+    # rows with one value lost and the last one doubled.
+    path = str(tmp_path / "seq.db")
+    s = SqliteSequence([5, 3, 8, 1, 9, 2], path=path)
+    sort(s)
+    before = committed_rows(path)
+    assert [v for _, v in before] == [1, 2, 3, 5, 8, 9]
+    s.erase(s.iterator(s, 1))
+    assert s.storage()._conn.in_transaction
+    assert committed_rows(path) == before
+    s.close()
+    assert committed_rows(path) == [(0, 1), (1, 3), (2, 5), (3, 8), (4, 9)]
+
+
+# ---------------------------------------------------------------------------
+# Shape: each write is a fixed number of statements, whatever n is
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_statements_per_write_do_not_grow_with_n(write):
+    trips = []
+    for n in (16, 1000):
+        store = SqliteStorage(random.Random(n).choices(range(50), k=n))
+        before = store.roundtrips
+        WRITES[write](store, n)
+        trips.append(store.roundtrips - before)
+        store.close()
+    assert trips[0] == trips[1] <= 2, trips
+
+
+# ---------------------------------------------------------------------------
+# The file layout is unchanged
+# ---------------------------------------------------------------------------
+
+
+def _schema(conn):
+    return conn.execute(
+        "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+    ).fetchall()
+
+
+def test_layout_is_read_and_written_as_before(tmp_path):
+    # The layout as every earlier version wrote it, through raw sqlite3.
+    path = str(tmp_path / "seq.db")
+    xs = [0, 1, 1.0, 2, 2.5, 3, "a", b"a"]
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE seq (pos INTEGER PRIMARY KEY, value)")
+    conn.execute("CREATE INDEX seq_value ON seq(value)")
+    conn.execute("CREATE TABLE facts (name TEXT PRIMARY KEY)")
+    conn.executemany("INSERT INTO seq (pos, value) VALUES (?, ?)",
+                     enumerate(xs))
+    conn.execute("INSERT INTO facts (name) VALUES ('sorted')")
+    conn.commit()
+    schema = _schema(conn)
+    conn.close()
+
+    s = SqliteSequence(path=path)
+    assert exact(s.to_list()) == exact(xs)
+    assert s.has_fact("sorted")
+    s.insert(s.iterator(s, 2), -0.0)
+    s.erase(s.iterator(s, 5))
+    s.push_back(None)
+    sort(s)
+    model = sql_sorted([0, 1, -0.0, 1.0, 2, 3, "a", b"a", None])
+    facts = s.facts
+    s.close()
+
+    # What this version leaves is what an earlier one reads back.
+    conn = sqlite3.connect(path)
+    assert _schema(conn) == schema
+    rows = conn.execute("SELECT pos, value FROM seq ORDER BY pos").fetchall()
+    assert [p for p, _ in rows] == list(range(len(model)))
+    assert exact([v for _, v in rows]) == exact(model)
+    stored_facts = {n for (n,) in conn.execute("SELECT name FROM facts")}
+    conn.close()
+    assert "sorted" in stored_facts and stored_facts == set(facts)
+
+
+# ---------------------------------------------------------------------------
+# The SQLite floor
+# ---------------------------------------------------------------------------
+
+
+def test_an_sqlite_below_the_floor_is_refused_by_name(monkeypatch):
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 31, 1))
+    monkeypatch.setattr(sqlite3, "sqlite_version", "3.31.1")
+    with pytest.raises(StorageError, match=r"SQLite >= 3\.35 .*3\.31\.1"):
+        SqliteSequence([1, 2, 3])
