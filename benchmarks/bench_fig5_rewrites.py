@@ -14,8 +14,10 @@ import pytest
 import repro.linalg  # declares Matrix structures
 from repro.linalg import Matrix
 from repro.simplicissimus import (
+    STANDARD_RULES,
     BinOp,
     Const,
+    EquationRule,
     IdentityOf,
     Inverse,
     Simplifier,
@@ -51,6 +53,8 @@ def test_fig5_table(benchmark, record):
     instances = fig5_instances()
     assert len({i.rule for i in instances}) == 2       # two generic rules
     assert len(instances) >= 10                        # >= the paper's ten
+    # Each standard rule is an admitted axiom or theorem, not a matcher.
+    assert all(isinstance(r, EquationRule) for r in STANDARD_RULES)
     benchmark(fig5_instances)
 
 

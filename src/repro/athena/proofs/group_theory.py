@@ -6,10 +6,11 @@ theorems below — left inverse, left identity, involution of inverse — are
 derived once, generically, and then instantiated for every declared Group
 model (ints under +, rationals under *, invertible matrices under @, ...).
 
-These theorems are exactly what justifies Simplicissimus's
-``LeftInverseRule`` and ``DoubleInverseRule``: rewrite rules "directly
-related to and derivable from the axioms governing the Monoid and Group
-concepts" (Fig. 5).
+Simplicissimus's ``left-inverse`` and ``double-inverse`` rewrite rules
+are these theorems: :mod:`repro.simplicissimus.rules` builds each
+``EquationRule`` from the proposition :func:`prove_group_theorems`
+returns — rules "directly related to and derivable from the axioms
+governing the Monoid and Group concepts" (Fig. 5).
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def prove_left_identity(pf: Proof, sig: GroupSig) -> Prop:
 
 
 def prove_inverse_involution(pf: Proof, sig: GroupSig) -> Prop:
-    """Theorem: ∀x. inv(inv(x)) = x  (justifies Simplicissimus's
-    double-inverse rule)."""
+    """Theorem: ∀x. inv(inv(x)) = x  (Simplicissimus's double-inverse
+    rule)."""
     assoc, right_id, right_inv = _axioms(sig)
     left_id = prove_left_identity(pf, sig)
 

@@ -39,6 +39,7 @@ from ..vector import Vector, VectorIterator
 
 #: Value types sqlite can store natively; anything else is rejected up
 #: front so the failure mode is a StorageError, not a late adapter error.
+#: ``bool`` is refused too, though an ``int``: sqlite would read True as 1.
 _STORABLE = (type(None), int, float, str, bytes)
 #: ``UPDATE ... FROM`` needs SQLite 3.33 and ``AS MATERIALIZED`` 3.35.
 SQLITE_FLOOR = (3, 35)
@@ -112,7 +113,7 @@ class SqliteStorage(Storage):
 
     @staticmethod
     def _check_storable(value: Any) -> Any:
-        if not isinstance(value, _STORABLE):
+        if isinstance(value, bool) or not isinstance(value, _STORABLE):
             raise StorageError(
                 f"value of type {type(value).__name__} is not storable "
                 f"in a sqlite-backed sequence (use int/float/str/bytes)"
@@ -185,7 +186,11 @@ class SqliteStorage(Storage):
         scan.  ``MIN(pos)`` makes the answer the first occurrence in
         iteration order regardless of duplicates."""
         sql = "SELECT MIN(pos) FROM seq WHERE value = ? AND pos >= ?"
-        params: tuple[Any, ...] = (self._check_storable(value), lo)
+        # A bool is never stored, but it may be sought: sqlite binds it as
+        # 0 or 1, the ints Python's ``==`` equates it with.
+        if not isinstance(value, bool):
+            self._check_storable(value)
+        params: tuple[Any, ...] = (value, lo)
         if hi is not None:
             sql += " AND pos < ?"
             params += (hi,)

@@ -94,11 +94,11 @@ class DList(SequenceFacade):
             raise IndexError("pop_front on empty list")
         node = self._sentinel.next
         value = node.value
-        self._iterators.invalidate_if(
+        invalidated = self._iterators.invalidate_if(
             lambda it: isinstance(it, NodeIterator) and it.node is node
         )
         self._store.unlink(node)
-        self._commit_mutation("pop")
+        self._commit_mutation("pop", invalidated=invalidated)
         return value
 
     def pop_back(self) -> Any:
@@ -106,11 +106,11 @@ class DList(SequenceFacade):
             raise IndexError("pop_back on empty list")
         node = self._sentinel.prev
         value = node.value
-        self._iterators.invalidate_if(
+        invalidated = self._iterators.invalidate_if(
             lambda it: isinstance(it, NodeIterator) and it.node is node
         )
         self._store.unlink(node)
-        self._commit_mutation("pop")
+        self._commit_mutation("pop", invalidated=invalidated)
         return value
 
     def insert(self, pos: DListIterator, value: Any) -> DListIterator:

@@ -30,15 +30,10 @@ from .library_rules import (
 )
 from .rewriter import RewriteResult, Simplifier, simplify
 from .rules import (
-    FIG5_RULES,
     STANDARD_RULES,
-    DoubleInverseRule,
+    EquationRule,
     LambdaRule,
-    LeftIdentityRule,
-    LeftInverseRule,
     RewriteRule,
-    RightIdentityRule,
-    RightInverseRule,
     RuleApplication,
     SortedFindRule,
 )
@@ -47,9 +42,8 @@ from .standard_rules import Fig5Instance, fig5_instances, fig5_table
 __all__ = [
     "BinOp", "Call", "Const", "Expr", "IdentityOf", "Inverse", "MethodCall",
     "Var", "normalize", "rebuild",
-    "RewriteRule", "RightIdentityRule", "LeftIdentityRule",
-    "RightInverseRule", "LeftInverseRule", "DoubleInverseRule", "LambdaRule",
-    "RuleApplication", "SortedFindRule", "STANDARD_RULES", "FIG5_RULES",
+    "RewriteRule", "EquationRule", "LambdaRule", "RuleApplication",
+    "SortedFindRule", "STANDARD_RULES",
     "Simplifier", "RewriteResult", "simplify",
     "LiDIAFloat", "declare_lidia", "lidia_inverse_rule", "lidia_simplifier",
     "cost", "savings", "DEFAULT_WEIGHTS", "taxonomy_weights",

@@ -6,26 +6,34 @@ Fig. 5's two generic rules::
     x + (-x) -> 0     requires (x, +, -) models Group
 
 "The concept-based rules are directly related to and derivable from the
-axioms governing the Monoid and Group concepts" — each rule class below
-names the axiom it comes from, and the rule *refuses to fire* unless the
-algebra registry confirms the (type, operator) pair models the required
-concept.  That guard is what makes the rewrite sound: ``min(a+b, CAP)``
-saturating addition has an identity but is not a Group, so the inverse rule
-never touches it (see the ablation bench).
+axioms governing the Monoid and Group concepts" — here each rule *is* one
+of those equations.  An :class:`EquationRule` carries an Athena equation
+``forall x. lhs = rhs`` and is admitted only if the equation is an axiom
+of the guarding concept's theory (:mod:`repro.athena.theories`) or a
+theorem Athena proves from it (:mod:`repro.athena.proofs.group_theory`).
+The rule *refuses to fire* unless the algebra registry confirms the
+(type, operator) pair models the required concept.  That guard is what
+makes the rewrite sound: ``min(a+b, CAP)`` saturating addition has an
+identity but is not a Group, so the inverse rule never touches it (see
+the ablation bench).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from ..concepts.algebra import (
-    AlgebraRegistry,
-    Concept,
-    Group,
-    Monoid,
-    algebra as default_algebra,
+from ..athena import (
+    Forall,
+    GroupSig,
+    Prop,
+    group_axioms,
+    monoid_axioms,
+    prove_group_theorems,
 )
+from ..athena.terms import Term, Var as TermVar
+from ..concepts.algebra import AlgebraRegistry, Concept, Group, Monoid
 from ..facts.properties import SORTED, FactEnv
 from .expr import BinOp, Call, Const, Expr, IdentityOf, Inverse, TypeEnv, Var
 
@@ -92,139 +100,120 @@ class RewriteRule:
             return False
         return fenv.holds_all(subject, self.requires_properties)
 
-    def _guard(
-        self, typ: Optional[type], op: str, registry: AlgebraRegistry
-    ) -> bool:
-        """The concept requirement: ``(typ, op) models self.requires``."""
-        if typ is None or self.requires is None:
-            return False
-        return registry.models(typ, op, self.requires)
 
-    def _record(self, before: Expr, after: Expr, typ: type, op: str) -> RuleApplication:
-        return RuleApplication(
+#: The generic signature rule equations are stated over: ``x * y`` is
+#: any concrete operator, ``e`` its identity and ``inv(x)`` its inverse.
+SIG = GroupSig()
+
+
+@functools.cache
+def _group_theorems() -> dict[str, Prop]:
+    """The Group theorems Athena derives from the axioms, proved once."""
+    return prove_group_theorems(SIG)[1]
+
+
+def _theory(concept: Concept) -> list[Prop]:
+    """The equations a rule guarded by ``concept`` may be."""
+    if concept is Monoid:
+        return monoid_axioms(SIG)
+    if concept is Group:
+        return group_axioms(SIG) + list(_group_theorems().values())
+    return []
+
+
+def _open(p: Prop) -> tuple[list[str], Prop]:
+    """The leading quantified variables of ``p`` and the body under them."""
+    names = []
+    while isinstance(p, Forall):
+        names.append(p.var)
+        p = p.body
+    return names, p
+
+
+def _canonical(p: Prop) -> Prop:
+    """``p``'s body with its quantified variables renamed by position, so
+    an axiom over ``x`` equals a ``pick_any`` theorem over ``x3``."""
+    names, body = _open(p)
+    return body.substitute({n: TermVar(f"?{i}") for i, n in enumerate(names)})
+
+
+class EquationRule(RewriteRule):
+    """A rule that is an equation ``forall x. lhs = rhs`` over :data:`SIG`,
+    applied left to right; :class:`ValueError` unless the equation is an
+    axiom or proved theorem of ``requires``'s theory (up to the names of
+    its bound variables).
+
+    The left side is the pattern: ``x * y`` matches a :class:`BinOp` and
+    ``inv(x)`` an :class:`Inverse`, all under one concrete operator;
+    ``e`` matches that operator's identity (a literal, or an
+    :class:`IdentityOf`); a variable binds one subexpression, the same
+    one wherever it recurs.  The guard asks whether the type of the first
+    variable's binding models ``requires`` under the operator.  The right
+    side is built from the bindings, ``e`` becoming the identity value
+    (``IdentityOf(x, op)`` when the model has none).
+    """
+
+    def __init__(self, name: str, requires: Concept, equation: Prop) -> None:
+        if _canonical(equation) not in map(_canonical, _theory(requires)):
+            raise ValueError(
+                f"rule {name!r}: {equation} is neither an axiom of "
+                f"{requires.name} nor a theorem proved from them"
+            )
+        self.name, self.requires, self.equation = name, requires, equation
+        self._vars, body = _open(equation)
+        self._lhs, self._rhs = body.args
+
+    def try_rewrite(self, node, tenv, registry):
+        binds: dict[str, Expr] = {}
+        ops: set[str] = set()
+        ids: list[Expr] = []
+        if not _match(self._lhs, node, binds, ops, ids) or len(ops) != 1:
+            return None
+        (op,) = ops
+        x = binds[self._vars[0]]
+        typ = x.typeof(tenv)
+        if typ is None or not registry.models(typ, op, self.requires):
+            return None
+        s = registry.lookup(typ, op)
+        if not all(_is_identity_expr(e, op, s) for e in ids):
+            return None
+        identity = (IdentityOf(x, op) if s.identity_value is None
+                    else Const(s.identity_value))
+        after = _build(self._rhs, binds, op, identity)
+        return after, RuleApplication(
             rule=self.name,
-            before=str(before),
+            before=str(node),
             after=str(after),
-            concept=self.requires.name if self.requires else "<none>",
+            concept=self.requires.name,
             instance_type=typ.__name__,
             op=op,
         )
 
 
-class RightIdentityRule(RewriteRule):
-    """``x + 0 -> x`` when ``(x, +) models Monoid`` (first row of Fig. 5).
-
-    Derived from the Monoid right-identity axiom ``op(a, e) == a``.
-    Instances: ``i*1 -> i``, ``f*1.0 -> f``, ``b and True -> b``,
-    ``i & ~0 -> i``, ``concat(s, "") -> s``, ``A @ I -> A``, ...
-    """
-
-    name = "right-identity"
-    requires = Monoid
-
-    def try_rewrite(self, node, tenv, registry):
-        if not isinstance(node, BinOp):
-            return None
-        typ = node.left.typeof(tenv)
-        if not self._guard(typ, node.op, registry):
-            return None
-        s = registry.lookup(typ, node.op)
-        if _is_identity_expr(node.right, node.op, typ, s):
-            return node.left, self._record(node, node.left, typ, node.op)
-        return None
+def _match(pat: Term, node: Expr, binds: dict[str, Expr], ops: set[str],
+           ids: list[Expr]) -> bool:
+    """Match ``pat`` against ``node``, collecting the variables' bindings,
+    the operators met and the subexpressions standing for ``e``."""
+    if isinstance(pat, TermVar):
+        return binds.setdefault(pat.name, node) == node
+    if pat.fsym == SIG.e:
+        ids.append(node)
+        return True
+    if not isinstance(node, BinOp if pat.fsym == SIG.op else Inverse):
+        return False
+    ops.add(node.op)
+    return all(_match(p, c, binds, ops, ids)
+               for p, c in zip(pat.args, node.children()))
 
 
-class LeftIdentityRule(RewriteRule):
-    """``0 + x -> x`` when ``(x, +) models Monoid`` (left-identity axiom)."""
-
-    name = "left-identity"
-    requires = Monoid
-
-    def try_rewrite(self, node, tenv, registry):
-        if not isinstance(node, BinOp):
-            return None
-        typ = node.right.typeof(tenv)
-        if not self._guard(typ, node.op, registry):
-            return None
-        s = registry.lookup(typ, node.op)
-        if _is_identity_expr(node.left, node.op, typ, s):
-            return node.right, self._record(node, node.right, typ, node.op)
-        return None
-
-
-class RightInverseRule(RewriteRule):
-    """``x + (-x) -> 0`` when ``(x, +, -) models Group`` (second row of
-    Fig. 5); derived from the Group right-inverse axiom.
-
-    Instances: ``i + (-i) -> 0``, ``f * (1.0/f) -> 1.0``,
-    ``r * r^{-1} -> 1``, ``A @ A^{-1} -> I``, ...
-    """
-
-    name = "right-inverse"
-    requires = Group
-
-    def try_rewrite(self, node, tenv, registry):
-        if not isinstance(node, BinOp):
-            return None
-        typ = node.left.typeof(tenv)
-        if not self._guard(typ, node.op, registry):
-            return None
-        rhs = node.right
-        if isinstance(rhs, Inverse) and rhs.op == node.op and rhs.operand == node.left:
-            s = registry.lookup(typ, node.op)
-            replacement: Expr
-            if s is not None and s.identity_value is not None:
-                replacement = Const(s.identity_value)
-            else:
-                replacement = IdentityOf(node.left, node.op)
-            return replacement, self._record(node, replacement, typ, node.op)
-        return None
-
-
-class LeftInverseRule(RewriteRule):
-    """``(-x) + x -> 0`` for Groups (left inverse follows from right inverse
-    + identity; Athena proves that derivation in
-    :mod:`repro.athena.proofs.group_theory`)."""
-
-    name = "left-inverse"
-    requires = Group
-
-    def try_rewrite(self, node, tenv, registry):
-        if not isinstance(node, BinOp):
-            return None
-        typ = node.right.typeof(tenv)
-        if not self._guard(typ, node.op, registry):
-            return None
-        lhs = node.left
-        if isinstance(lhs, Inverse) and lhs.op == node.op and lhs.operand == node.right:
-            s = registry.lookup(typ, node.op)
-            replacement: Expr
-            if s is not None and s.identity_value is not None:
-                replacement = Const(s.identity_value)
-            else:
-                replacement = IdentityOf(node.right, node.op)
-            return replacement, self._record(node, replacement, typ, node.op)
-        return None
-
-
-class DoubleInverseRule(RewriteRule):
-    """``-(-x) -> x`` for Groups (inverse is an involution — another
-    theorem provable from the Group axioms)."""
-
-    name = "double-inverse"
-    requires = Group
-
-    def try_rewrite(self, node, tenv, registry):
-        if not isinstance(node, Inverse):
-            return None
-        inner = node.operand
-        if isinstance(inner, Inverse) and inner.op == node.op:
-            typ = inner.operand.typeof(tenv)
-            if self._guard(typ, node.op, registry):
-                return inner.operand, self._record(
-                    node, inner.operand, typ, node.op
-                )
-        return None
+def _build(t: Term, binds: dict[str, Expr], op: str, identity: Expr) -> Expr:
+    """The expression ``t`` denotes, ``e`` standing for ``identity``."""
+    if isinstance(t, TermVar):
+        return binds[t.name]
+    if t.fsym == SIG.e:
+        return identity
+    args = [_build(a, binds, op, identity) for a in t.args]
+    return BinOp(op, *args) if t.fsym == SIG.op else Inverse(args[0], op)
 
 
 @dataclass
@@ -282,27 +271,27 @@ class SortedFindRule(RewriteRule):
         )
 
 
-def _is_identity_expr(
-    e: Expr, op: str, typ: Optional[type], structure
-) -> bool:
+def _is_identity_expr(e: Expr, op: str, structure) -> bool:
     """Is ``e`` a literal identity element for the structure, or an
     ``IdentityOf`` node for the same operator?"""
-    if structure is None:
-        return False
     if isinstance(e, Const):
         return structure.identity_test(e.value)
-    if isinstance(e, IdentityOf) and e.op == op:
-        return True
-    return False
+    return isinstance(e, IdentityOf) and e.op == op
+
+
+def _standard_rules() -> tuple[RewriteRule, ...]:
+    _, right_identity, left_identity = monoid_axioms(SIG)
+    right_inverse = group_axioms(SIG)[2]
+    theorems = _group_theorems()
+    return (
+        EquationRule("right-identity", Monoid, right_identity),
+        EquationRule("left-identity", Monoid, left_identity),
+        EquationRule("right-inverse", Group, right_inverse),
+        EquationRule("left-inverse", Group, theorems["left inverse"]),
+        EquationRule("double-inverse", Group,
+                     theorems["inverse involution"]),
+    )
 
 
 #: The two generic rules of Fig. 5 (plus their mirror/involution corollaries).
-STANDARD_RULES: tuple[RewriteRule, ...] = (
-    RightIdentityRule(),
-    LeftIdentityRule(),
-    RightInverseRule(),
-    LeftInverseRule(),
-    DoubleInverseRule(),
-)
-
-FIG5_RULES: tuple[RewriteRule, ...] = (RightIdentityRule(), RightInverseRule())
+STANDARD_RULES: tuple[RewriteRule, ...] = _standard_rules()

@@ -204,6 +204,20 @@ class TestDList:
         assert l.pop_back() == 3
         assert l.to_list() == [2]
 
+    @pytest.mark.parametrize("end", ["front", "back"])
+    def test_pop_counts_the_invalidated_iterator(self, end):
+        # Like erase and Vector.pop_back, a pop that invalidates a live
+        # iterator to the popped node counts it.
+        l = DList([1, 2, 3])
+        doomed = l.begin()
+        if end == "back":
+            doomed = l.end(); doomed.decrement()
+        survivor = l.begin(); survivor.increment()
+        getattr(l, f"pop_{end}")()
+        assert not doomed.is_valid()
+        assert survivor.is_valid()
+        assert l.invalidation_events == 1
+
     def test_insert_invalidates_nothing(self):
         l = DList([1, 2, 3])
         its = [l.begin() for _ in range(3)]

@@ -168,6 +168,78 @@ class TestFig5GroupRule:
         assert not r.changed
 
 
+A, rat = Var("A"), Var("r")
+
+#: One input per standard rule and per operand side, in STANDARD_RULES
+#: order, with the full application record: (rule, concept, instance
+#: type, op, before, after).
+PINNED_REWRITES = [
+    (BinOp("*", x, Const(1)), {"x": int},
+     ("right-identity", "Monoid", "int", "*", "(x * 1)", "x")),
+    (BinOp("@", A, IdentityOf(A, "@")), {"A": Matrix},
+     ("right-identity", "Monoid", "Matrix", "@", "(A @ e[@](A))", "A")),
+    (BinOp("concat", Const(""), x), {"x": str},
+     ("left-identity", "Monoid", "str", "concat", "concat('', x)", "x")),
+    (BinOp("@", IdentityOf(A, "@"), A), {"A": Matrix},
+     ("left-identity", "Monoid", "Matrix", "@", "(e[@](A) @ A)", "A")),
+    (BinOp("+", x, Inverse(x, "+")), {"x": int},
+     ("right-inverse", "Group", "int", "+", "(x + inv[+](x))", "0")),
+    (BinOp("@", A, Inverse(A, "@")), {"A": Matrix},
+     ("right-inverse", "Group", "Matrix", "@", "(A @ inv[@](A))",
+      "e[@](A)")),
+    (BinOp("*", Inverse(rat, "*"), rat), {"r": Fraction},
+     ("left-inverse", "Group", "Fraction", "*", "(inv[*](r) * r)",
+      "Fraction(1, 1)")),
+    (BinOp("@", Inverse(A, "@"), A), {"A": Matrix},
+     ("left-inverse", "Group", "Matrix", "@", "(inv[@](A) @ A)",
+      "e[@](A)")),
+    (Inverse(Inverse(x, "+"), "+"), {"x": int},
+     ("double-inverse", "Group", "int", "+", "inv[+](inv[+](x))", "x")),
+    (Inverse(Inverse(A, "@"), "@"), {"A": Matrix},
+     ("double-inverse", "Group", "Matrix", "@", "inv[@](inv[@](A))", "A")),
+]
+
+#: Inputs no standard rule may rewrite: untyped variables (no concept
+#: evidence, even beside a typed literal), identities and inverses of
+#: another operator, and an inverse under a Monoid that is no Group.
+PINNED_REFUSALS = [
+    (BinOp("+", x, Const(0)), {}),
+    (BinOp("+", Const(0), x), {}),
+    (BinOp("+", x, Inverse(x, "+")), {}),
+    (BinOp("+", Inverse(x, "+"), x), {}),
+    (Inverse(Inverse(x, "+"), "+"), {}),
+    (BinOp("+", x, IdentityOf(x, "*")), {"x": int}),
+    (BinOp("*", IdentityOf(x, "+"), x), {"x": int}),
+    (IdentityOf(x, "+"), {"x": int}),
+    (BinOp("*", rat, Inverse(rat, "+")), {"r": Fraction}),
+    (Inverse(Inverse(rat, "*"), "+"), {"r": Fraction}),
+    (BinOp("*", x, Inverse(x, "*")), {"x": int}),
+]
+
+
+class TestPinnedRewrites:
+    """The standard rules' observable behaviour, record by record."""
+
+    def test_table_follows_standard_rule_order(self):
+        from repro.simplicissimus import STANDARD_RULES
+
+        names = list(dict.fromkeys(rec[0] for _, _, rec in PINNED_REWRITES))
+        assert names == [rule.name for rule in STANDARD_RULES]
+
+    @pytest.mark.parametrize("expr,tenv,record", PINNED_REWRITES,
+                             ids=[str(e) for e, _, _ in PINNED_REWRITES])
+    def test_application_record(self, expr, tenv, record):
+        result = simplify(expr, tenv)
+        assert [(a.rule, a.concept, a.instance_type, a.op, a.before, a.after)
+                for a in result.applications] == [record]
+        assert str(result.expr) == record[-1]
+
+    @pytest.mark.parametrize("expr,tenv", PINNED_REFUSALS,
+                             ids=[str(e) for e, _ in PINNED_REFUSALS])
+    def test_no_rule_fires(self, expr, tenv):
+        assert not simplify(expr, tenv).changed
+
+
 class TestRewriterEngine:
     def test_nested_fixpoint(self):
         # ((x + 0) * 1) + (-((x + 0) * 1)) -> 0 takes several passes.

@@ -1,10 +1,51 @@
 """Property-based tests for the rewriter: on randomly generated expression
-trees, simplification must preserve semantics and never grow the tree."""
+trees, simplification must preserve semantics and never grow the tree.
+
+The execution oracle at the end checks the standard rule set against
+ground truth: on seeded random trees over every registered exact model,
+the simplified tree evaluates to what the original does; on a look-alike
+that models no concept (saturating addition) nothing fires; and an
+equation that is neither an axiom nor a proved theorem of the guarding
+concept is refused when the rule is built.
+"""
+
+import random
+from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.simplicissimus import BinOp, Const, Expr, Inverse, Var, simplify
+from repro.athena import (
+    GroupSig,
+    Var as TermVar,
+    equals,
+    forall,
+    group_axioms,
+    monoid_axioms,
+    prove_group_theorems,
+)
+from repro.concepts.algebra import (
+    AbelianGroup,
+    AlgebraicStructure,
+    AlgebraRegistry,
+    Group,
+    Magma,
+    Monoid,
+    algebra,
+)
+from repro.simplicissimus import (
+    STANDARD_RULES,
+    BinOp,
+    Const,
+    EquationRule,
+    Expr,
+    IdentityOf,
+    Inverse,
+    Simplifier,
+    Var,
+    simplify,
+)
 
 TENV = {"x": int, "y": int, "z": int}
 VARS = ["x", "y", "z"]
@@ -62,3 +103,168 @@ def test_untyped_env_never_rewrites_or_breaks(expr, x):
     result = simplify(expr, {})
     env = {"x": x, "y": 1, "z": 2}
     assert result.expr.evaluate(env) == expr.evaluate(env)
+
+
+# ---------------------------------------------------------------------------
+# Execution oracle for the standard rule set
+# ---------------------------------------------------------------------------
+
+#: Every registered model whose arithmetic is exact, grouped by type: one
+#: tree mixes a type's operators, so a rule must never join two of them.
+EXACT_MODELS = {
+    int: ("+", "*", "&", "|"),
+    Fraction: ("+", "*"),
+    bool: ("and", "or"),
+    str: ("concat",),
+}
+NAMES = ("x", "y", "z")
+
+
+def random_tree(rng, typ, ops, depth):
+    """A random tree over ``typ``'s operators, with redexes planted: an
+    operand beside an identity (literal or ``IdentityOf``), beside its own
+    inverse, or under two inverses; and near misses beside them: an
+    operand beside another one's inverse."""
+    models = [algebra.lookup(typ, op) for op in ops]
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return Var(rng.choice(NAMES))
+        s = rng.choice(models)
+        return Const(rng.choice([s.identity_value]
+                                + [v for t in s.samples for v in t]))
+    s = rng.choice(models)
+    op = s.op_symbol
+    sub = random_tree(rng, typ, ops, depth - 1)
+    shapes = ["binop", "identity", "identity", "identity-of"]
+    if s.inverse is not None:
+        shapes += ["inverse", "inverse", "near-inverse", "double-inverse"]
+    shape = rng.choice(shapes)
+    if shape == "binop":
+        return BinOp(op, sub, random_tree(rng, typ, ops, depth - 1))
+    if shape == "identity":
+        pair = [sub, Const(s.identity_value)]
+    elif shape == "identity-of":
+        pair = [sub, IdentityOf(random_tree(rng, typ, ops, depth - 1), op)]
+    elif shape == "inverse":
+        pair = [sub, Inverse(sub, op)]
+    elif shape == "near-inverse":
+        pair = [sub, Inverse(random_tree(rng, typ, ops, depth - 1), op)]
+    else:
+        return Inverse(Inverse(sub, op), op)
+    rng.shuffle(pair)
+    return BinOp(op, *pair)
+
+
+def sample_envs(typ, ops):
+    """Variable bindings from the models' own axiom samples."""
+    return [dict(zip(NAMES, t)) for op in ops
+            for t in algebra.lookup(typ, op).samples]
+
+
+@pytest.mark.parametrize("typ", list(EXACT_MODELS),
+                         ids=[t.__name__ for t in EXACT_MODELS])
+def test_rewrites_preserve_value_on_exact_models(typ):
+    rng = random.Random(2004)
+    ops = EXACT_MODELS[typ]
+    tenv = dict.fromkeys(NAMES, typ)
+    envs = sample_envs(typ, ops)
+    fired, checked = set(), 0
+    for _ in range(150):
+        tree = random_tree(rng, typ, ops, depth=4)
+        result = simplify(tree, tenv)
+        assert result.converged
+        fired |= {a.rule for a in result.applications}
+        for env in envs:
+            try:
+                want = tree.evaluate(env)
+            except ZeroDivisionError:
+                # (Fraction, *) has no inverse of 0; a tree that divides
+                # by 0 has no value to preserve.
+                continue
+            checked += 1
+            assert result.expr.evaluate(env) == want, (str(tree), env)
+    assert checked > 100 * len(envs)      # most trees have a value
+    groups = any(algebra.models(typ, op, Group) for op in ops)
+    assert fired == ({r.name for r in STANDARD_RULES} if groups
+                     else {"right-identity", "left-identity"})
+
+
+def test_no_rule_fires_on_saturating_addition():
+    cap = 10
+    # Declared, but only as a Magma: 0 is no identity once x > cap.
+    sat = AlgebraicStructure(int, "sat+", Magma,
+                             lambda a, b: min(a + b, cap), identity_value=0)
+    declared_weakly = AlgebraRegistry()
+    declared_weakly.declare(sat)
+    rng = random.Random(7)
+    shapes = [
+        lambda t: BinOp("sat+", t, Const(0)),
+        lambda t: BinOp("sat+", Const(0), t),
+        lambda t: BinOp("sat+", t, IdentityOf(t, "sat+")),
+        lambda t: BinOp("sat+", t, Inverse(t, "sat+")),
+        lambda t: BinOp("sat+", Inverse(t, "sat+"), t),
+        lambda t: Inverse(Inverse(t, "sat+"), "sat+"),
+    ]
+    for registry in (AlgebraRegistry(), declared_weakly):
+        simplifier = Simplifier(registry=registry)
+        for _ in range(100):
+            tree = Var(rng.choice(NAMES))
+            for _ in range(rng.randrange(1, 4)):
+                tree = rng.choice(shapes)(tree)
+            result = simplifier.simplify(tree, dict.fromkeys(NAMES, int))
+            assert not result.changed, str(tree)
+
+
+SIG = GroupSig()
+X = TermVar("x")
+
+
+@pytest.mark.parametrize("requires,equation", [
+    (Group, forall("x", equals(SIG.ap(X, SIG.inverse(X)), X))),
+    (Monoid, group_axioms(SIG)[2]),
+    (Monoid, prove_group_theorems(SIG)[1]["inverse involution"]),
+    (Monoid, forall("x", equals(X, SIG.ap(X, SIG.identity())))),
+    (Monoid, forall("x", equals(SIG.ap(X, SIG.identity()),
+                                SIG.identity()))),
+    (Group, monoid_axioms(GroupSig("+", "0", "neg"))[1]),
+    (AbelianGroup, group_axioms(SIG)[1]),
+], ids=["x*inv(x)=x", "group-law-under-monoid", "group-theorem-under-monoid",
+        "reversed-identity", "absorbing-identity", "other-signature",
+        "unlisted-concept"])
+def test_mutant_equations_are_refused(requires, equation):
+    with pytest.raises(ValueError, match="neither an axiom"):
+        EquationRule("mutant", requires, equation)
+
+
+def test_equations_compare_up_to_bound_variable_names():
+    y = TermVar("y")
+    rule = EquationRule("renamed", Monoid,
+                        forall("y", equals(SIG.ap(y, SIG.identity()), y)))
+    out = Simplifier(rules=(rule,)).simplify(BinOp("*", Var("a"), Const(1)),
+                                             {"a": int})
+    assert out.expr == Var("a")
+
+
+def test_standard_rules_carry_their_axioms_and_theorems():
+    theorems = prove_group_theorems(SIG)[1]
+    expected = [
+        ("right-identity", monoid_axioms(SIG)[1]),
+        ("left-identity", monoid_axioms(SIG)[2]),
+        ("right-inverse", group_axioms(SIG)[2]),
+        ("left-inverse", theorems["left inverse"]),
+        ("double-inverse", theorems["inverse involution"]),
+    ]
+    # pick_any proves each theorem over a fresh variable: compare bodies.
+    assert [(r.name, r.equation.instantiate(X)) for r in STANDARD_RULES] == [
+        (name, p.instantiate(X)) for name, p in expected]
+
+
+def test_group_theorems_are_proved_once(monkeypatch):
+    from repro.simplicissimus import rules
+
+    def unreachable(sig):
+        raise AssertionError("proved a second time")
+
+    monkeypatch.setattr(rules, "prove_group_theorems", unreachable)
+    theorem = prove_group_theorems(SIG)[1]["left inverse"]
+    assert EquationRule("again", Group, theorem).name == "again"
