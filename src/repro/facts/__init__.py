@@ -11,7 +11,9 @@ hard-coded its complexity notes.  This package is the single vocabulary:
 - :mod:`repro.facts.properties` — first-class :class:`Property` objects
   (``sorted``, ``heap``, ``unique`` …) with a small lattice: implication
   closure, ``meet``/``join``, and data-driven invalidation on mutation
-  (``invalidate(props, "append")`` knows a heap becomes heap-except-last).
+  (``invalidate(props, "append")`` knows a heap becomes heap-except-last),
+  and the ``INVALIDATION`` table of which iterators each container
+  operation kills, which the runtime containers and STLlint both read.
 - :mod:`repro.facts.records` — :class:`Fact` / :class:`AlgorithmCallFact`
   records, the :class:`FactRecorder` STLlint writes into, and the
   :class:`FactTable` consumers query (must-hold properties at a call site,

@@ -13,6 +13,10 @@ keep working unchanged while the objects themselves carry the semantic
 payload — what mutations destroy them and what weaker properties they
 imply.
 
+Beside the mutation kinds sits :data:`INVALIDATION`, each container
+kind's iterator-invalidation rules, stated once for the runtime
+containers and STLlint alike.
+
 The lattice operations work on plain ``Iterable[str]`` and return
 ``frozenset[str]`` so callers never need to care whether they hold
 registered :class:`Property` objects or bare names.
@@ -36,6 +40,43 @@ MUTATIONS = (
     "write",       # element overwrite through set_at / iterator set
     "clear",
 )
+
+#: Container operations, each with the mutation kind it reports to the
+#: property tables.
+OPERATION_KINDS = {"insert": "insert", "erase": "erase", "clear": "clear",
+                   "push_back": "append", "push_front": "append",
+                   "pop_back": "pop", "pop_front": "pop"}
+
+#: Scopes of the iterators a container mutation kills, relative to the
+#: mutated index or node ``at``.  An operation whose entry below is the
+#: empty tuple kills none.
+NODE = "node"                # iterators at node ``at``
+AT_OR_AFTER = "at-or-after"  # iterators at index ``at`` or after it
+ALL = "all"                  # every iterator
+ALL_BUT_END = "all-but-end"  # every iterator but end(); ``at`` is the end node
+REALLOC = "realloc"          # every iterator, if the operation reallocated
+
+_VECTOR = {"insert": (AT_OR_AFTER, REALLOC), "erase": (AT_OR_AFTER,),
+           "pop_back": (AT_OR_AFTER,), "push_back": (REALLOC,),
+           "clear": (ALL,)}
+
+#: Iterator invalidation (ISO C++ [vector.modifiers], [deque.modifiers],
+#: [list.modifiers]): per container kind, per operation, the scopes of
+#: the iterators that die.  The runtime façades apply it after each
+#: operation; STLlint reads the same entries abstractly.  ``contig`` and
+#: ``sqlite`` are vectors behind other storage; the rules belong to the
+#: interface.  A kind lacks the operations it does not support (a vector
+#: has no ``push_front``).
+INVALIDATION: dict[str, dict[str, tuple[str, ...]]] = {
+    "vector": _VECTOR,
+    "contig": _VECTOR,
+    "sqlite": _VECTOR,
+    # At its ends a C++ deque keeps references valid, but not iterators.
+    "deque": dict.fromkeys(OPERATION_KINDS, (ALL,)),
+    "list": {"insert": (), "push_back": (), "push_front": (),
+             "erase": (NODE,), "pop_back": (NODE,), "pop_front": (NODE,),
+             "clear": (ALL_BUT_END,)},
+}
 
 _REGISTRY: dict[str, "Property"] = {}
 

@@ -25,12 +25,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
+from repro.facts.properties import INVALIDATION
 from repro.facts.records import FactRecorder, FactTable
 from repro.resilience import Deadline, DeadlineExceeded
 from repro.stllint.dataflow import FixpointChecker
 from repro.stllint.diagnostics import Severity, source_lines
 from repro.stllint.interpreter import module_function_table
-from repro.stllint.specs import CONTAINER_SPECS
 from repro.stllint.summaries import SummaryTable
 from repro.trace import core as _trace
 
@@ -196,9 +196,9 @@ class ProjectReport:
 def _container_annotated(arg: ast.arg) -> bool:
     ann = arg.annotation
     if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-        return ann.value.lower() in CONTAINER_SPECS
+        return ann.value.lower() in INVALIDATION
     if isinstance(ann, ast.Name):
-        return ann.id.lower() in CONTAINER_SPECS
+        return ann.id.lower() in INVALIDATION
     return False
 
 
@@ -207,7 +207,7 @@ def _container_local(node: ast.AST) -> bool:
         isinstance(node, ast.AnnAssign)
         and isinstance(node.annotation, ast.Constant)
         and isinstance(node.annotation.value, str)
-        and node.annotation.value.lower() in CONTAINER_SPECS
+        and node.annotation.value.lower() in INVALIDATION
     )
 
 

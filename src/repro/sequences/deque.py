@@ -1,11 +1,9 @@
 """A ``std::deque``-like double-ended queue.
 
-Invalidation rules (ISO C++ [deque.modifiers], simplified to the iterator
-story — we do not model reference stability separately): any insert or erase
-in the middle invalidates all iterators; push/pop at either end invalidates
-all iterators but in C++ leaves references valid (references are not a
-distinct notion in Python, so here end-ops also invalidate iterators, the
-conservative reading STLlint's specification uses).
+Every mutation but an element write invalidates every iterator: the
+``"deque"`` entry of :data:`repro.facts.properties.INVALIDATION`, the
+table STLlint checks against too.  (At the ends C++ keeps references
+valid, but references are not a distinct notion in Python.)
 
 Like :class:`~repro.sequences.vector.Vector`, the class is a façade over a
 pluggable :class:`~repro.sequences.storage.Storage` (a ``collections.deque``
@@ -16,8 +14,8 @@ from __future__ import annotations
 
 from typing import Any, ClassVar, Iterable, Optional
 
-from .iterators import IndexIterator, IteratorRegistry
-from .storage import DequeStorage, SequenceFacade, Storage
+from .iterators import IndexIterator
+from .storage import DequeStorage, SequenceFacade, Storage, resolve_scopes
 
 
 class DequeIterator(IndexIterator):
@@ -33,6 +31,7 @@ class Deque(SequenceFacade):
     value_type: type = object
     iterator: type = DequeIterator
     storage_factory: ClassVar[type] = DequeStorage
+    scopes = resolve_scopes("deque")
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[Storage] = None) -> None:
@@ -42,13 +41,6 @@ class Deque(SequenceFacade):
             for item in items:
                 storage.append(item)
         self._init_facade(storage)
-        self._iterators = IteratorRegistry()
-        self.invalidation_events = 0
-
-    # -- internal plumbing used by IndexIterator ---------------------------------
-
-    def _register_iterator(self, it: DequeIterator) -> None:
-        self._iterators.register(it)
 
     # -- Container interface --------------------------------------------------------
 
@@ -85,13 +77,11 @@ class Deque(SequenceFacade):
 
     def push_back(self, value: Any) -> None:
         self._store.append(value)
-        self._commit_mutation("append",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("push_back")
 
     def push_front(self, value: Any) -> None:
         self._store.insert(0, value)
-        self._commit_mutation("append",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("push_front")
 
     def pop_back(self) -> Any:
         if self._store.length() == 0:
@@ -99,8 +89,7 @@ class Deque(SequenceFacade):
         last = self._store.length() - 1
         value = self._store.get(last)
         self._store.erase(last)
-        self._commit_mutation("pop",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("pop_back", last)
         return value
 
     def pop_front(self) -> Any:
@@ -108,16 +97,14 @@ class Deque(SequenceFacade):
             raise IndexError("pop_front on empty deque")
         value = self._store.get(0)
         self._store.erase(0)
-        self._commit_mutation("pop",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("pop_front", 0)
         return value
 
     def insert(self, pos: DequeIterator, value: Any) -> DequeIterator:
         pos._require_valid()
         index = pos.index
         self._store.insert(index, value)
-        self._commit_mutation("insert",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("insert", index)
         return self.iterator(self, index)
 
     def erase(self, pos: DequeIterator) -> DequeIterator:
@@ -126,14 +113,12 @@ class Deque(SequenceFacade):
         if index >= self._store.length():
             raise IndexError("erase of past-the-end iterator")
         self._store.erase(index)
-        self._commit_mutation("erase",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("erase", index)
         return self.iterator(self, index)
 
     def clear(self) -> None:
         self._store.clear()
-        self._commit_mutation("clear",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("clear")
 
     # -- Python interop ---------------------------------------------------------------------
 

@@ -1,15 +1,17 @@
 """A ``std::list``-like doubly linked list.
 
-Invalidation rules (ISO C++ [list.modifiers]): ``insert`` invalidates
-nothing; ``erase`` invalidates only iterators to the erased element.  This
-asymmetry with :class:`~repro.sequences.vector.Vector` is exactly why the
-invalidation behaviour "varies greatly across domains" yet "the semantic
-iterator concept — including requirements pertaining to invalidation —
-cross-cuts various domains" (Section 3.1): one concept, per-model rules.
+``insert`` invalidates nothing and ``erase`` only iterators to the erased
+element: the ``"list"`` entry of
+:data:`repro.facts.properties.INVALIDATION`, the table STLlint checks
+against too.  This asymmetry with :class:`~repro.sequences.vector.Vector`
+is exactly why the invalidation behaviour "varies greatly across domains"
+yet "the semantic iterator concept — including requirements pertaining to
+invalidation — cross-cuts various domains" (Section 3.1): one concept,
+per-model rules.
 
 The class is a façade over :class:`~repro.sequences.storage.LinkedStorage`;
 the node graph lives in the store, and every mutation — including the
-push/pop paths that (correctly) invalidate no iterators — goes through the
+push paths that (correctly) invalidate no iterators — goes through the
 shared choke point so runtime facts are invalidated and the mutation epoch
 bumps even when no iterator dies.
 """
@@ -18,11 +20,8 @@ from __future__ import annotations
 
 from typing import Any, ClassVar, Iterable, Optional
 
-from .iterators import IteratorRegistry, NodeIterator
-from .storage import LinkedStorage, SequenceFacade, _LinkNode
-
-#: Retained name: the node type now lives in the storage layer.
-_Node = _LinkNode
+from .iterators import NodeIterator
+from .storage import LinkedStorage, SequenceFacade, _LinkNode, resolve_scopes
 
 
 class DListIterator(NodeIterator):
@@ -39,31 +38,21 @@ class DList(SequenceFacade):
     value_type: type = object
     iterator: type = DListIterator
     storage_factory: ClassVar[type] = LinkedStorage
+    scopes = resolve_scopes("list")
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[LinkedStorage] = None) -> None:
         if storage is None:
             storage = self.storage_factory()
         self._init_facade(storage)
-        self._iterators = IteratorRegistry()
-        self.invalidation_events = 0
         for item in items:
             self.push_back(item)
 
     # -- internal plumbing -------------------------------------------------------
 
     @property
-    def _sentinel(self) -> _Node:
+    def _sentinel(self) -> _LinkNode:
         return self._store.sentinel
-
-    def _register_iterator(self, it: DListIterator) -> None:
-        self._iterators.register(it)
-
-    def _link_before(self, node: _Node, new: _Node) -> None:
-        self._store.link_before(node, new)
-
-    def _unlink(self, node: _Node) -> None:
-        self._store.unlink(node)
 
     # -- Container interface ---------------------------------------------------------
 
@@ -82,58 +71,47 @@ class DList(SequenceFacade):
     # -- Sequence mutations --------------------------------------------------------------
 
     def push_back(self, value: Any) -> None:
-        self._store.link_before(self._sentinel, _Node(value))
-        self._commit_mutation("append")
+        self._store.link_before(self._sentinel, _LinkNode(value))
+        self._commit_mutation("push_back")
 
     def push_front(self, value: Any) -> None:
-        self._store.link_before(self._sentinel.next, _Node(value))
-        self._commit_mutation("append")
+        self._store.link_before(self._sentinel.next, _LinkNode(value))
+        self._commit_mutation("push_front")
 
     def pop_front(self) -> Any:
         if self._store.length() == 0:
             raise IndexError("pop_front on empty list")
         node = self._sentinel.next
-        value = node.value
-        invalidated = self._iterators.invalidate_if(
-            lambda it: isinstance(it, NodeIterator) and it.node is node
-        )
         self._store.unlink(node)
-        self._commit_mutation("pop", invalidated=invalidated)
-        return value
+        self._commit_mutation("pop_front", node)
+        return node.value
 
     def pop_back(self) -> Any:
         if self._store.length() == 0:
             raise IndexError("pop_back on empty list")
         node = self._sentinel.prev
-        value = node.value
-        invalidated = self._iterators.invalidate_if(
-            lambda it: isinstance(it, NodeIterator) and it.node is node
-        )
         self._store.unlink(node)
-        self._commit_mutation("pop", invalidated=invalidated)
-        return value
+        self._commit_mutation("pop_back", node)
+        return node.value
 
     def insert(self, pos: DListIterator, value: Any) -> DListIterator:
-        """Insert before ``pos``; invalidates nothing."""
+        """Insert before ``pos``."""
         pos._require_valid()
-        new = _Node(value)
+        new = _LinkNode(value)
         self._store.link_before(pos.node, new)
-        self._commit_mutation("insert")
+        self._commit_mutation("insert", new)
         return self.iterator(self, new)
 
     def erase(self, pos: DListIterator) -> DListIterator:
-        """Erase at ``pos``; invalidates only iterators to that element and
-        returns an iterator to the following element."""
+        """Erase at ``pos``, returning an iterator to the following
+        element."""
         pos._require_valid()
         node = pos.node
         if node is self._sentinel:
             raise IndexError("erase of past-the-end iterator")
         after = node.next
-        invalidated = self._iterators.invalidate_if(
-            lambda it: isinstance(it, NodeIterator) and it.node is node
-        )
         self._store.unlink(node)
-        self._commit_mutation("erase", invalidated=invalidated)
+        self._commit_mutation("erase", node)
         return self.iterator(self, after)
 
     def splice(self, pos: DListIterator, other: "DList") -> None:
@@ -143,32 +121,21 @@ class DList(SequenceFacade):
         pos._require_valid()
         if other is self or other.empty():
             return
-        first, last = other._sentinel.next, other._sentinel.prev
-        other._store.sentinel.next = other._store.sentinel
-        other._store.sentinel.prev = other._store.sentinel
-        moved = other._store._size
-        other._store._size = 0
-        at = pos.node
-        first.prev = at.prev
-        at.prev.next = first
-        last.next = at
-        at.prev = last
-        self._store._size += moved
-        # Iterators into `other` now belong to `self`'s node graph; re-home
-        # the live ones so same-container range checks keep working.
+        # Iterators into `other`'s elements now belong to `self`'s node
+        # graph; re-home the live ones so same-container range checks keep
+        # working and `other`'s later mutations leave them alone.
         for it in other._iterators.live():
-            if isinstance(it, NodeIterator) and it.node is not other._sentinel:
+            if it.node is not other._sentinel:
                 it._container = self
+                other._iterators.discard(it)
                 self._iterators.register(it)
+        self._store.splice_before(pos.node, other._store)
         self._commit_mutation("insert")
-        other._commit_mutation("clear")
+        other._commit_mutation("clear", other._sentinel)
 
     def clear(self) -> None:
-        invalidated = self._iterators.invalidate_if(
-            lambda it: isinstance(it, NodeIterator) and it.node is not self._sentinel
-        )
         self._store.clear()
-        self._commit_mutation("clear", invalidated=invalidated)
+        self._commit_mutation("clear", self._sentinel)
 
     # -- Python interop --------------------------------------------------------------------
 

@@ -5,8 +5,10 @@ requires copyable positional iterators whose validity is a *state*: "iterator
 invalidation occurs when an operation alters a data structure such that
 iterators referring to elements of that data structure can no longer be used
 safely" (Section 3.1).  Containers in this package keep a registry of live
-iterators and mark them singular according to each container's documented
-rules, so misuse raises immediately instead of corrupting memory.
+iterators (:class:`~repro.sequences.storage.IteratorRegistry`) and mark them
+singular by the invalidation table
+(:data:`repro.facts.properties.INVALIDATION`), so misuse raises immediately
+instead of corrupting memory.
 
 The iterator interface is the one the concepts in
 :mod:`repro.concepts.builtins` require:
@@ -23,7 +25,6 @@ as a loop over ``equals``/``deref``/``increment`` without the calls.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Iterable, Iterator as PyIterator, Optional
 
 from .errors import (
@@ -232,35 +233,6 @@ class NodeIterator(IteratorBase):
         state = "" if self._valid else " SINGULAR"
         at = "end" if self._valid and self._node is self._container._sentinel else "node"
         return f"<{type(self).__name__} @{at}{state}>"
-
-
-class IteratorRegistry:
-    """Weak registry of live iterators, used by containers to apply their
-    invalidation rules on mutation."""
-
-    def __init__(self) -> None:
-        self._iterators: "weakref.WeakSet[IteratorBase]" = weakref.WeakSet()
-
-    def register(self, it: IteratorBase) -> None:
-        self._iterators.add(it)
-
-    def live(self) -> list[IteratorBase]:
-        return [it for it in self._iterators if it.is_valid()]
-
-    def invalidate_all(self) -> int:
-        n = 0
-        for it in self.live():
-            it._invalidate()
-            n += 1
-        return n
-
-    def invalidate_if(self, predicate) -> int:
-        n = 0
-        for it in self.live():
-            if predicate(it):
-                it._invalidate()
-                n += 1
-        return n
 
 
 def require_same_container(first: IteratorBase, last: IteratorBase) -> None:

@@ -15,11 +15,11 @@ this module splits every sequence container into two layers:
   which is what backend-aware algorithm selection keys on.
 - a façade (``Vector``/``Deque``/``DList`` and the classes in
   :mod:`repro.sequences.backends`) — the interface.  It models the
-  container/iterator concepts, enforces the per-container ISO
-  invalidation rules, and routes **every** mutation through one choke
-  point (:meth:`SequenceFacade._commit_mutation`) that bumps the
-  mutation epoch and pushes the mutation kind through the facts
-  lattice's ``invalidate`` tables.
+  container/iterator concepts and routes **every** mutation through one
+  choke point (:meth:`SequenceFacade._commit_mutation`) that bumps the
+  mutation epoch, kills the iterators the container kind's entry of
+  :data:`repro.facts.properties.INVALIDATION` names, and pushes the
+  mutation kind through the facts lattice's ``invalidate`` tables.
 
 In-memory storages for the three classic containers live here;
 ``array``/mmap and sqlite representations live in
@@ -28,12 +28,22 @@ In-memory storages for the three classic containers live here;
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 from ..concepts.complexity import BigO, constant, linear
+from ..facts.properties import (
+    ALL,
+    ALL_BUT_END,
+    AT_OR_AFTER,
+    INVALIDATION,
+    NODE,
+    OPERATION_KINDS,
+    REALLOC,
+)
 from ..facts.properties import closure as _closure
 from ..facts.properties import holds as _holds
 from ..facts.properties import invalidate as _invalidate
@@ -278,21 +288,15 @@ class LinkedStorage(Storage):
             node = node.next
         return node
 
-    def splice_all(self, other: "LinkedStorage") -> tuple[_LinkNode, int]:
-        """Move every node of ``other`` before this store's sentinel in
-        O(1); returns (first moved node, count)."""
+    def splice_before(self, at: _LinkNode, other: "LinkedStorage") -> None:
+        """Move every node of ``other`` before node ``at`` in O(1)."""
         first, last = other.sentinel.next, other.sentinel.prev
-        moved = other._size
-        other.sentinel.next = other.sentinel
-        other.sentinel.prev = other.sentinel
-        other._size = 0
-        at = self.sentinel
+        self._size += other._size
+        other.clear()
         first.prev = at.prev
         at.prev.next = first
         last.next = at
         at.prev = last
-        self._size += moved
-        return first, moved
 
     # -- index protocol -----------------------------------------------------------
 
@@ -325,6 +329,66 @@ class LinkedStorage(Storage):
 
 
 # ---------------------------------------------------------------------------
+# Live iterators
+# ---------------------------------------------------------------------------
+
+
+class IteratorRegistry:
+    """Weak registry of a container's live iterators, which kills the
+    ones in an :data:`~repro.facts.properties.INVALIDATION` entry's
+    scopes when the container mutates."""
+
+    def __init__(self) -> None:
+        self._iterators: weakref.WeakSet = weakref.WeakSet()
+
+    def register(self, it: Any) -> None:
+        self._iterators.add(it)
+
+    def discard(self, it: Any) -> None:
+        self._iterators.discard(it)
+
+    def live(self) -> list[Any]:
+        # Iterating a WeakSet costs microseconds even when it is empty;
+        # its ``data`` set of references is empty exactly when no
+        # iterator is registered.
+        if not self._iterators.data:
+            return []
+        return [it for it in self._iterators if it.is_valid()]
+
+    def invalidate(self, scope: str, at: Any) -> int:
+        """Make singular the live iterators in ``scope`` around ``at``,
+        the mutated index or node; returns how many died."""
+        if scope == ALL:
+            doomed = self.live()
+        elif scope == AT_OR_AFTER:
+            doomed = [it for it in self.live() if it._index >= at]
+        elif scope == NODE:
+            doomed = [it for it in self.live() if it._node is at]
+        elif scope == ALL_BUT_END:
+            doomed = [it for it in self.live() if it._node is not at]
+        else:
+            raise ValueError(f"unknown invalidation scope {scope!r}")
+        for it in doomed:
+            it._invalidate()
+        return len(doomed)
+
+
+def resolve_scopes(kind: str) -> dict[str, tuple[Optional[str], ...]]:
+    """``kind``'s :data:`~repro.facts.properties.INVALIDATION` entry as
+    one façade class applies it: per operation that kills any iterator,
+    the scope that dies without a reallocation and the one that dies
+    with it (None: no iterator).  Beside
+    :data:`~repro.facts.properties.REALLOC` an entry names at most one
+    scope."""
+    resolved = {}
+    for op, scopes in INVALIDATION[kind].items():
+        if scopes:
+            plain = next((s for s in scopes if s != REALLOC), None)
+            resolved[op] = (plain, ALL if REALLOC in scopes else plain)
+    return resolved
+
+
+# ---------------------------------------------------------------------------
 # Runtime fact validators
 # ---------------------------------------------------------------------------
 
@@ -343,24 +407,32 @@ FACT_VALIDATORS: dict[str, Callable[[Any], bool]] = {
 
 class SequenceFacade:
     """Shared behaviour of every sequence façade: the mutation choke
-    point, the mutation epoch, and the runtime fact set mirroring the
-    facts lattice.
+    point, the mutation epoch, iterator invalidation, and the runtime
+    fact set mirroring the facts lattice.
 
-    Subclasses perform their storage operation and their per-container
-    iterator invalidation, then call :meth:`_commit_mutation` with the
-    mutation kind — there is exactly one way for container state to
-    change, so facts can never silently survive a mutation that should
-    have destroyed them (the Deque/DList bypass this fixes).
+    Subclasses perform their storage operation, then call
+    :meth:`_commit_mutation` with the operation — there is exactly one
+    way for container state to change, so facts can never silently
+    survive a mutation that should have destroyed them, and no iterator
+    outlives one that kills it.
     """
 
     #: Storage class used when no explicit store is supplied.
     storage_factory: ClassVar[type] = ListStorage
+    #: The class's container kind, resolved by :func:`resolve_scopes`.
+    scopes: ClassVar[dict[str, tuple[Optional[str], ...]]]
 
     def _init_facade(self, storage: Storage) -> None:
         self._store = storage
         #: Monotone counter bumped by every mutation, whatever its kind.
         self.epoch: int = 0
         self._facts: frozenset[str] = storage.load_facts()
+        self._iterators = IteratorRegistry()
+        #: Iterators made singular so far; the tests and benches read it.
+        self.invalidation_events: int = 0
+
+    def _register_iterator(self, it: Any) -> None:
+        self._iterators.register(it)
 
     # -- storage access ------------------------------------------------------------
 
@@ -391,16 +463,25 @@ class SequenceFacade:
 
     # -- the choke point -----------------------------------------------------------
 
-    def _commit_mutation(self, kind: str, *, invalidated: int = 0) -> None:
-        """Every mutation funnels through here: bump the epoch, count
-        iterator invalidations, and run the mutation kind through the
-        facts lattice so runtime facts die exactly when the abstract
-        tables say they must."""
+    def _commit_mutation(self, op: str, at: Any = None,
+                         realloc: bool = False) -> None:
+        """Every mutation funnels through here, after the store changed:
+        bump the epoch, kill the iterators the class's invalidation entry
+        for ``op`` names (``at``: the mutated index or node; ``realloc``:
+        the operation reallocated), and run ``op``'s mutation kind through
+        the facts lattice so runtime facts die exactly when the abstract
+        tables say they must.  ``op`` is a container operation or, for a
+        mutation that kills no iterator, a bare mutation kind
+        (``"write"``)."""
         self.epoch += 1
-        if invalidated:
-            self.invalidation_events += invalidated
+        resolved = self.scopes.get(op)
+        if resolved is not None:
+            scope = resolved[realloc]
+            if scope is not None:
+                self.invalidation_events += self._iterators.invalidate(
+                    scope, at)
         if self._facts:
-            survived = _invalidate(self._facts, kind)
+            survived = _invalidate(self._facts, OPERATION_KINDS.get(op, op))
             if survived != self._facts:
                 self._facts = survived
                 self._store.sync_facts(survived)

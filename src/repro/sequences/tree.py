@@ -28,8 +28,10 @@ from ..concepts import (
 )
 from ..concepts.builtins import ReversibleContainer, SortedRange
 from ..concepts.complexity import linear, logarithmic
+from ..facts.properties import ALL, NODE
 from .function_objects import Less
-from .iterators import IteratorBase, IteratorRegistry
+from .iterators import IteratorBase
+from .storage import IteratorRegistry
 
 C = Param("C")
 
@@ -358,15 +360,11 @@ class TreeMap:
             node.key, succ.key = succ.key, node.key
             node.value, succ.value = succ.value, node.value
             doomed = succ
-            self.invalidation_events += self._iterators.invalidate_if(
-                lambda it: isinstance(it, TreeIterator) and it._node is node
-            )
+            self.invalidation_events += self._iterators.invalidate(NODE, node)
         child = doomed.left if doomed.left is not None else doomed.right
         parent = doomed.parent
         self._replace_child(parent, doomed, child)
-        self.invalidation_events += self._iterators.invalidate_if(
-            lambda it: isinstance(it, TreeIterator) and it._node is doomed
-        )
+        self.invalidation_events += self._iterators.invalidate(NODE, doomed)
         self._size -= 1
         self._rebalance_up(parent)
 
@@ -385,7 +383,7 @@ class TreeMap:
         return self.iterator(self, best)
 
     def clear(self) -> None:
-        self.invalidation_events += self._iterators.invalidate_all()
+        self.invalidation_events += self._iterators.invalidate(ALL, None)
         self._root = None
         self._size = 0
 

@@ -1,35 +1,30 @@
 """A ``std::vector``-like container with C++ invalidation rules.
 
-Invalidation rules (ISO C++ [vector.modifiers], which STLlint encodes as the
-container's semantic specification):
-
-- ``insert(pos, v)``: invalidates iterators at or after ``pos``; if the
-  insertion exceeds capacity ("reallocation"), *all* iterators.
-- ``erase(pos)``: invalidates iterators at or after ``pos`` — this is what
-  breaks Fig. 4's ``extract_fails``.
-- ``push_back(v)``: all iterators on reallocation, none otherwise.
-- ``clear()``: everything.
-
+Which iterators each mutation kills — at-or-after the position for
+``insert``/``erase``/``pop_back``, everything on reallocation, everything
+on ``clear`` — is the ``"vector"`` entry of
+:data:`repro.facts.properties.INVALIDATION`, the table STLlint checks
+against too (Fig. 4's ``extract_fails`` is the erase rule at work).
 Capacity doubles on growth, as real implementations do, so reallocation
 events happen at realistic points.
 
-Since the storage-backend split the class is a *façade*: elements live in
-a pluggable :class:`~repro.sequences.storage.Storage` (a Python list by
-default; ``array``/mmap and sqlite representations in
+The class is a *façade*: elements live in a pluggable
+:class:`~repro.sequences.storage.Storage` (a Python list by default;
+``array``/mmap and sqlite representations in
 :mod:`repro.sequences.backends` plug in underneath without changing the
 modeled concepts), and every mutation is routed through the shared
 :class:`~repro.sequences.storage.SequenceFacade` choke point, which
-keeps the mutation epoch and the runtime fact set honest.  The
-invalidation rules above are a property of the *interface* and hold
-uniformly across backends.
+keeps the mutation epoch, the live iterators and the runtime fact set
+honest.  The invalidation rules are a property of the *interface* and
+hold uniformly across backends.
 """
 
 from __future__ import annotations
 
 from typing import Any, ClassVar, Iterable, Optional
 
-from .iterators import IndexIterator, IteratorRegistry
-from .storage import ListStorage, SequenceFacade, Storage
+from .iterators import IndexIterator
+from .storage import ListStorage, SequenceFacade, Storage, resolve_scopes
 
 
 class VectorIterator(IndexIterator):
@@ -45,6 +40,7 @@ class Vector(SequenceFacade):
     value_type: type = object
     iterator: type = VectorIterator
     storage_factory: ClassVar[type] = ListStorage
+    scopes = resolve_scopes("vector")
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[Storage] = None) -> None:
@@ -55,19 +51,15 @@ class Vector(SequenceFacade):
                 storage.append(item)
         self._init_facade(storage)
         self._capacity: int = max(storage.length(), 1)
-        self._iterators = IteratorRegistry()
-        #: Counters the invalidation tests and benches inspect.
-        self.invalidation_events: int = 0
+        #: Reallocations so far; the tests and benches read it.
         self.reallocations: int = 0
 
-    # -- internal plumbing used by IndexIterator -------------------------------
+    # -- internal plumbing ------------------------------------------------------
 
-    def _register_iterator(self, it: VectorIterator) -> None:
-        self._iterators.register(it)
-
-    def _grow_for(self, extra: int) -> bool:
-        """Ensure capacity; returns True when a reallocation happened."""
-        needed = self._store.length() + extra
+    def _grow(self) -> bool:
+        """Grow the capacity to hold what the store now holds, after a
+        write the store accepted; returns True when that reallocated."""
+        needed = self._store.length()
         if needed <= self._capacity:
             return False
         while self._capacity < needed:
@@ -118,53 +110,41 @@ class Vector(SequenceFacade):
     # -- Sequence mutations ----------------------------------------------------------
 
     def push_back(self, value: Any) -> None:
-        realloc = self._grow_for(1)
         self._store.append(value)
-        invalidated = self._iterators.invalidate_all() if realloc else 0
-        self._commit_mutation("append", invalidated=invalidated)
+        self._commit_mutation("push_back", None, self._grow())
 
     def pop_back(self) -> Any:
         if self._store.length() == 0:
             raise IndexError("pop_back on empty vector")
         last = self._store.length() - 1
-        invalidated = self._iterators.invalidate_if(lambda it: it.index >= last)
         value = self._store.get(last)
         self._store.erase(last)
-        self._commit_mutation("pop", invalidated=invalidated)
+        self._commit_mutation("pop_back", last)
         return value
 
     def insert(self, pos: VectorIterator, value: Any) -> VectorIterator:
         """Insert before ``pos``; returns an iterator to the new element."""
         pos._require_valid()
         index = pos.index
-        realloc = self._grow_for(1)
         self._store.insert(index, value)
-        if realloc:
-            invalidated = self._iterators.invalidate_all()
-        else:
-            invalidated = self._iterators.invalidate_if(
-                lambda it: it.index >= index
-            )
-        self._commit_mutation("insert", invalidated=invalidated)
+        self._commit_mutation("insert", index, self._grow())
         return self.iterator(self, index)
 
     def erase(self, pos: VectorIterator) -> VectorIterator:
-        """Erase at ``pos``; invalidates ``pos`` and everything after it,
-        returning an iterator to the element following the erased one (the
-        correct idiom Fig. 4's buggy code fails to use)."""
+        """Erase at ``pos``, returning an iterator to the element following
+        the erased one (the correct idiom Fig. 4's buggy code fails to
+        use)."""
         pos._require_valid()
         index = pos.index
         if index >= self._store.length():
             raise IndexError("erase of past-the-end iterator")
         self._store.erase(index)
-        invalidated = self._iterators.invalidate_if(lambda it: it.index >= index)
-        self._commit_mutation("erase", invalidated=invalidated)
+        self._commit_mutation("erase", index)
         return self.iterator(self, index)
 
     def clear(self) -> None:
         self._store.clear()
-        self._commit_mutation("clear",
-                              invalidated=self._iterators.invalidate_all())
+        self._commit_mutation("clear")
 
     # -- Python interop -----------------------------------------------------------------
 

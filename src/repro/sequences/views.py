@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence as PySequence
 
-from .iterators import IndexIterator, IteratorRegistry
+from .iterators import IndexIterator
 
 
 class ListViewIterator(IndexIterator):
@@ -22,17 +22,16 @@ class ListViewIterator(IndexIterator):
 class ListView:
     """A read-only Random Access Container over an existing Python
     sequence.  Mutating the underlying sequence is the caller's affair; the
-    view adds no invalidation tracking beyond existence."""
+    view never invalidates an iterator, so it keeps no registry of them."""
 
     value_type: type = object
     iterator: type = ListViewIterator
 
     def __init__(self, data: PySequence[Any]) -> None:
         self._data = data
-        self._iterators = IteratorRegistry()
 
     def _register_iterator(self, it: ListViewIterator) -> None:
-        self._iterators.register(it)
+        pass
 
     def _end_index(self) -> int:
         return len(self._data)

@@ -49,7 +49,6 @@ from .interpreter import Checker, Env, module_function_table
 from .summaries import Summary, SummaryTable
 from .specs import (
     ALGORITHM_SPECS,
-    CONTAINER_SPECS,
     MSG_CROSS_CONTAINER,
     MSG_MAYBE_END_DEREF,
     MSG_NOT_A_HEAP,
@@ -62,8 +61,6 @@ from .specs import (
     MSG_UNSORTED_LOWER_BOUND,
     MSG_UNSTABLE_LOOP,
     SORTED,
-    ContainerSpec,
-    InvalidationRule,
     register_algorithm_spec,
     unregister_algorithm_spec,
 )
@@ -77,8 +74,7 @@ __all__ = [
     "module_function_table",
     "FixpointChecker", "FixpointStats", "Summary", "SummaryTable",
     "fixpoint_stats", "reset_fixpoint_stats", "fixpoint_report",
-    "ALGORITHM_SPECS", "CONTAINER_SPECS", "ContainerSpec",
-    "InvalidationRule", "register_algorithm_spec",
+    "ALGORITHM_SPECS", "register_algorithm_spec",
     "unregister_algorithm_spec", "SORTED",
     "MSG_CROSS_CONTAINER", "MSG_MAYBE_END_DEREF", "MSG_NOT_A_HEAP",
     "MSG_PAST_END_DEREF", "MSG_SINGULAR_ADVANCE",

@@ -35,6 +35,7 @@ import heapq
 import textwrap
 from typing import Any, Optional
 
+from ..facts.properties import INVALIDATION
 from ..trace import core as _trace
 from ..trace import counters as _counters
 from .abstract_values import (
@@ -69,7 +70,7 @@ from .ir import (
     StoreReturn,
     WithEnter,
 )
-from .specs import CONTAINER_SPECS, MSG_UNSTABLE_LOOP
+from .specs import MSG_UNSTABLE_LOOP
 from .summaries import SummaryTable
 
 
@@ -158,7 +159,7 @@ class FixpointChecker(Checker):
     def run(self):
         for arg in self.tree.args.args:
             kind = self._annotation_kind(arg)
-            if kind in CONTAINER_SPECS:
+            if kind in INVALIDATION:
                 self.env.vars[arg.arg] = AbstractContainer(kind, arg.arg)
             else:
                 self.env.vars[arg.arg] = AbstractValue(arg.arg)

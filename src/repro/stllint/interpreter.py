@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Optional
 
+from ..facts.properties import INVALIDATION, OPERATION_KINDS
 from ..facts.properties import invalidate as _invalidate_props
 from ..facts.records import FactRecorder
 from ..trace import core as _trace
@@ -47,8 +48,8 @@ from .abstract_values import (
 )
 from .diagnostics import DiagnosticSink
 from .specs import (
+    ABSTRACT_INVALIDATION,
     ALGORITHM_SPECS,
-    CONTAINER_SPECS,
     MSG_CROSS_CONTAINER,
     MSG_MAYBE_END_DEREF,
     MSG_PAST_END_ADVANCE,
@@ -155,7 +156,7 @@ class Checker:
                 kind = str(node.annotation.value).lower()
             if node.value is not None:
                 env.vars[node.target.id] = self._eval(node.value, env)
-            elif kind in CONTAINER_SPECS:
+            elif kind in INVALIDATION:
                 env.vars[node.target.id] = AbstractContainer(kind, node.target.id)
             return
         if isinstance(node, ast.Expr):
@@ -449,7 +450,7 @@ class Checker:
         self, c: AbstractContainer, name: str, args: list[Any], line: int,
         env: Env,
     ) -> Any:
-        spec = CONTAINER_SPECS[c.kind]
+        rules = ABSTRACT_INVALIDATION[c.kind]
         if name == "begin":
             return AbstractIterator(c, Position.BEGIN, Validity.VALID,
                                     c.epoch, origin_line=line)
@@ -468,7 +469,7 @@ class Checker:
                     self.sink.warning(
                         "attempt to erase at the past-the-end position", line
                     )
-            self._apply_invalidation(c, spec.erase, target, env)
+            self._apply_invalidation(c, rules["erase"], target, env)
             c.mutate()
             self._mutate_properties(c, "erase", line)
             return AbstractIterator(c, Position.UNKNOWN, Validity.VALID,
@@ -479,14 +480,14 @@ class Checker:
                 self.check_iterator_use(
                     target, line, "attempt to insert through a singular iterator"
                 )
-            self._apply_invalidation(c, spec.insert, target, env)
+            self._apply_invalidation(c, rules["insert"], target, env)
             c.mutate()
             self._mutate_properties(c, "insert", line)
             c.maybe_empty = False
             return AbstractIterator(c, Position.UNKNOWN, Validity.VALID,
                                     c.epoch, origin_line=line)
-        if name in ("push_back", "push_front"):
-            rule = spec.push_back if name == "push_back" else spec.push_front
+        if name in ("push_back", "push_front", "pop_back", "pop_front"):
+            rule = rules.get(name)
             if rule is None:
                 self.sink.warning(
                     f"container kind '{c.kind}' does not support {name}", line
@@ -496,36 +497,34 @@ class Checker:
             c.mutate()
             # The property tables know appending to a heap leaves
             # "heap except the last element" — push_heap's precondition.
-            self._mutate_properties(c, "append", line)
-            c.maybe_empty = False
-            return AbstractValue()
-        if name in ("pop_back", "pop_front"):
-            self._apply_invalidation(c, spec.erase, None, env)  # conservative
-            c.mutate()
-            self._mutate_properties(c, "pop", line)
+            kind = OPERATION_KINDS[name]
+            self._mutate_properties(c, kind, line)
+            if kind == "append":
+                c.maybe_empty = False
             return AbstractValue()
         if name == "remove":
             # Erase-by-value (the idiomatic Python spelling): same
             # invalidation behaviour as erase at an unknown position.
-            self._apply_invalidation(c, spec.erase, None, env)
+            self._apply_invalidation(c, rules["erase"], None, env)
             c.mutate()
             self._mutate_properties(c, "remove", line)
             return AbstractValue()
         if name == "clear":
-            self._invalidate_all(c, env, definitely=True)
+            self._apply_invalidation(c, rules["clear"], None, env)
             c.mutate()
             self._mutate_properties(c, "clear", line)
             c.maybe_empty = True
             return AbstractValue()
         return AbstractValue(f"{c.name}.{name}()")
 
-    def _apply_invalidation(self, c: AbstractContainer, rule, target,
-                            env: Env) -> None:
-        if rule.others == "maybe":
+    def _apply_invalidation(self, c: AbstractContainer,
+                            rule: tuple[str, str], target, env: Env) -> None:
+        on_target, on_others = rule
+        if on_others == "maybe":
             self._invalidate_all(c, env, definitely=False, skip=target)
-        elif rule.others == "singular":
+        elif on_others == "singular":
             self._invalidate_all(c, env, definitely=True, skip=target)
-        if isinstance(target, AbstractIterator) and rule.target == "singular":
+        if isinstance(target, AbstractIterator) and on_target == "singular":
             target.invalidate(definitely=True)
 
     def _invalidate_all(

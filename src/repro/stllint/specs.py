@@ -5,9 +5,11 @@ implementation of the abstractions, STLlint is able to detect errors in the
 use of libraries that could not be detected with traditional language-level
 checking."  Concretely:
 
-- :data:`CONTAINER_SPECS` gives each container kind its invalidation rule —
-  the semantic iterator concept's per-model behaviour (Section 3.1: "the
-  invalidation behavior of operations varies greatly across domains").
+- :data:`ABSTRACT_INVALIDATION` gives each container operation its effect
+  on outstanding iterators, read off the library's one invalidation table
+  (:data:`repro.facts.properties.INVALIDATION`) — the semantic iterator
+  concept's per-model behaviour (Section 3.1: "the invalidation behavior
+  of operations varies greatly across domains").
 - :data:`ALGORITHM_SPECS` gives each generic algorithm its entry handler
   (precondition checks: sortedness for ``lower_bound``/``binary_search``),
   exit handler (postconditions: ``sort`` establishes sortedness), and
@@ -17,13 +19,18 @@ checking."  Concretely:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..facts.properties import (
+    ALL,
+    ALL_BUT_END,
+    AT_OR_AFTER,
     DISTINCT,
     HEAP,
     HEAP_TAIL,
+    INVALIDATION,
+    NODE,
+    REALLOC,
     SORTED,
     STRICTLY_SORTED,
     closure,
@@ -39,83 +46,33 @@ from .abstract_values import (
 )
 from .diagnostics import DiagnosticSink
 
-# Historical alias: the spec layer called the no-duplicates property
-# UNIQUE before it moved into repro.facts.
-UNIQUE = DISTINCT
+#: What each concrete scope does to (the operation's target iterator,
+#: every other iterator of the container), where an abstract iterator's
+#: position is only begin, end or unknown: ``"keep"``, ``"maybe"`` (may
+#: now be singular) or ``"singular"``, which sort in that order.
+_SCOPE_EFFECTS: dict[str, tuple[str, str]] = {
+    NODE: ("singular", "keep"),
+    AT_OR_AFTER: ("singular", "maybe"),
+    REALLOC: ("keep", "maybe"),
+    ALL: ("singular", "singular"),
+    ALL_BUT_END: ("singular", "singular"),
+}
 
 
-@dataclass(frozen=True)
-class InvalidationRule:
-    """What a mutating operation does to outstanding iterators.
-
-    ``target``: effect on the iterator passed to the operation
-    (``"singular"`` or ``"keep"``); ``others``: effect on every other
-    iterator of the same container (``"keep"``, ``"maybe"``, ``"singular"``).
-    """
-
-    target: str
-    others: str
+def _abstract_rule(scopes: tuple[str, ...]) -> tuple[str, str]:
+    """The strongest effect of any of ``scopes``, on target and others."""
+    effects = [_SCOPE_EFFECTS[s] for s in scopes] or [("keep", "keep")]
+    return max(t for t, _ in effects), max(o for _, o in effects)
 
 
-@dataclass(frozen=True)
-class ContainerSpec:
-    """Invalidation semantics for one container kind (ISO C++ rules,
-    matching the dynamic behaviour of :mod:`repro.sequences`)."""
-
-    kind: str
-    erase: InvalidationRule
-    insert: InvalidationRule
-    push_back: Optional[InvalidationRule] = None
-    push_front: Optional[InvalidationRule] = None
-
-
-CONTAINER_SPECS: dict[str, ContainerSpec] = {
-    # vector: erase/insert invalidate at-or-after (abstractly: the target
-    # definitely, the rest maybe); push_back maybe-invalidates everything
-    # (reallocation).
-    "vector": ContainerSpec(
-        "vector",
-        erase=InvalidationRule(target="singular", others="maybe"),
-        insert=InvalidationRule(target="singular", others="maybe"),
-        push_back=InvalidationRule(target="keep", others="maybe"),
-    ),
-    # list: erase invalidates only the erased position; nothing else ever.
-    "list": ContainerSpec(
-        "list",
-        erase=InvalidationRule(target="singular", others="keep"),
-        insert=InvalidationRule(target="keep", others="keep"),
-        push_back=InvalidationRule(target="keep", others="keep"),
-        push_front=InvalidationRule(target="keep", others="keep"),
-    ),
-    # deque: any insert/erase invalidates all iterators.
-    "deque": ContainerSpec(
-        "deque",
-        erase=InvalidationRule(target="singular", others="singular"),
-        insert=InvalidationRule(target="singular", others="singular"),
-        push_back=InvalidationRule(target="keep", others="maybe"),
-        push_front=InvalidationRule(target="keep", others="maybe"),
-    ),
-    # Storage backends behind the Vector façade: the invalidation rules
-    # are a property of the container *interface*, not the
-    # representation, so the contiguous (array/mmap) and sqlite-backed
-    # kinds follow the vector rules verbatim.
-    "contig": ContainerSpec(
-        "contig",
-        erase=InvalidationRule(target="singular", others="maybe"),
-        insert=InvalidationRule(target="singular", others="maybe"),
-        push_back=InvalidationRule(target="keep", others="maybe"),
-    ),
-    "sqlite": ContainerSpec(
-        "sqlite",
-        erase=InvalidationRule(target="singular", others="maybe"),
-        insert=InvalidationRule(target="singular", others="maybe"),
-        push_back=InvalidationRule(target="keep", others="maybe"),
-    ),
+#: Per container kind and operation: its (target, others) effect.
+ABSTRACT_INVALIDATION: dict[str, dict[str, tuple[str, str]]] = {
+    kind: {op: _abstract_rule(scopes) for op, scopes in ops.items()}
+    for kind, ops in INVALIDATION.items()
 }
 
 #: Messages, worded as the paper reports them.
 MSG_SINGULAR_DEREF = "attempt to dereference a singular iterator"
-MSG_MAYBE_SINGULAR_DEREF = "attempt to dereference a singular iterator"
 MSG_SINGULAR_ADVANCE = "attempt to advance a singular iterator"
 MSG_PAST_END_DEREF = "attempt to dereference a past-the-end iterator"
 MSG_PAST_END_ADVANCE = "attempt to advance an iterator past the end"
@@ -460,19 +417,10 @@ for _mono_key, _mono_name in MONO_ALGORITHM_SPELLINGS.items():
 del _mono_key, _mono_name
 
 
-#: Backend-optimal spellings the cost-aware pass may rewrite a generic
-#: call on a persistent container kind to, keyed by (algorithm, kind).
-#: Like the monomorphized spellings, each aliases the base algorithm's
-#: semantic specification where the container effects are identical —
-#: ``backend_sort`` still establishes SORTED, so a verified rewrite keeps
-#: the facts every downstream selection relied on.  ``indexed_find`` is
-#: NOT an alias: it acquires lower_bound's sortedness *pre*condition
-#: (spec above), which the verify re-lint then actually checks.
-BACKEND_ALGORITHM_SPELLINGS: dict[tuple[str, str], str] = {
-    ("find", "sqlite"): "indexed_find",
-    ("sort", "sqlite"): "backend_sort",
-}
-
+#: ``backend_sort``, a spelling the cost-aware pass may rewrite ``sort``
+#: on a persistent kind to, has ``sort``'s specification, so a verified
+#: rewrite keeps the facts every downstream selection relied on.
+#: (``indexed_find`` has its own, lower_bound's sortedness precondition.)
 ALGORITHM_SPECS["backend_sort"] = ALGORITHM_SPECS["sort"]
 
 

@@ -20,8 +20,10 @@ environment by planting one hidden **sentinel iterator** per container
 class before analyzing the callee: the sentinel models "some iterator
 the caller holds into this container", and its final validity is
 precisely the invalidation the callee inflicts on every such iterator
-(the per-kind ``others`` rules of ``CONTAINER_SPECS``, transitively
-through any helpers the callee itself calls).
+(the per-kind effects on other iterators that
+:data:`~repro.stllint.specs.ABSTRACT_INVALIDATION` reads off the
+invalidation table, transitively through any helpers the callee itself
+calls).
 """
 
 from __future__ import annotations

@@ -1,17 +1,29 @@
-"""One iterator-invalidation suite, three storage backends.
+"""One iterator-invalidation suite, three storage backends, and the
+invalidation table applied to every container it names.
 
 The storage split's core promise is that invalidation semantics are a
 property of the *container interface*, not of the representation behind
 it: a ``Vector`` over a Python list, a ``ContiguousVector`` over one
 ``array`` block, and a ``SqliteSequence`` over a database must invalidate
-exactly the same iterators on exactly the same mutations.  Every test
-here is parametrized over all three backends and written once.
+exactly the same iterators on exactly the same mutations.  The suites
+are parametrized over all three backends and written once; the table
+test runs every entry of ``repro.facts.properties.INVALIDATION`` on the
+container its kind names.
 """
 
 import pytest
 
-from repro.sequences import Vector
+from repro.facts.properties import (
+    ALL,
+    ALL_BUT_END,
+    AT_OR_AFTER,
+    INVALIDATION,
+    NODE,
+    REALLOC,
+)
+from repro.sequences import Deque, DList, Vector
 from repro.sequences.backends import ContiguousVector, SqliteSequence
+from repro.sequences.storage import StorageError
 
 #: (backend name, zero-arg-or-items factory) for every Vector-family
 #: backend.  All use int elements so the contiguous typecode fits.
@@ -157,3 +169,92 @@ class TestFactsThroughStorageSeam:
         v = factory([3, 1, 2])
         with pytest.raises(ValueError):
             v.assert_fact("sorted")
+
+
+@pytest.mark.parametrize("write", [
+    lambda s: s.push_back(True),
+    lambda s: s.insert(s.begin(), True),
+], ids=["push_back", "insert"])
+def test_refused_write_does_not_grow(write):
+    # The store refuses a bool; the capacity must not grow for a write
+    # that never happened.
+    s = SqliteSequence([1])
+    with pytest.raises(StorageError):
+        write(s)
+    assert (s.to_list(), s.epoch) == ([1], 0)
+    assert (s.capacity(), s.reallocations) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The invalidation table, applied
+# ---------------------------------------------------------------------------
+
+#: The container each kind of the table names.
+CONTAINERS = {
+    "vector": Vector,
+    "contig": ContiguousVector,
+    "sqlite": SqliteSequence,
+    "deque": Deque,
+    "list": DList,
+}
+
+N = 5
+
+#: The position each operation acts on in an N-element container.
+TARGET = {"insert": 2, "erase": 2, "pop_back": N - 1, "pop_front": 0}
+
+
+def _dies(scopes, position, target, realloc):
+    """Does the iterator held at ``position`` die by ``scopes``?"""
+    return (ALL in scopes or realloc and REALLOC in scopes
+            or AT_OR_AFTER in scopes and position >= target
+            or NODE in scopes and position == target
+            or ALL_BUT_END in scopes and position != N)
+
+
+TABLE_CASES = [
+    pytest.param(kind, op, realloc,
+                 id=f"{kind}-{op}" + ("-realloc" if realloc else ""))
+    for kind, ops in INVALIDATION.items()
+    for op, scopes in ops.items()
+    for realloc in ((False, True) if REALLOC in scopes else (False,))
+]
+
+
+@pytest.mark.parametrize("kind, op, realloc", TABLE_CASES)
+def test_table_entry_kills_exactly_its_scope(kind, op, realloc):
+    c = CONTAINERS[kind](range(1, N + 1))
+    if not realloc:
+        c.push_back(0)   # a vector now has spare capacity
+        c.pop_back()
+    target = TARGET.get(op, 2)
+    held = {}
+    for position in sorted({0, target, target + 1, N}):
+        it = c.begin()
+        for _ in range(position):
+            it.increment()
+        held[position] = it
+    events = c.invalidation_events
+    reallocations = getattr(c, "reallocations", 0)
+
+    args = {"insert": (held[target], 99), "erase": (held[target],),
+            "push_back": (99,), "push_front": (99,)}.get(op, ())
+    getattr(c, op)(*args)
+
+    scopes = INVALIDATION[kind][op]
+    died = {p for p, it in held.items() if not it.is_valid()}
+    assert died == {p for p in held if _dies(scopes, p, target, realloc)}
+    assert c.invalidation_events - events == len(died)
+    assert getattr(c, "reallocations", 0) - reallocations == int(realloc)
+
+
+def test_spliced_iterators_survive_their_old_list():
+    # After a splice the moved elements' iterators belong to the target
+    # list: mutating the list they came from must not kill them.
+    a, b = DList([1, 2]), DList([3, 4])
+    moved = b.begin()
+    a.splice(a.end(), b)
+    b.push_back(9)
+    b.clear()
+    assert moved.is_valid() and moved.deref() == 3
+    assert moved.container is a and a.to_list() == [1, 2, 3, 4]

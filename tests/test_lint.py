@@ -710,7 +710,7 @@ class TestCrashIsolation:
 # same functions in the same order.
 def _old_is_lintable(fn):
     from repro.lint.driver import _container_annotated
-    from repro.stllint.specs import CONTAINER_SPECS
+    from repro.facts.properties import INVALIDATION
 
     if any(_container_annotated(a) for a in fn.args.args):
         return True
@@ -719,7 +719,7 @@ def _old_is_lintable(fn):
             isinstance(node, ast.AnnAssign)
             and isinstance(node.annotation, ast.Constant)
             and isinstance(node.annotation.value, str)
-            and node.annotation.value.lower() in CONTAINER_SPECS
+            and node.annotation.value.lower() in INVALIDATION
         ):
             return True
     return False

@@ -3,11 +3,16 @@ sortedness entry/exit handlers, optimization suggestions, and semantic
 archetypes — plus agreement between the static verdicts and the dynamic
 behaviour of the real containers."""
 
+import ast
+
 import pytest
 
 from repro.sequences import SingularIteratorError, Vector
 from repro.sequences.algorithms import accumulate, count, find, max_element
 from repro.stllint import (
+    AbstractContainer,
+    Checker,
+    Env,
     MSG_MAYBE_END_DEREF,
     MSG_PAST_END_DEREF,
     MSG_SINGULAR_DEREF,
@@ -17,6 +22,7 @@ from repro.stllint import (
     MultiPassSequence,
     Severity,
     SinglePassSequence,
+    Validity,
     check_source,
     check_traversal_requirement,
 )
@@ -138,6 +144,29 @@ def f(d: "deque"):
     x = a.deref()
 ''')
         assert any(d.message == MSG_SINGULAR_DEREF for d in report.warnings)
+
+    @pytest.mark.parametrize("op", ["push_back", "push_front"])
+    def test_deque_push_makes_iterators_singular(self, op):
+        # A deque push kills every iterator at run time, so the abstract
+        # iterator is definitely singular, not merely maybe-singular.
+        tree = ast.parse(
+            f'def f(d: "deque"):\n    a = d.begin()\n    d.{op}(x)\n'
+        ).body[0]
+        checker = Checker(tree, [])
+        env = Env()
+        env.vars["d"] = AbstractContainer("deque", "d")
+        for stmt in tree.body:
+            checker._exec_stmt(stmt, env)
+        assert env.vars["a"].validity is Validity.SINGULAR
+
+    @pytest.mark.parametrize("op", ["push_front", "pop_front"])
+    def test_vector_has_no_front_operations(self, op):
+        report = check_source(f'''
+def f(v: "vector"):
+    v.{op}()
+''')
+        assert any(f"does not support {op}" in d.message
+                   for d in report.warnings)
 
     def test_vector_push_back_taints_via_reallocation(self):
         report = check_source('''
