@@ -39,7 +39,10 @@ imports are matched by their trailing module names, and importing
 ``a.b`` also names ``a``.  A false edge only costs an unnecessary
 re-analysis; a missed edge would serve stale results, so ties break
 toward more invalidation.  Modules the import system finds outside the
-analyzed set are not tracked.
+analyzed set are not tracked, and neither are the submodules a package
+re-exports lazily (PEP 562, as :mod:`repro.athena` does): they load
+when a name is first read, so a file whose decorators resolve through
+such a package is keyed on the package alone.
 
 A file's names depend on its bytes alone, so a caller with a store of
 them (the analysis session keeps one in its cache directory, see

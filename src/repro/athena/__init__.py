@@ -10,86 +10,62 @@ Quick use::
     # theorems: E reflexive, E symmetric (derived), E transitive (axiom)
 """
 
-from .instantiation import (
-    InstanceReport,
-    check_axioms_empirically,
-    eval_equation,
-    eval_term,
-    instantiate_group_proofs,
-    sig_for_structure,
-)
-from .methods import (
-    Method,
-    conj_idem,
-    conj_swap,
-    forward_chaining_search,
-    hypothetical_syllogism,
-    method,
-)
-from .proof import AssumptionBase, Proof, ProofError
-from .proofs import (
-    prove_equivalence_properties,
-    prove_mul_zero,
-    prove_ring_theorems,
-    prove_equiv_reflexive,
-    prove_equiv_symmetric,
-    prove_group_theorems,
-    prove_inverse_involution,
-    prove_left_identity,
-    prove_left_inverse,
-)
-from .proofs.range_theory import prove_reaches_kth_successor, range_session
-from .proofs.strict_weak_order import instance_of, swo_session
-from .proofs.group_theory import group_session
-from .props import (
-    And,
-    Atom,
-    Exists,
-    Falsity,
-    Forall,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Prop,
-    equals,
-    forall,
-)
-from .terms import App, Term, Var, const, replace_subterm
-from .theories import (
-    THEORIES,
-    GroupSig,
-    OrderSig,
-    RangeSig,
-    RingSig,
-    abelian_axioms,
-    group_axioms,
-    monoid_axioms,
-    range_axioms,
-    ring_axioms,
-    semigroup_axioms,
-    strict_partial_order_axioms,
-    strict_weak_order_axioms,
-    total_order_axioms,
-)
+import sys
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "App", "Term", "Var", "const", "replace_subterm",
-    "And", "Atom", "Exists", "Falsity", "Forall", "Iff", "Implies", "Not",
-    "Or", "Prop", "equals", "forall",
-    "AssumptionBase", "Proof", "ProofError",
-    "Method", "method", "conj_swap", "conj_idem", "hypothetical_syllogism",
-    "forward_chaining_search",
-    "OrderSig", "GroupSig", "RingSig", "RangeSig", "THEORIES",
-    "strict_weak_order_axioms", "strict_partial_order_axioms",
-    "total_order_axioms", "semigroup_axioms", "monoid_axioms",
-    "group_axioms", "abelian_axioms", "ring_axioms", "range_axioms",
-    "prove_equiv_reflexive", "prove_equiv_symmetric",
-    "prove_equivalence_properties", "prove_left_inverse",
-    "prove_left_identity", "prove_inverse_involution",
-    "prove_group_theorems", "prove_mul_zero", "prove_ring_theorems",
-    "swo_session", "group_session", "range_session", "instance_of",
-    "prove_reaches_kth_successor",
-    "InstanceReport", "instantiate_group_proofs", "sig_for_structure",
-    "eval_term", "eval_equation", "check_axioms_empirically",
-]
+#: Each public name, by the module (relative to this package) that
+#: defines it.  A module loads on first use of one of its names (PEP 562),
+#: so importing one proof does not load every theory's proofs.
+_EXPORTS = {
+    ".terms": ("App", "Term", "Var", "const", "replace_subterm"),
+    ".props": ("And", "Atom", "Exists", "Falsity", "Forall", "Iff",
+               "Implies", "Not", "Or", "Prop", "equals", "forall"),
+    ".proof": ("AssumptionBase", "Proof", "ProofError"),
+    ".methods": ("Method", "method", "conj_swap", "conj_idem",
+                 "hypothetical_syllogism", "forward_chaining_search"),
+    ".theories": ("OrderSig", "GroupSig", "RingSig", "RangeSig", "THEORIES",
+                  "strict_weak_order_axioms", "strict_partial_order_axioms",
+                  "total_order_axioms", "semigroup_axioms", "monoid_axioms",
+                  "group_axioms", "abelian_axioms", "ring_axioms",
+                  "range_axioms"),
+    ".proofs.strict_weak_order": ("prove_equiv_reflexive",
+                                  "prove_equiv_symmetric",
+                                  "prove_equivalence_properties",
+                                  "swo_session", "instance_of"),
+    ".proofs.group_theory": ("prove_left_inverse", "prove_left_identity",
+                             "prove_inverse_involution",
+                             "prove_group_theorems", "group_session"),
+    ".proofs.ring_theory": ("prove_mul_zero", "prove_ring_theorems"),
+    ".proofs.range_theory": ("range_session", "prove_reaches_kth_successor"),
+    ".instantiation": ("InstanceReport", "instantiate_group_proofs",
+                       "sig_for_structure", "eval_term", "eval_equation",
+                       "check_axioms_empirically"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+
+def lazy_exports(package: str, module_of: dict) -> tuple:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``, which
+    re-exports each name in ``module_of`` from the module named there
+    (relative to ``package``), importing that module on first use."""
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> Any:
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(module, package),
+                                          name)
+        return value
+
+    def __dir__() -> list:
+        return sorted(set(namespace) | set(module_of))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(__name__, _MODULE_OF)
+__all__ = list(_MODULE_OF)

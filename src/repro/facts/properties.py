@@ -57,8 +57,9 @@ ALL_BUT_END = "all-but-end"  # every iterator but end(); ``at`` is the end node
 REALLOC = "realloc"          # every iterator, if the operation reallocated
 
 _VECTOR = {"insert": (AT_OR_AFTER, REALLOC), "erase": (AT_OR_AFTER,),
-           "pop_back": (AT_OR_AFTER,), "push_back": (REALLOC,),
-           "clear": (ALL,)}
+           "pop_back": (AT_OR_AFTER,), "clear": (ALL,),
+           # ``at`` is the old size, so every push_back kills end().
+           "push_back": (AT_OR_AFTER, REALLOC)}
 
 #: Iterator invalidation (ISO C++ [vector.modifiers], [deque.modifiers],
 #: [list.modifiers]): per container kind, per operation, the scopes of

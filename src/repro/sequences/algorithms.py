@@ -12,6 +12,14 @@ All range algorithms take value-semantic iterators ``[first, last)`` from
 :mod:`repro.sequences.iterators`; container-level overloads take the
 container itself.
 
+Range kernels: where :func:`_unobservable` holds (the default ``==``,
+``+`` or ``Less`` on exact ``int``/``str``), ``find``, ``count``,
+``accumulate``, ``lower_bound``/``upper_bound``, ``sort`` and
+``copy_into`` hand the values :func:`~repro.sequences.iterators.read_chunks`
+returns to the interpreter's own loops (``list.index``, ``list.count``,
+``sum``, bisection, ``list.sort``).  The results, exceptions, epochs and
+invalidations are the loops', and no store is read more often.
+
 Dispatch for ``advance``/``distance``/``sort`` runs through the
 :mod:`repro.runtime` decision tables: specificity is compiled once per
 registry generation and the steady-state cost of picking an overload is a
@@ -21,14 +29,16 @@ numbers, and ``REPRO_STATS=1`` for per-overload call counts).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..concepts import GenericFunction
 from ..concepts.builtins import (
     BackInsertionSequence,
     BidirectionalIterator,
     Container,
-    ContiguousContainer,
     ForwardIterator,
     InputIterator,
     PersistentContainer,
@@ -38,11 +48,55 @@ from ..concepts.builtins import (
 )
 from .errors import EmptyRangeError, IteratorRangeError
 from .function_objects import Less
-from .iterators import IteratorBase, require_same_container, walk
+from .iterators import (IteratorBase, ahead, facade_range, read_chunks,
+                        require_same_container, walk)
 from .storage import SequenceFacade
 
 _default_less = Less()
 _LESS_CALL = Less.__call__
+
+
+def _unobservable(fn: Callable, operands: Iterable) -> bool:
+    """Does applying ``fn`` to ``operands`` run no user code?  Yes for
+    ``operator.eq``, the default ``Less`` with its own ``__call__`` (not
+    patched or overridden) and ``operator.add``, on operands of the one
+    exact type ``int`` or ``str`` (``int`` for ``add``): then the
+    interpreter's loops (``list.sort``/``index``/``count``, ``sum``,
+    bisection) give what the algorithm's loop gives, and no call can be
+    observed.  Not for ``bool`` or other subclasses (own operators),
+    ``float`` (NaN; ``sum`` rounds differently) or mixed types (which
+    raise at one particular call)."""
+    if fn is operator.add:
+        exact: tuple = ({int},)
+    elif fn is operator.eq or (fn is _default_less
+                               and type(fn).__call__ is _LESS_CALL):
+        exact = ({int}, {str})
+    else:
+        return False
+    return set(map(type, operands)) in exact
+
+
+def _split(first: IteratorBase, last: IteratorBase, fn: Callable,
+           operand: Any, whole: bool = True) -> Iterator[Any]:
+    """``[first, last)`` for an algorithm that applies ``fn`` to ``operand``
+    and each value: the :func:`read_chunks` lists on which
+    :func:`_unobservable` holds, then, for what they leave, the loop's
+    iterator and its :func:`walk` as one tuple (which goes on from the
+    last chunk read, so nothing is read twice)."""
+    chunks = (read_chunks(first, last, whole)
+              if _unobservable(fn, (operand,)) else None)
+    if chunks is None:
+        it = first.clone()
+        yield it, walk(it, last)
+        return
+    k = 0
+    for chunk in chunks:
+        if not _unobservable(fn, chain((operand,), chunk)):
+            it = ahead(first, k)
+            yield it, walk(it, last, (chunk, chunks))
+            return
+        yield chunk
+        k += len(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +171,19 @@ def find(first: IteratorBase, last: IteratorBase, value: Any) -> IteratorBase:
     sorted sequences (e.g., lower_bound)", Section 3.2).
     """
     require_same_container(first, last)
-    it = first.clone()
-    for v in walk(it, last):
-        if v == value:
-            return it
-    return it
+    k = 0
+    for part in _split(first, last, operator.eq, value, whole=False):
+        if type(part) is list:
+            if value in part:
+                return ahead(first, k + part.index(value))
+            k += len(part)
+            continue
+        it, values = part
+        for v in values:
+            if v == value:
+                return it
+        return it
+    return ahead(first, k)
 
 
 def find_if(
@@ -140,9 +202,13 @@ def count(first: IteratorBase, last: IteratorBase, value: Any) -> int:
     """Requires: Input Iterator."""
     require_same_container(first, last)
     n = 0
-    for v in walk(first.clone(), last):
-        if v == value:
-            n += 1
+    for part in _split(first, last, operator.eq, value):
+        if type(part) is list:
+            n += part.count(value)
+            continue
+        for v in part[1]:
+            if v == value:
+                n += 1
     return n
 
 
@@ -216,13 +282,17 @@ def accumulate(
     first: IteratorBase,
     last: IteratorBase,
     init: Any,
-    op: Callable[[Any, Any], Any] = lambda a, b: a + b,
+    op: Callable[[Any, Any], Any] = operator.add,
 ) -> Any:
     """Left fold.  Requires: Input Iterator."""
     require_same_container(first, last)
     acc = init
-    for v in walk(first.clone(), last):
-        acc = op(acc, v)
+    for part in _split(first, last, op, init):
+        if type(part) is list:
+            acc = sum(part, acc)
+            continue
+        for v in part[1]:
+            acc = op(acc, v)
     return acc
 
 
@@ -265,20 +335,7 @@ def lower_bound(
     comparisons; O(log n) steps with Random Access Iterators, O(n) steps
     otherwise (comparisons stay logarithmic — the STL's actual guarantee).
     """
-    require_same_container(first, last)
-    n = distance(first, last)
-    it = first.clone()
-    while n > 0:
-        step = n // 2
-        mid = it.clone()
-        advance(mid, step)
-        if less(mid.deref(), value):
-            mid.increment()
-            it = mid
-            n -= step + 1
-        else:
-            n = step
-    return it
+    return _bound(first, last, value, less, upper=False)
 
 
 def upper_bound(
@@ -289,16 +346,56 @@ def upper_bound(
 ) -> IteratorBase:
     """First position strictly after every element equivalent to ``value``.
     Same requirements/preconditions as :func:`lower_bound`."""
+    return _bound(first, last, value, less, upper=True)
+
+
+_UNREAD = object()
+
+
+def _bound(first: IteratorBase, last: IteratorBase, value: Any,
+           less: Callable[[Any, Any], bool], upper: bool) -> IteratorBase:
+    """:func:`lower_bound`, or :func:`upper_bound` if ``upper``.  Under
+    :func:`_unobservable`, a façade range is probed through
+    ``Storage.get`` where the loop probes (``(lo + hi) // 2`` is
+    ``it + n // 2``); a probe of another type is handed to the loop,
+    which goes on from there, so nothing is read twice.  A node range
+    is read once, bisected, and its result reached by one pass."""
     require_same_container(first, last)
-    n = distance(first, last)
-    it = first.clone()
+    it, probe = None, _UNREAD
+    if _unobservable(less, (value,)):
+        span = facade_range(first, last)
+        if span is not None:
+            store, start, hi = span
+            lo = start
+            while lo < hi:
+                mid = (lo + hi) // 2
+                probe = store.get(mid)
+                if type(probe) is not type(value):
+                    break
+                if (not value < probe) if upper else probe < value:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            else:
+                return ahead(first, lo - start)
+            it, n = ahead(first, lo - start), hi - lo
+        elif (chunks := read_chunks(first, last, whole=True)) is not None:
+            values = next(chunks, [])
+            if _unobservable(less, chain((value,), values)):
+                search = bisect_right if upper else bisect_left
+                return ahead(first, search(values, value))
+    if it is None:
+        n = distance(first, last)
+        it = first.clone()
     while n > 0:
         step = n // 2
-        mid = it.clone()
-        advance(mid, step)
-        if not less(value, mid.deref()):
-            mid.increment()
-            it = mid
+        mid_it = it.clone()
+        advance(mid_it, step)
+        v = mid_it.deref() if probe is _UNREAD else probe
+        probe = _UNREAD
+        if (not less(value, v)) if upper else less(v, value):
+            mid_it.increment()
+            it = mid_it
             n -= step + 1
         else:
             n = step
@@ -383,21 +480,18 @@ copy_into = GenericFunction("copy_into")
 @copy_into.overload(requires=[(Container, 0), (BackInsertionSequence, 1)],
                     name="copy_into<Container> (element-wise)")
 def _copy_into_elementwise(src: Any, dst: Any) -> Any:
-    """Append all of ``src`` onto ``dst``, one element at a time."""
-    for v in walk(src.begin(), src.end()):
+    """Append all of ``src`` onto ``dst``, one element at a time.  The
+    values come from :func:`read_chunks` when ``dst`` is exactly a
+    ``Vector``, ``Deque`` or ``DList`` other than ``src``, whose
+    ``push_back`` runs no user code and cannot touch ``src``."""
+    first, last = src.begin(), src.end()
+    chunks = (read_chunks(first, last, whole=True)
+              if type(dst) in (_Vector, _Deque, _DList) and dst is not src
+              else None)
+    values = walk(first, last) if chunks is None else chain.from_iterable(
+        chunks)
+    for v in values:
         dst.push_back(v)
-    return dst
-
-
-@copy_into.overload(
-    requires=[(ContiguousContainer, 0), (BackInsertionSequence, 1)],
-    name="copy_into<ContiguousContainer> (bulk slice)",
-)
-def _copy_into_bulk(src: Any, dst: Any) -> Any:
-    """Contiguous sources hand over their block as one bulk slice —
-    no per-element iterator traffic on the read side."""
-    for value in src.storage().slice(0, src.size()):
-        dst.push_back(value)
     return dst
 
 
@@ -477,15 +571,14 @@ def _note_sorted(container: Any, less: Callable[[Any, Any], bool]) -> None:
         container.assert_fact("sorted", check=False)
 
 
-def _unobservable(less: Callable[[Any, Any], bool], items: list) -> bool:
-    """May ``items`` be ordered by the interpreter's ``list.sort``?  Only
-    under the default ``Less`` with its own ``__call__`` (not patched or
-    overridden), over elements of the one exact type ``int`` or ``str``:
-    there ``a < b`` is the built-in comparison ``list.sort`` makes, a
-    strict weak order that runs no user code and cannot raise, so no
-    comparator call can be observed."""
-    return (less is _default_less and type(less).__call__ is _LESS_CALL
-            and set(map(type, items)) in ({int}, {str}))
+def _contents(container: Any) -> Optional[list]:
+    """A façade's elements, read once by :func:`read_chunks` (None if
+    it answers None, or for other containers)."""
+    if isinstance(container, SequenceFacade):
+        chunks = read_chunks(container.begin(), container.end(), whole=True)
+        if chunks is not None:
+            return next(chunks, [])
+    return None
 
 
 def _quicksort(buf: list, lo: int, hi: int, less: Callable) -> None:
@@ -555,7 +648,9 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     merge sort) puts the very same element objects in the same order.
     Only the positions whose element changed (by identity) are written
     back, so a sorted container keeps its epoch."""
-    items = list(container)
+    items = _contents(container)
+    if items is None:
+        items = list(container)
     runs = ([sorted(items)] if _unobservable(less, items)
             else [[x] for x in items])
     while len(runs) > 1:
@@ -609,9 +704,8 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     A comparator that raises, and a broken comparator's ``IndexError`` or
     ``ValueError`` (see :func:`_quicksort`), leave the container
     untouched: contents, epoch and facts are as before the call."""
-    if isinstance(container, SequenceFacade):
-        before = container.storage().slice(0, container.size())
-    else:
+    before = _contents(container)
+    if before is None:
         at = container.at
         before = [at(k) for k in range(container.size())]
     buf = before.copy()

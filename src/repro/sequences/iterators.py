@@ -20,7 +20,10 @@ The iterator interface is the one the concepts in
 - ``advance(n)`` / ``distance(other)`` / ``less(other)``   random access
 
 Range algorithms read through :func:`walk`, which makes the same checks
-as a loop over ``equals``/``deref``/``increment`` without the calls.
+as a loop over ``equals``/``deref``/``increment`` without the calls, or,
+where no user code can run in the loop, through :func:`read_chunks`,
+which hands over the range's values in the lists storage returns.  Both
+read a façade's store in one chunk schedule (:data:`WALK_CHUNK_FIRST`).
 """
 
 from __future__ import annotations
@@ -249,11 +252,11 @@ def python_range(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
 
 
 # ---------------------------------------------------------------------------
-# walk: the one checked traversal
+# walk and read_chunks: the one checked traversal and the one bulk read
 # ---------------------------------------------------------------------------
 
-#: A walk over a façade's store reads ``WALK_CHUNK_FIRST`` values with
-#: one ``Storage.slice``, then doubles the chunk up to ``WALK_CHUNK_CAP``.
+#: Reads of a façade's store take ``WALK_CHUNK_FIRST`` values with one
+#: ``Storage.slice``, then double the chunk up to ``WALK_CHUNK_CAP``.
 #: A walk that stops early, or whose callback mutates the container (each
 #: mutation restarts the schedule), reads little past where it stops; a
 #: full scan of n values costs about n / WALK_CHUNK_CAP reads.
@@ -275,7 +278,75 @@ def _plain(it: Any, family: type, ops: tuple) -> bool:
             and cls._require_valid is ops[3])
 
 
-def walk(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
+def _read_facade(store: Any, i: int, stop: int,
+                 whole: bool = False) -> PyIterator[list]:
+    """Read positions ``[i, stop)`` of ``store``: in the schedule of
+    :data:`WALK_CHUNK_FIRST`, or in one chunk if ``whole``."""
+    size = WALK_CHUNK_FIRST
+    while i < stop:
+        hi = stop if whole else min(i + size, stop)
+        yield store.slice(i, hi)
+        i = hi
+        if size < WALK_CHUNK_CAP:
+            size *= 2
+
+
+def facade_range(first: Any, last: Any) -> Optional[tuple[Any, int, int]]:
+    """``(store, i, stop)`` if ``[first, last)`` is positions ``[i, stop)``
+    of ``store``, ``i <= stop <= length``, between valid plain
+    :class:`IndexIterator` s of one façade; else None."""
+    if _plain(first, IndexIterator, _INDEX_OPS) \
+            and _plain(last, IndexIterator, _INDEX_OPS):
+        c = first._container
+        if (isinstance(c, SequenceFacade) and c is last._container
+                and first._valid and last._valid
+                and first._index <= last._index <= c._store.length()):
+            return c._store, first._index, last._index
+    return None
+
+
+def read_chunks(first: IteratorBase, last: IteratorBase,
+                whole: bool = False) -> Optional[PyIterator[list]]:
+    """The values of ``[first, last)`` in lists read from storage; None
+    unless both are valid plain built-in iterators of one container,
+    ``first`` at or before ``last`` (:func:`facade_range`; for nodes, a
+    pass over ``node.next`` meets ``last`` before the sentinel).  On None
+    callers run their loop, which raises or runs the code this skips.
+    A façade range is read lazily in :func:`walk`'s schedule (one chunk
+    if ``whole``), so it must not change meanwhile; a node range is the
+    one chunk the pass read."""
+    span = facade_range(first, last)
+    if span is not None:
+        return _read_facade(*span, whole)
+    if (_plain(first, NodeIterator, _NODE_OPS)
+            and _plain(last, NodeIterator, _NODE_OPS)
+            and first._container is last._container
+            and first._valid and last._valid):
+        node, stop = first._node, last._node
+        sentinel = first._container._sentinel
+        values = []
+        while node is not stop:
+            if node is sentinel:
+                return None
+            values.append(node.value)
+            node = node.next
+        return iter((values,) if values else ())
+    return None
+
+
+def ahead(first: IteratorBase, k: int) -> IteratorBase:
+    """``first.clone()`` moved ``k`` steps, inside a range that
+    :func:`read_chunks` read."""
+    if isinstance(first, IndexIterator):
+        return type(first)(first._container, first._index + k)
+    node = first._node
+    for _ in range(k):
+        node = node.next
+    return type(first)(first._container, node)
+
+
+def walk(first: IteratorBase, last: IteratorBase,
+         resume: tuple = ()) -> PyIterator[Any]:
     """Yield the values of ``[first, last)``, moving ``first`` as it goes:
     while the consumer holds a value, ``first`` points at it, and after
     the last one it equals ``last``.
@@ -292,14 +363,16 @@ def walk(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
       :data:`WALK_CHUNK_FIRST`), and reads again whenever the façade's
       ``epoch`` has moved, so a callback's writes are seen at the next
       step.  This relies on the façade being its store's sole owner:
-      every change to the store goes through the façade.
+      every change to the store goes through the façade.  ``resume``,
+      a :func:`read_chunks` chunk at ``first`` and the rest of its read,
+      is used before the store is read again.
     - a :class:`NodeIterator` follows ``node.next``.
     """
     if _plain(first, IndexIterator, _INDEX_OPS) \
             and _plain(last, IndexIterator, _INDEX_OPS):
         c = first._container
         if isinstance(c, SequenceFacade):
-            return _walk_facade(first, last, c)
+            return _walk_facade(first, last, c, *resume)
     elif _plain(first, NodeIterator, _NODE_OPS) \
             and _plain(last, NodeIterator, _NODE_OPS):
         return _walk_nodes(first, last)
@@ -313,12 +386,12 @@ def _walk_generic(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
 
 
 def _walk_facade(first: IndexIterator, last: IndexIterator,
-                 c: SequenceFacade) -> PyIterator[Any]:
+                 c: SequenceFacade, chunk: list = (),  # type: ignore[assignment]
+                 reads: PyIterator[list] = iter(())) -> PyIterator[Any]:
     store = c._store
     epoch, n = c.epoch, store.length()
-    chunk: list[Any] = []
-    lo = hi = 0                         # chunk holds positions [lo, hi)
-    size = WALK_CHUNK_FIRST
+    lo = first._index
+    hi = lo + len(chunk)                # chunk holds positions [lo, hi)
     while True:
         # first.equals(last)
         if not (first._valid and last._valid):
@@ -330,19 +403,21 @@ def _walk_facade(first: IndexIterator, last: IndexIterator,
         if i >= n:
             raise PastTheEndError(_DEREF_PAST_END)
         if not lo <= i < hi:
-            hi = min(i + size, n)
-            if i < last._index < hi:
-                hi = last._index
-            chunk, lo = store.slice(i, hi), i
-            if size < WALK_CHUNK_CAP:
-                size *= 2
+            # The read goes on where the last chunk ended; else it starts
+            # afresh at i, up to last or the end.
+            chunk = next(reads, None) if i == hi else None
+            if chunk is None:
+                stop = last._index if i < last._index <= n else n
+                reads = _read_facade(store, i, stop)
+                chunk = next(reads)
+            lo, hi = i, i + len(chunk)
         yield chunk[i - lo]
         # first.increment(); the consumer may have mutated the container
         if not first._valid:
             raise SingularIteratorError(_SINGULAR)
         if c.epoch != epoch:
-            epoch, n, size = c.epoch, store.length(), WALK_CHUNK_FIRST
-            hi = lo
+            epoch, n = c.epoch, store.length()
+            lo = hi = -1
         if i >= n:
             raise PastTheEndError(_INCREMENT_PAST_END)
         first._index = i + 1

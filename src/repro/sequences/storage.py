@@ -340,6 +340,9 @@ class IteratorRegistry:
 
     def __init__(self) -> None:
         self._iterators: weakref.WeakSet = weakref.WeakSet()
+        #: The registered iterators' weak references: empty exactly when
+        #: none is registered, and testing that costs no call.
+        self.refs: set = self._iterators.data
 
     def register(self, it: Any) -> None:
         self._iterators.add(it)
@@ -348,10 +351,8 @@ class IteratorRegistry:
         self._iterators.discard(it)
 
     def live(self) -> list[Any]:
-        # Iterating a WeakSet costs microseconds even when it is empty;
-        # its ``data`` set of references is empty exactly when no
-        # iterator is registered.
-        if not self._iterators.data:
+        # Iterating a WeakSet costs microseconds even when it is empty.
+        if not self.refs:
             return []
         return [it for it in self._iterators if it.is_valid()]
 
@@ -475,7 +476,7 @@ class SequenceFacade:
         (``"write"``)."""
         self.epoch += 1
         resolved = self.scopes.get(op)
-        if resolved is not None:
+        if resolved is not None and self._iterators.refs:
             scope = resolved[realloc]
             if scope is not None:
                 self.invalidation_events += self._iterators.invalidate(

@@ -1,8 +1,9 @@
 """A ``std::vector``-like container with C++ invalidation rules.
 
 Which iterators each mutation kills — at-or-after the position for
-``insert``/``erase``/``pop_back``, everything on reallocation, everything
-on ``clear`` — is the ``"vector"`` entry of
+``insert``/``erase``/``pop_back``, ``end()`` on every ``push_back``,
+everything on reallocation, everything on ``clear`` — is the
+``"vector"`` entry of
 :data:`repro.facts.properties.INVALIDATION`, the table STLlint checks
 against too (Fig. 4's ``extract_fails`` is the erase rule at work).
 Capacity doubles on growth, as real implementations do, so reallocation
@@ -111,7 +112,8 @@ class Vector(SequenceFacade):
 
     def push_back(self, value: Any) -> None:
         self._store.append(value)
-        self._commit_mutation("push_back", None, self._grow())
+        self._commit_mutation("push_back", self._store.length() - 1,
+                              self._grow())
 
     def pop_back(self) -> Any:
         if self._store.length() == 0:

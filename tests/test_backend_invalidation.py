@@ -23,6 +23,7 @@ from repro.facts.properties import (
 )
 from repro.sequences import Deque, DList, Vector
 from repro.sequences.backends import ContiguousVector, SqliteSequence
+from repro.sequences.errors import SingularIteratorError
 from repro.sequences.storage import StorageError
 
 #: (backend name, zero-arg-or-items factory) for every Vector-family
@@ -201,7 +202,8 @@ CONTAINERS = {
 N = 5
 
 #: The position each operation acts on in an N-element container.
-TARGET = {"insert": 2, "erase": 2, "pop_back": N - 1, "pop_front": 0}
+TARGET = {"insert": 2, "erase": 2, "pop_back": N - 1, "pop_front": 0,
+          "push_back": N}
 
 
 def _dies(scopes, position, target, realloc):
@@ -229,7 +231,7 @@ def test_table_entry_kills_exactly_its_scope(kind, op, realloc):
         c.pop_back()
     target = TARGET.get(op, 2)
     held = {}
-    for position in sorted({0, target, target + 1, N}):
+    for position in sorted({0, target, min(target + 1, N), N}):
         it = c.begin()
         for _ in range(position):
             it.increment()
@@ -246,6 +248,21 @@ def test_table_entry_kills_exactly_its_scope(kind, op, realloc):
     assert died == {p for p in held if _dies(scopes, p, target, realloc)}
     assert c.invalidation_events - events == len(died)
     assert getattr(c, "reallocations", 0) - reallocations == int(realloc)
+
+
+@pytest.mark.parametrize("kind", ["vector", "contig", "sqlite"])
+def test_push_back_kills_end_without_reallocating(kind):
+    # ISO C++ invalidates the past-the-end iterator on every push_back;
+    # here the first push_back leaves spare capacity for the second.
+    v = CONTAINERS[kind]([1, 2])
+    v.push_back(3)
+    e, b = v.end(), v.begin()
+    reallocations = v.reallocations
+    v.push_back(4)
+    assert v.reallocations == reallocations
+    assert not e.is_valid() and b.is_valid()
+    with pytest.raises(SingularIteratorError):
+        e.deref()
 
 
 def test_spliced_iterators_survive_their_old_list():

@@ -302,9 +302,13 @@ class TestBackendDispatch:
         # bounds narrow the lookup
         assert indexed_find(s.begin(), s.begin(), 2).equals(s.begin())
 
-    def test_copy_into_bulk_for_contiguous_source(self):
+    def test_copy_into_from_contiguous_source(self):
+        # One element-wise overload serves every source; a contiguous
+        # one has no overload of its own.
         src = ContiguousVector([1, 2, 3])
         dst = Vector()
+        assert copy_into.resolve((ContiguousVector, Vector)).name == (
+            "copy_into<Container> (element-wise)")
         copy_into(src, dst)
         assert dst.to_list() == [1, 2, 3]
 
