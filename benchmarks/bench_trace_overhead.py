@@ -46,11 +46,6 @@ TRACER_NAMES = {"_trace", "ACTIVE"}
 #: The lines ``resolve_slow`` may run with the tracer off.
 MISS_PATH_LINES = ["tr = _trace.ACTIVE", "if tr is None:",
                    "return self._resolve_slow(key)"]
-#: Slack under which a "regression" is timing noise, not code: 5% of a
-#: ~100ns dict probe is well inside run-to-run jitter (absolute floor),
-#: and even µs-scale paths wobble ~1% run-to-run (relative floor).
-NOISE_FLOOR_US = 0.03
-NOISE_FLOOR_REL = 0.01
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 OUT_JSON = OUT_DIR / "trace_overhead.json"
 OUT_TRACE = OUT_DIR / "trace_overhead_trace.json"
@@ -157,9 +152,6 @@ def _per_op_ab(fn_a, fn_b, iterations: int, repeat: int = 5) -> tuple[float, flo
 
 
 def _overhead_pct(t_new_us: float, t_base_us: float) -> float:
-    floor = max(NOISE_FLOOR_US, NOISE_FLOOR_REL * t_base_us)
-    if t_new_us - t_base_us <= floor:
-        return 0.0
     return (t_new_us / t_base_us - 1.0) * 100.0
 
 

@@ -125,7 +125,7 @@ _counters.register("analysis.cache", stats, _report, _tracks)
 
 
 #: Version of the ``imports/`` entry format; any other value is discarded.
-IMPORTS_SCHEMA_VERSION = 2
+IMPORTS_SCHEMA_VERSION = 3
 #: Version of the ``manifests/`` file format; any other value is discarded.
 MANIFEST_VERSION = 1
 #: The fields of a manifest row.

@@ -39,10 +39,11 @@ imports are matched by their trailing module names, and importing
 ``a.b`` also names ``a``.  A false edge only costs an unnecessary
 re-analysis; a missed edge would serve stale results, so ties break
 toward more invalidation.  Modules the import system finds outside the
-analyzed set are not tracked, and neither are the submodules a package
-re-exports lazily (PEP 562, as :mod:`repro.athena` does): they load
-when a name is first read, so a file whose decorators resolve through
-such a package is keyed on the package alone.
+analyzed set are not tracked.  A module with a module-level
+``__getattr__`` (PEP 562, as :mod:`repro.athena` re-exports its
+submodules) may import any module of its package when a name is first
+read, so it is taken to import every file under its directory
+(:data:`LAZY`).
 
 A file's names depend on its bytes alone, so a caller with a store of
 them (the analysis session keeps one in its cache directory, see
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import os
 import pathlib
 from typing import Callable, Iterable, Optional
 
@@ -65,6 +67,11 @@ from repro.lint.concept_pass import reads_imports
 #: path depth for no benefit; real imports rarely spell more than this
 #: many segments.
 _MAX_SUFFIX_SEGMENTS = 5
+
+#: The name :func:`scan_imports` adds to a module that defines a
+#: module-level ``__getattr__``: :func:`dependency_graph` resolves it to
+#: every file under that module's directory.  No import can spell it.
+LAZY = "*"
 
 
 def module_aliases(path: pathlib.Path) -> set[str]:
@@ -114,7 +121,18 @@ def scan_imports(source: str) -> tuple[set[str], set[str]]:
             parts = name.split(".")
             names.update(".".join(parts[:n])
                          for n in range(1, len(parts) + 1))
+    if any(_binds_getattr(node) for node in tree.body):
+        names.add(LAZY)
     return names, set(names) if reads_imports(tree, imports) else set()
+
+
+def _binds_getattr(node: ast.stmt) -> bool:
+    """Does a module-level statement bind ``__getattr__``?"""
+    if isinstance(node, ast.FunctionDef):
+        return node.name == "__getattr__"
+    return isinstance(node, ast.Assign) and any(
+        isinstance(n, ast.Name) and n.id == "__getattr__"
+        for target in node.targets for n in ast.walk(target))
 
 
 #: Maps a file to one of its name sets (see :func:`scan_imports`).
@@ -125,7 +143,8 @@ def dependency_graph(
     files: Iterable[pathlib.Path], names_of: NamesOf,
 ) -> dict[pathlib.Path, set[pathlib.Path]]:
     """Same-project import edges among ``files``: each file maps to the
-    other files that its ``names_of`` names match."""
+    other files that its ``names_of`` names match (:data:`LAZY`: every
+    file under its directory)."""
     alias_to_files: dict[str, set[pathlib.Path]] = {}
     files = list(files)
     for f in files:
@@ -135,7 +154,11 @@ def dependency_graph(
     for f in files:
         deps: set[pathlib.Path] = set()
         for name in names_of(f):
-            deps.update(alias_to_files.get(name, ()))
+            if name == LAZY:
+                under = os.path.join(f.parent, "")
+                deps.update(g for g in files if str(g).startswith(under))
+            else:
+                deps.update(alias_to_files.get(name, ()))
         deps.discard(f)
         graph[f] = deps
     return graph

@@ -12,13 +12,9 @@ All range algorithms take value-semantic iterators ``[first, last)`` from
 :mod:`repro.sequences.iterators`; container-level overloads take the
 container itself.
 
-Range kernels: where :func:`_unobservable` holds (the default ``==``,
-``+`` or ``Less`` on exact ``int``/``str``), ``find``, ``count``,
-``accumulate``, ``lower_bound``/``upper_bound``, ``sort`` and
-``copy_into`` hand the values :func:`~repro.sequences.iterators.read_chunks`
-returns to the interpreter's own loops (``list.index``, ``list.count``,
-``sum``, bisection, ``list.sort``).  The results, exceptions, epochs and
-invalidations are the loops', and no store is read more often.
+Range kernels: where :func:`_unobservable` holds, ``find``, ``count``,
+``accumulate``, the bounds and ``copy_into`` run the interpreter's own
+loops on what :func:`~repro.sequences.iterators.read_chunks` reads.
 
 Dispatch for ``advance``/``distance``/``sort`` runs through the
 :mod:`repro.runtime` decision tables: specificity is compiled once per
@@ -31,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
+from functools import reduce
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -54,44 +51,37 @@ from .storage import SequenceFacade
 
 _default_less = Less()
 _LESS_CALL = Less.__call__
+#: Types whose ``<`` runs no user code (sqlite stores no others).
+_SCALARS = (int, str, float, bool, bytes, type(None))
 
 
-def _unobservable(fn: Callable, operands: Iterable) -> bool:
-    """Does applying ``fn`` to ``operands`` run no user code?  Yes for
-    ``operator.eq``, the default ``Less`` with its own ``__call__`` (not
-    patched or overridden) and ``operator.add``, on operands of the one
-    exact type ``int`` or ``str`` (``int`` for ``add``): then the
-    interpreter's loops (``list.sort``/``index``/``count``, ``sum``,
-    bisection) give what the algorithm's loop gives, and no call can be
-    observed.  Not for ``bool`` or other subclasses (own operators),
-    ``float`` (NaN; ``sum`` rounds differently) or mixed types (which
-    raise at one particular call)."""
-    if fn is operator.add:
-        exact: tuple = ({int},)
-    elif fn is operator.eq or (fn is _default_less
-                               and type(fn).__call__ is _LESS_CALL):
-        exact = ({int}, {str})
-    else:
+def _unobservable(kernel: Callable, fn: Callable, operands: Iterable) -> bool:
+    """May ``kernel`` stand in for the loop's ``fn`` on ``operands``?  Only
+    if ``fn`` is ``kernel`` (``operator.eq``, ``operator.add`` or the default
+    ``Less`` with its own ``__call__``) and all are of one exact type ``int``
+    or ``str`` (``int`` for ``add``): not ``bool`` or other subclasses, not
+    ``float`` (NaN; ``sum`` rounds differently), not mixed types."""
+    if fn is not kernel or (fn is _default_less
+                            and type(fn).__call__ is not _LESS_CALL):
         return False
-    return set(map(type, operands)) in exact
+    return set(map(type, operands)) in (
+        ({int},) if kernel is operator.add else ({int}, {str}))
 
 
-def _split(first: IteratorBase, last: IteratorBase, fn: Callable,
-           operand: Any, whole: bool = True) -> Iterator[Any]:
-    """``[first, last)`` for an algorithm that applies ``fn`` to ``operand``
-    and each value: the :func:`read_chunks` lists on which
-    :func:`_unobservable` holds, then, for what they leave, the loop's
-    iterator and its :func:`walk` as one tuple (which goes on from the
-    last chunk read, so nothing is read twice)."""
+def _split(first: IteratorBase, last: IteratorBase, kernel: Callable,
+           fn: Callable, operand: Any, whole: bool = True) -> Iterator[Any]:
+    """``[first, last)`` for a loop applying ``fn`` to ``operand`` and each
+    value: the :func:`read_chunks` lists where :func:`_unobservable` holds,
+    then the loop's iterator and :func:`walk`, which goes on with the read."""
     chunks = (read_chunks(first, last, whole)
-              if _unobservable(fn, (operand,)) else None)
+              if _unobservable(kernel, fn, (operand,)) else None)
     if chunks is None:
         it = first.clone()
         yield it, walk(it, last)
         return
     k = 0
     for chunk in chunks:
-        if not _unobservable(fn, chain((operand,), chunk)):
+        if not _unobservable(kernel, fn, chain((operand,), chunk)):
             it = ahead(first, k)
             yield it, walk(it, last, (chunk, chunks))
             return
@@ -172,17 +162,14 @@ def find(first: IteratorBase, last: IteratorBase, value: Any) -> IteratorBase:
     """
     require_same_container(first, last)
     k = 0
-    for part in _split(first, last, operator.eq, value, whole=False):
-        if type(part) is list:
-            if value in part:
-                return ahead(first, k + part.index(value))
-            k += len(part)
-            continue
-        it, values = part
-        for v in values:
-            if v == value:
-                return it
-        return it
+    for part in _split(first, last, operator.eq, operator.eq, value,
+                       whole=False):
+        if type(part) is not list:
+            it, values = part
+            return next((it for v in values if v == value), it)
+        if value in part:
+            return ahead(first, k + part.index(value))
+        k += len(part)
     return ahead(first, k)
 
 
@@ -202,13 +189,9 @@ def count(first: IteratorBase, last: IteratorBase, value: Any) -> int:
     """Requires: Input Iterator."""
     require_same_container(first, last)
     n = 0
-    for part in _split(first, last, operator.eq, value):
-        if type(part) is list:
-            n += part.count(value)
-            continue
-        for v in part[1]:
-            if v == value:
-                n += 1
+    for part in _split(first, last, operator.eq, operator.eq, value):
+        n += (part.count(value) if type(part) is list
+              else sum(1 for v in part[1] if v == value))
     return n
 
 
@@ -287,12 +270,9 @@ def accumulate(
     """Left fold.  Requires: Input Iterator."""
     require_same_container(first, last)
     acc = init
-    for part in _split(first, last, op, init):
-        if type(part) is list:
-            acc = sum(part, acc)
-            continue
-        for v in part[1]:
-            acc = op(acc, v)
+    for part in _split(first, last, operator.add, op, init):
+        acc = (sum(part, acc) if type(part) is list
+               else reduce(op, part[1], acc))
     return acc
 
 
@@ -349,53 +329,45 @@ def upper_bound(
     return _bound(first, last, value, less, upper=True)
 
 
-_UNREAD = object()
-
-
 def _bound(first: IteratorBase, last: IteratorBase, value: Any,
            less: Callable[[Any, Any], bool], upper: bool) -> IteratorBase:
     """:func:`lower_bound`, or :func:`upper_bound` if ``upper``.  Under
-    :func:`_unobservable`, a façade range is probed through
-    ``Storage.get`` where the loop probes (``(lo + hi) // 2`` is
-    ``it + n // 2``); a probe of another type is handed to the loop,
-    which goes on from there, so nothing is read twice.  A node range
-    is read once, bisected, and its result reached by one pass."""
+    :func:`_unobservable`, a node range is read once and bisected, and a
+    façade is probed through ``Storage.get`` where the loop probes
+    (``(lo + hi) // 2`` is ``it + n // 2``) until a probe is no scalar."""
     require_same_container(first, last)
-    it, probe = None, _UNREAD
-    if _unobservable(less, (value,)):
+    if _unobservable(_default_less, less, (value,)):
         span = facade_range(first, last)
-        if span is not None:
-            store, start, hi = span
-            lo = start
+        if span is None:
+            for values in read_chunks(first, last, whole=True) or ():
+                if _unobservable(_default_less, less,
+                                 chain((value,), values)):
+                    return ahead(first, (bisect_right if upper
+                                         else bisect_left)(values, value))
+        else:
+            store, lo, hi = span
+            start = lo
             while lo < hi:
                 mid = (lo + hi) // 2
-                probe = store.get(mid)
-                if type(probe) is not type(value):
+                v = store.get(mid)
+                if type(v) not in _SCALARS:
                     break
-                if (not value < probe) if upper else probe < value:
+                if (not value < v) if upper else v < value:
                     lo = mid + 1
                 else:
                     hi = mid
             else:
                 return ahead(first, lo - start)
-            it, n = ahead(first, lo - start), hi - lo
-        elif (chunks := read_chunks(first, last, whole=True)) is not None:
-            values = next(chunks, [])
-            if _unobservable(less, chain((value,), values)):
-                search = bisect_right if upper else bisect_left
-                return ahead(first, search(values, value))
-    if it is None:
-        n = distance(first, last)
-        it = first.clone()
+    n = distance(first, last)
+    it = first.clone()
     while n > 0:
         step = n // 2
-        mid_it = it.clone()
-        advance(mid_it, step)
-        v = mid_it.deref() if probe is _UNREAD else probe
-        probe = _UNREAD
+        mid = it.clone()
+        advance(mid, step)
+        v = mid.deref()
         if (not less(value, v)) if upper else less(v, value):
-            mid_it.increment()
-            it = mid_it
+            mid.increment()
+            it = mid
             n -= step + 1
         else:
             n = step
@@ -480,17 +452,14 @@ copy_into = GenericFunction("copy_into")
 @copy_into.overload(requires=[(Container, 0), (BackInsertionSequence, 1)],
                     name="copy_into<Container> (element-wise)")
 def _copy_into_elementwise(src: Any, dst: Any) -> Any:
-    """Append all of ``src`` onto ``dst``, one element at a time.  The
-    values come from :func:`read_chunks` when ``dst`` is exactly a
-    ``Vector``, ``Deque`` or ``DList`` other than ``src``, whose
-    ``push_back`` runs no user code and cannot touch ``src``."""
+    """Append all of ``src`` onto ``dst``, one element at a time, read by
+    :func:`read_chunks` if ``dst`` is exactly a ``Vector``, ``Deque`` or
+    ``DList`` other than ``src`` (whose ``push_back`` cannot touch it)."""
     first, last = src.begin(), src.end()
     chunks = (read_chunks(first, last, whole=True)
               if type(dst) in (_Vector, _Deque, _DList) and dst is not src
               else None)
-    values = walk(first, last) if chunks is None else chain.from_iterable(
-        chunks)
-    for v in values:
+    for v in walk(first, last) if chunks is None else chain(*chunks):
         dst.push_back(v)
     return dst
 
@@ -571,16 +540,6 @@ def _note_sorted(container: Any, less: Callable[[Any, Any], bool]) -> None:
         container.assert_fact("sorted", check=False)
 
 
-def _contents(container: Any) -> Optional[list]:
-    """A façade's elements, read once by :func:`read_chunks` (None if
-    it answers None, or for other containers)."""
-    if isinstance(container, SequenceFacade):
-        chunks = read_chunks(container.begin(), container.end(), whole=True)
-        if chunks is not None:
-            return next(chunks, [])
-    return None
-
-
 def _quicksort(buf: list, lo: int, hi: int, less: Callable) -> None:
     """Median-of-three quicksort with insertion sort below a cutoff, in
     place on the list ``buf``.
@@ -648,10 +607,8 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     merge sort) puts the very same element objects in the same order.
     Only the positions whose element changed (by identity) are written
     back, so a sorted container keeps its epoch."""
-    items = _contents(container)
-    if items is None:
-        items = list(container)
-    runs = ([sorted(items)] if _unobservable(less, items)
+    items = list(container)
+    runs = ([sorted(items)] if _unobservable(_default_less, less, items)
             else [[x] for x in items])
     while len(runs) > 1:
         merged_runs = []
@@ -704,12 +661,13 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     A comparator that raises, and a broken comparator's ``IndexError`` or
     ``ValueError`` (see :func:`_quicksort`), leave the container
     untouched: contents, epoch and facts are as before the call."""
-    before = _contents(container)
-    if before is None:
+    if isinstance(container, SequenceFacade):
+        before = container.storage().slice(0, container.size())
+    else:
         at = container.at
         before = [at(k) for k in range(container.size())]
     buf = before.copy()
-    if _unobservable(less, buf):
+    if _unobservable(_default_less, less, buf):
         buf.sort()
     else:
         _quicksort(buf, 0, len(buf), less)

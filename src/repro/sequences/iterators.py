@@ -20,15 +20,14 @@ The iterator interface is the one the concepts in
 - ``advance(n)`` / ``distance(other)`` / ``less(other)``   random access
 
 Range algorithms read through :func:`walk`, which makes the same checks
-as a loop over ``equals``/``deref``/``increment`` without the calls, or,
-where no user code can run in the loop, through :func:`read_chunks`,
-which hands over the range's values in the lists storage returns.  Both
-read a façade's store in one chunk schedule (:data:`WALK_CHUNK_FIRST`).
+as a loop over ``equals``/``deref``/``increment`` without the calls;
+where no user code can run, :func:`read_chunks` hands over the lists
+storage returns, in the walk's schedule (:data:`WALK_CHUNK_FIRST`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator as PyIterator, Optional
+from typing import Any, Iterable, Iterator as PyIterator, Optional, Sequence
 
 from .errors import (
     IteratorRangeError,
@@ -280,11 +279,9 @@ def _plain(it: Any, family: type, ops: tuple) -> bool:
 
 def _read_facade(store: Any, i: int, stop: int,
                  whole: bool = False) -> PyIterator[list]:
-    """Read positions ``[i, stop)`` of ``store``: in the schedule of
-    :data:`WALK_CHUNK_FIRST`, or in one chunk if ``whole``."""
-    size = WALK_CHUNK_FIRST
+    size = stop - i if whole else WALK_CHUNK_FIRST
     while i < stop:
-        hi = stop if whole else min(i + size, stop)
+        hi = min(i + size, stop)
         yield store.slice(i, hi)
         i = hi
         if size < WALK_CHUNK_CAP:
@@ -307,36 +304,31 @@ def facade_range(first: Any, last: Any) -> Optional[tuple[Any, int, int]]:
 
 def read_chunks(first: IteratorBase, last: IteratorBase,
                 whole: bool = False) -> Optional[PyIterator[list]]:
-    """The values of ``[first, last)`` in lists read from storage; None
-    unless both are valid plain built-in iterators of one container,
-    ``first`` at or before ``last`` (:func:`facade_range`; for nodes, a
-    pass over ``node.next`` meets ``last`` before the sentinel).  On None
-    callers run their loop, which raises or runs the code this skips.
-    A façade range is read lazily in :func:`walk`'s schedule (one chunk
-    if ``whole``), so it must not change meanwhile; a node range is the
-    one chunk the pass read."""
+    """The values of ``[first, last)`` in lists read from storage, or None
+    unless both are valid plain built-in iterators of one container.  A
+    façade range (:func:`facade_range`) is read as consumed, in the walk's
+    schedule (one list if ``whole``); a node range only ``whole``, by one
+    pass that must meet ``last`` before the sentinel."""
     span = facade_range(first, last)
     if span is not None:
         return _read_facade(*span, whole)
-    if (_plain(first, NodeIterator, _NODE_OPS)
+    if (whole and _plain(first, NodeIterator, _NODE_OPS)
             and _plain(last, NodeIterator, _NODE_OPS)
             and first._container is last._container
             and first._valid and last._valid):
         node, stop = first._node, last._node
-        sentinel = first._container._sentinel
-        values = []
+        sentinel, values = first._container._sentinel, []
         while node is not stop:
             if node is sentinel:
                 return None
             values.append(node.value)
             node = node.next
-        return iter((values,) if values else ())
+        return iter((values,))
     return None
 
 
 def ahead(first: IteratorBase, k: int) -> IteratorBase:
-    """``first.clone()`` moved ``k`` steps, inside a range that
-    :func:`read_chunks` read."""
+    """``first.clone()`` moved ``k`` steps inside a range it read."""
     if isinstance(first, IndexIterator):
         return type(first)(first._container, first._index + k)
     node = first._node
@@ -363,9 +355,8 @@ def walk(first: IteratorBase, last: IteratorBase,
       :data:`WALK_CHUNK_FIRST`), and reads again whenever the façade's
       ``epoch`` has moved, so a callback's writes are seen at the next
       step.  This relies on the façade being its store's sole owner:
-      every change to the store goes through the façade.  ``resume``,
-      a :func:`read_chunks` chunk at ``first`` and the rest of its read,
-      is used before the store is read again.
+      every change to the store goes through the façade.  ``resume``
+      is a :func:`read_chunks` list at ``first`` and the rest of its read.
     - a :class:`NodeIterator` follows ``node.next``.
     """
     if _plain(first, IndexIterator, _INDEX_OPS) \
@@ -386,7 +377,7 @@ def _walk_generic(first: IteratorBase, last: IteratorBase) -> PyIterator[Any]:
 
 
 def _walk_facade(first: IndexIterator, last: IndexIterator,
-                 c: SequenceFacade, chunk: list = (),  # type: ignore[assignment]
+                 c: SequenceFacade, chunk: Sequence[Any] = (),
                  reads: PyIterator[list] = iter(())) -> PyIterator[Any]:
     store = c._store
     epoch, n = c.epoch, store.length()
@@ -403,8 +394,7 @@ def _walk_facade(first: IndexIterator, last: IndexIterator,
         if i >= n:
             raise PastTheEndError(_DEREF_PAST_END)
         if not lo <= i < hi:
-            # The read goes on where the last chunk ended; else it starts
-            # afresh at i, up to last or the end.
+            # Go on with the read, or start one at i, up to last or n.
             chunk = next(reads, None) if i == hi else None
             if chunk is None:
                 stop = last._index if i < last._index <= n else n

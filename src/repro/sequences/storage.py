@@ -340,8 +340,7 @@ class IteratorRegistry:
 
     def __init__(self) -> None:
         self._iterators: weakref.WeakSet = weakref.WeakSet()
-        #: The registered iterators' weak references: empty exactly when
-        #: none is registered, and testing that costs no call.
+        #: The registered iterators' weak references; a test costs no call.
         self.refs: set = self._iterators.data
 
     def register(self, it: Any) -> None:

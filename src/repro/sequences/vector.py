@@ -1,9 +1,8 @@
 """A ``std::vector``-like container with C++ invalidation rules.
 
 Which iterators each mutation kills — at-or-after the position for
-``insert``/``erase``/``pop_back``, ``end()`` on every ``push_back``,
-everything on reallocation, everything on ``clear`` — is the
-``"vector"`` entry of
+``insert``/``erase``/``pop_back``/``push_back``, everything on
+reallocation or ``clear`` — is the ``"vector"`` entry of
 :data:`repro.facts.properties.INVALIDATION`, the table STLlint checks
 against too (Fig. 4's ``extract_fails`` is the erase rule at work).
 Capacity doubles on growth, as real implementations do, so reallocation

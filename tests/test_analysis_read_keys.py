@@ -11,6 +11,7 @@ one."""
 
 import copy
 import importlib
+import pathlib
 import random
 import sys
 
@@ -351,3 +352,39 @@ def test_seeded_edits_keep_the_cache_coherent(project, seed):
 def _concept_findings(report):
     return sorted((f.path, f.line, f.message) for f in report.findings
                   if f.check == "concept-conformance")
+
+
+# ---------------------------------------------------------------------------
+# Lazily re-exporting packages
+# ---------------------------------------------------------------------------
+
+ATHENA_USER = '''
+from repro.athena import method
+
+
+@method("m")
+def m(ab):
+    return ab
+'''
+
+
+def test_a_lazy_package_keys_its_readers_on_every_submodule(tmp_path):
+    # repro.athena imports its submodules on first use of a name (PEP
+    # 562), so a file whose decorator reads `method` through the package
+    # must be re-analyzed when methods.py changes.
+    athena = (pathlib.Path(analysis_deps.__file__).resolve().parents[1]
+              / "athena")
+    user = tmp_path / "athena_user.py"
+    user.write_text(ATHENA_USER)
+    files = sorted(athena.rglob("*.py")) + [user]
+    scans = {f: analysis_deps.scan_imports(f.read_text()) for f in files}
+    assert analysis_deps.LAZY in scans[athena / "__init__.py"][0]
+    hashes = {f: "original" for f in files}
+    before, closures = analysis_deps.dependency_fingerprints(
+        files, hashes, scans.__getitem__)
+    assert {athena / "methods.py",
+            athena / "proofs" / "group_theory.py"} <= set(closures[user])
+    hashes[athena / "methods.py"] = "edited"
+    after, _ = analysis_deps.dependency_fingerprints(
+        files, hashes, scans.__getitem__)
+    assert after[user] != before[user]

@@ -3,9 +3,8 @@ oracle over every backend and every algorithm with a kernel.
 
 Each case runs one algorithm three times on fresh containers with the
 same contents.  Two reference runs switch the kernels off (the
-algorithms module's ``read_chunks`` and ``facade_range`` answer None, as
-they do for iterators they do not know), so the algorithms run their
-loops.  One of them hands every algorithm but ``sort`` thin wrapper
+algorithms module's ``read_chunks`` answers None, as it does for
+iterators it does not know), so the algorithms run their loops.  One of them hands every algorithm but ``sort`` thin wrapper
 iterators (:class:`Plain`) that only forward the iterator interface, so
 it runs the plain ``equals``/``deref``/``increment`` loop.  The kernel run uses
 the containers' own iterators with the kernels on.  All three must
@@ -16,11 +15,13 @@ round trips than the loop over the containers' own iterators (which
 reads in chunks), and ``find`` exactly as many.
 
 The cases where a kernel must not fire (``bool``, ``float``, mixed
-contents, a comparator or operation that is user code, a self-copy, a
-singular or foreign end) are checked the same way, and where user code
-runs, its calls are counted on both sides.
+contents, a comparator or operation that is user code or a built-in
+operator other than the kernel's own, a self-copy, a singular or foreign
+end) are checked the same way, and where user code runs, its calls are
+counted on both sides.
 """
 
+import operator
 import random
 from typing import Any, Callable
 
@@ -42,7 +43,8 @@ from repro.sequences.algorithms import (
 from repro.sequences.backends import ContiguousVector, SqliteSequence
 from repro.sequences.errors import SingularIteratorError
 from repro.sequences.function_objects import Less
-from repro.sequences.iterators import IndexIterator, NodeIterator
+from repro.sequences.iterators import (IndexIterator, NodeIterator,
+                                       read_chunks)
 
 BACKENDS = {
     "Vector": Vector,
@@ -145,7 +147,6 @@ def _roundtrips(c: Any) -> int:
 
 def _kernels_off(monkeypatch) -> None:
     monkeypatch.setattr(algorithms, "read_chunks", lambda *a, **k: None)
-    monkeypatch.setattr(algorithms, "facade_range", lambda *a, **k: None)
 
 
 #: Each algorithm as (container, first, last, value, plain) -> result.
@@ -171,29 +172,46 @@ PLAIN_WHOLE = {
         PlainContainer(c), v()),
 }
 SORTED_ONLY = {"lower_bound", "upper_bound", "binary_search"}
+#: Built-in operators that run no user code, passed where a kernel's own
+#: operation is the default: each kernel stands in for its own only.
+OPERATORS = (operator.eq, operator.add, operator.lt, operator.sub)
+OPERATOR_RANGE = {
+    f"{name}[{fn.__name__}]": (lambda c, f, l, v, alg=alg, fn=fn:
+                               alg(f, l, v, fn))
+    for fn in OPERATORS
+    for name, alg in (("accumulate", accumulate),
+                      ("lower_bound", lower_bound),
+                      ("upper_bound", upper_bound),
+                      ("binary_search", binary_search))}
+for _fn in OPERATORS:
+    WHOLE[f"sort[{_fn.__name__}]"] = lambda c, v, fn=_fn: sort(c, fn)
 
 
 def _run(monkeypatch, backend: str, algorithm: str, items: list,
          span: tuple, value: Any, mode: str,
          setup: Callable = None) -> dict:
-    """One run: ``mode`` is "kernel", "loop" (kernels off) or "plain"
-    (kernels off, and :class:`Plain` iterators for range algorithms)."""
+    """One run: ``mode`` is "kernel", "loop" (kernels off), "bare" (kernels
+    and the predicate off) or "plain" (kernels off, and :class:`Plain`
+    iterators for range algorithms)."""
     with monkeypatch.context() as m:
         if mode != "kernel":
             _kernels_off(m)
+        if mode == "bare":
+            m.setattr(algorithms, "_unobservable", lambda *a: False)
         c = BACKENDS[backend](items)
         if setup is not None:
             setup(c)
         before = _roundtrips(c)
         try:
-            if algorithm in RANGE:
+            if algorithm in RANGE or algorithm in OPERATOR_RANGE:
                 first, last = span(c) if callable(span) else (
                     _iter_at(c, span[0]), _iter_at(c, span[1]))
                 if mode == "plain":
                     wrap = (PlainRandom if isinstance(first, IndexIterator)
                             else Plain)
                     first, last = wrap(first), wrap(last)
-                result = RANGE[algorithm](c, first, last, value)
+                result = {**RANGE, **OPERATOR_RANGE}[algorithm](
+                    c, first, last, value)
             elif mode == "plain" and algorithm in PLAIN_WHOLE:
                 result = PLAIN_WHOLE[algorithm](c, value)
             else:
@@ -301,12 +319,14 @@ def test_kernels_fire_on_exact_contents(monkeypatch, backend, kind):
     monkeypatch.setattr(algorithms, "walk", no_loop)
     monkeypatch.setattr(algorithms, "distance", no_loop)
     v = items[123]
-    assert find(c.begin(), c.end(), v).deref() == v
-    assert find_in(c, v).deref() == v
     assert count(c.begin(), c.end(), v) == items.count(v)
     assert lower_bound(c.begin(), c.end(), v).deref() == v
     assert binary_search(c.begin(), c.end(), v)
     upper_bound(c.begin(), c.end(), v)
+    if backend != "DList":
+        # A list's find is the walk, which stops at the match.
+        assert find(c.begin(), c.end(), v).deref() == v
+        assert find_in(c, v).deref() == v
     if kind == "int":
         assert accumulate(c.begin(), c.end(), 0) == sum(items)
     for dst in (Vector, Deque, DList):
@@ -346,12 +366,42 @@ def test_other_types_run_the_loop(monkeypatch, backend, algorithm, items,
 @pytest.mark.parametrize("algorithm", sorted(RANGE))
 def test_mixed_sqlite_contents_cost_no_extra_round_trip(monkeypatch,
                                                          algorithm):
-    # A chunk (or probe) of another type hands what was read to the loop.
+    # A chunk of another type hands what was read to the loop, and a
+    # bound compares a float probe as the loop would.
     items = list(range(40)) + [40.5] + list(range(41, 100))
     for value in range(0, 100, 7):
         for span in ((0, 100), (20, 90)):
             _check(monkeypatch, "SqliteSequence", algorithm, items, span,
                    value)
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_RANGE) + [
+    f"sort[{fn.__name__}]" for fn in OPERATORS])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_builtin_operator_is_not_the_kernels_own(monkeypatch, backend,
+                                                   case):
+    # The reference runs with the predicate off too: sort's own list.sort
+    # kernel reads nothing through read_chunks.
+    items = [(7 * k) % 61 for k in range(20)]
+    for span in ((0, len(items)), (5, 12)):
+        for value in (0, 7, 33):
+            fast, bare = (_run(monkeypatch, backend, case, items, span,
+                               value, mode) for mode in ("kernel", "bare"))
+            assert fast.pop("roundtrips") <= bare.pop("roundtrips")
+            assert fast == bare, (backend, case, span, value)
+
+
+def test_read_chunks_in_the_walks_schedule():
+    v = Vector(range(100))
+    assert [len(c) for c in read_chunks(v.begin(), v.end())] == [16, 32, 52]
+    assert [len(c) for c in read_chunks(v.begin(), v.end(), whole=True)] \
+        == [100]
+    # A node range is read only whole, so find on a list stops at the
+    # match, as the walk does.
+    d = DList(range(100))
+    assert read_chunks(d.begin(), d.end()) is None
+    assert list(read_chunks(d.begin(), d.end(), whole=True)) == [
+        list(range(100))]
 
 
 class IntWithEq(int):
@@ -372,19 +422,59 @@ class IntWithEq(int):
     __hash__ = int.__hash__
 
 
+@pytest.mark.parametrize("in_elements", [False, True])
 @pytest.mark.parametrize("algorithm", sorted(RANGE))
 @pytest.mark.parametrize("backend", RAM + ("ContiguousVector",))
 def test_int_subclass_value_sees_every_call(monkeypatch, backend,
-                                            algorithm):
+                                            algorithm, in_elements):
+    # The sought value, or the elements (a façade's probes among them).
+    items, value = ([IntWithEq(k) for k in range(30)], 17) if in_elements \
+        else (list(range(30)), IntWithEq(17))
     calls = []
     for reference in (False, True):
         IntWithEq.calls = 0
-        _run(monkeypatch, backend, algorithm, list(range(30)), (0, 30),
-             IntWithEq(17), "loop" if reference else "kernel")
+        _run(monkeypatch, backend, algorithm, items, (0, 30), value,
+             "loop" if reference else "kernel")
         calls.append(IntWithEq.calls)
     assert calls[0] == calls[1]
-    if algorithm != "accumulate":
+    # A ContiguousVector stores the elements as machine integers.
+    if algorithm != "accumulate" and not (
+            in_elements and backend == "ContiguousVector"):
         assert calls[0] > 0
+
+
+class Grows:
+    """An element whose ``<`` appends to the container that holds it."""
+
+    owner: Any = None
+
+    def __init__(self, v: int) -> None:
+        self.v = v
+
+    def __lt__(self, other):
+        Grows.owner.push_back(Grows(99))
+        return self.v < other
+
+    def __gt__(self, other):
+        Grows.owner.push_back(Grows(99))
+        return self.v > other
+
+    def __eq__(self, other):
+        return isinstance(other, Grows) and self.v == other.v
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("algorithm", ["lower_bound", "upper_bound",
+                                       "binary_search"])
+@pytest.mark.parametrize("backend", RAM)
+def test_a_probe_that_runs_user_code_hands_the_search_to_the_loop(
+        monkeypatch, backend, algorithm):
+    # Its push_back invalidates the loop's iterators (a vector grows past
+    # its capacity), which a search over Storage.get would not notice.
+    items = [Grows(k) for k in range(8)]
+    _check(monkeypatch, backend, algorithm, items, (0, 8), 3,
+           setup=lambda c: setattr(Grows, "owner", c))
 
 
 class CountingLess(Less):
