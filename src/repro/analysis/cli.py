@@ -144,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="size n at which estimated savings are priced "
              f"(default: {DEFAULT_SIZE:g})",
     )
-    p_opt.add_argument(
-        "--monomorphize", action="store_true",
-        help="also run the OPT-MONO pass: rewrite generic call sites "
-             "whose container kind is the same on every path to their "
-             "specialized direct-call spellings (e.g. sort -> "
-             "sort__vector)",
-    )
 
     p_serve = sub.add_parser(
         "serve", help="line-delimited JSON daemon on stdin/stdout")

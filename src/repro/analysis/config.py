@@ -48,7 +48,6 @@ class AnalysisConfig:
     # -- optimize -----------------------------------------------------------
     resource: str = DEFAULT_RESOURCE
     size: float = DEFAULT_SIZE
-    monomorphize: bool = False         # OPT-MONO pass (opt-in)
     # -- service ------------------------------------------------------------
     jobs: int = 1                      # worker processes; 0 = cpu count
     cache: bool = False                # persistent result cache on/off
@@ -71,7 +70,6 @@ class AnalysisConfig:
             parts = (
                 "optimize", self.concept_pass,
                 self.interprocedural, self.resource, repr(self.size),
-                self.monomorphize,
             )
         else:
             raise ValueError(f"unknown analysis kind {kind!r}")

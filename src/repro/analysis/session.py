@@ -422,7 +422,6 @@ class AnalysisSession:
         return _optimize_source_impl(
             source, path=path, resource=self.config.resource,
             size=self.config.size, deadline=deadline,
-            monomorphize=self.config.monomorphize,
         )
 
     def _optimize_miss(self, f: pathlib.Path, write: bool,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -174,11 +173,6 @@ class ModelRegistry:
         ] = {}
         self._generation = 0
         self._mutex = threading.Lock()
-        # Weakly-held objects whose .invalidate() must run on every bump —
-        # the call-site specializations of repro.runtime.specialize.  Weak
-        # refs: a dropped trampoline must not be kept alive (or called)
-        # by the registry.
-        self._invalidation_hooks: list["weakref.ref[Any]"] = []
         # Shared concept-refinement verdicts for the current generation;
         # rebuilt lazily on first use after a bump (see
         # specificity_matrix()).
@@ -201,31 +195,6 @@ class ModelRegistry:
             self._specificity = None
         self._cache.clear()
         self.stats.invalidations += 1
-        # Fire AFTER the generation moved: a hook that re-resolves sees the
-        # post-mutation world, so no trampoline can re-install a binding
-        # from before this mutation.  Dead weakrefs are pruned in passing.
-        hooks = self._invalidation_hooks
-        if hooks:
-            dead = False
-            for ref in tuple(hooks):
-                target = ref()
-                if target is None:
-                    dead = True
-                else:
-                    target.invalidate()
-            if dead:
-                with self._mutex:
-                    self._invalidation_hooks = [
-                        r for r in self._invalidation_hooks
-                        if r() is not None
-                    ]
-
-    def add_invalidation_hook(self, obj: Any) -> None:
-        """Register ``obj`` (weakly) to have ``obj.invalidate()`` called on
-        every mutation of this registry — the seam the specialization tier
-        uses to flip live trampolines back to the dispatching path."""
-        with self._mutex:
-            self._invalidation_hooks.append(weakref.ref(obj))
 
     def specificity_matrix(self) -> SpecificityMatrix:
         """The shared per-generation concept-refinement matrix.  All

@@ -23,13 +23,11 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from ..runtime import metrics as runtime_metrics
 from ..runtime.dispatch import DispatchTable, compile_table
-from ..runtime.specialize import Specialization
 from .concept import Concept
 from .modeling import ModelRegistry, models as default_registry
 
@@ -148,11 +146,6 @@ class GenericFunction:
         # Keyword -> positional binder, derived lazily from the first
         # overload's implementation signature; reset on registration.
         self._binder: Optional[inspect.Signature] = None
-        #: Live call-site specializations; invalidated on registration
-        #: (registry mutations reach them through the registry's hooks).
-        self._specializations: "weakref.WeakSet[Specialization]" = (
-            weakref.WeakSet()
-        )
         functools.update_wrapper(self, self.__call__, updated=())
         self.__name__ = name
         runtime_metrics.track_generic_function(self)
@@ -174,11 +167,6 @@ class GenericFunction:
                 )
                 self._binder = None
                 self._retire_table_locked()
-            # A new overload can change any resolution; flip every live
-            # trampoline back to the dispatching path (outside our lock —
-            # each specialization takes its own).
-            for spec in tuple(self._specializations):
-                spec.invalidate()
             return impl
 
         return deco
@@ -277,35 +265,6 @@ class GenericFunction:
         chosen.calls += 1
         return chosen.impl(*args, **kwargs)
 
-    # -- monomorphization ------------------------------------------------------
-
-    def specialize(self, *arg_types: type) -> Callable:
-        """Monomorphize this function for ``arg_types``: resolve once and
-        return a direct-call trampoline (no table lookup, no generation
-        check on the hot path).
-
-        The trampoline stays correct under mutation: registry mutations
-        and later ``overload()`` registrations atomically swap it back to
-        the dispatching path, and its next call re-resolves against the
-        new state.  Calls whose shape differs from ``arg_types`` (other
-        types, extra positionals, any keywords) fall back to full
-        dispatch.  See :mod:`repro.runtime.specialize`."""
-        key = tuple(arg_types)
-        label = (
-            f"{self.name}__"
-            + "_".join(getattr(t, "__name__", str(t)).lower() for t in key)
-            if key else f"{self.name}__nullary"
-        )
-        spec = Specialization(
-            name=label,
-            key=key,
-            resolve=lambda: self.resolve(key).impl,
-            fallback=self,
-            registry=self.registry,
-        )
-        self._specializations.add(spec)
-        return spec.trampoline
-
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
@@ -319,7 +278,6 @@ class GenericFunction:
             live_hits = table.hits if table is not None else 0
             live_misses = table.misses if table is not None else 0
             live_check = table.check_time_s if table is not None else 0.0
-            specs = [s.snapshot() for s in self._specializations]
             return {
                 "name": self.name,
                 "overloads": len(self.overloads),
@@ -332,7 +290,6 @@ class GenericFunction:
                 "rebuilds": self._rebuilds,
                 "check_time_s": self._check_time_s + live_check,
                 "overload_calls": {o.name: o.calls for o in self.overloads},
-                "specializations": specs,
             }
 
     def reset_stats(self) -> None:

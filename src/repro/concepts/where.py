@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import functools
 import inspect
-import weakref
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..runtime import metrics as runtime_metrics
-from ..runtime.specialize import Specialization
 from .concept import Concept
 from .errors import ConceptCheckError
 from .modeling import ModelRegistry, models as default_registry
@@ -118,6 +116,9 @@ def where(
         site = runtime_metrics.WhereSiteStats(
             getattr(fn, "__qualname__", fn.__name__)
         )
+        # An omitted argument is checked as its parameter's default: the
+        # hot path binds without ``apply_defaults``.
+        defaults = {n: param.default for n, param in sig.parameters.items()}
         checked_ok: set[tuple[Concept, tuple[type, ...]]] = set()
         # Generation the cache was built against; a registry mutation bumps
         # the generation and the first call after it drops every memoized
@@ -132,9 +133,11 @@ def where(
                     site.invalidations += 1
                 checked_ok.clear()
                 cache_gen[0] = gen
-            bound = sig.bind(*args, **kwargs)
+            arguments = sig.bind(*args, **kwargs).arguments
             for concept, params in specs:
-                types = tuple(type(bound.arguments[p]) for p in params)
+                types = tuple(
+                    type(arguments.get(p, defaults[p])) for p in params
+                )
                 key = (concept, types)
                 if key in checked_ok:
                     site.hits += 1
@@ -152,55 +155,8 @@ def where(
                 checked_ok.add(key)
             return fn(*args, **kwargs)
 
-        def specialize(*arg_types: type) -> Callable:
-            """Monomorphize this @where site for ``arg_types``: check the
-            constraints once and return a trampoline that calls the
-            *undecorated* function directly — no per-call generation check
-            or verdict lookup.  Registry mutations flip the trampoline
-            back; its next call re-checks against the new model state (and
-            raises :class:`ConceptCheckError` if the types no longer
-            satisfy the clause).  Non-matching call shapes fall back to
-            the checking wrapper."""
-            key = tuple(arg_types)
-
-            def resolve() -> Callable:
-                bound = sig.bind_partial(*key)
-                for concept, params in specs:
-                    try:
-                        types = tuple(
-                            bound.arguments[p] for p in params
-                        )
-                    except KeyError as exc:
-                        raise TypeError(
-                            f"specialize({fn.__name__}): constrained "
-                            f"parameter {exc.args[0]!r} not covered by "
-                            f"the {len(key)} specialized argument type(s)"
-                        ) from None
-                    report = reg.check(concept, types)
-                    if not report.ok:
-                        raise ConceptCheckError(
-                            concept.name, types, report.failures,
-                            context=(
-                                f"specialize({fn.__name__}) — where "
-                                f"{', '.join(params)} : {concept.name}"
-                            ),
-                        )
-                return fn
-
-            spec = Specialization(
-                name=f"{fn.__name__}__specialized",
-                key=key,
-                resolve=resolve,
-                fallback=wrapper,
-                registry=reg,
-            )
-            wrapper.__specializations__.add(spec)  # type: ignore[attr-defined]
-            return spec.trampoline
-
         wrapper.__concept_constraints__ = tuple(specs)  # type: ignore[attr-defined]
         wrapper.__where_stats__ = site  # type: ignore[attr-defined]
-        wrapper.__specializations__ = weakref.WeakSet()  # type: ignore[attr-defined]
-        wrapper.specialize = specialize  # type: ignore[attr-defined]
         runtime_metrics.track_where_site(site)
         return wrapper
 

@@ -88,12 +88,6 @@ class PlannedRewrite:
 
     def describe(self) -> str:
         props = ", ".join(self.properties) or "-"
-        if self.code.startswith("OPT-MONO"):
-            return (
-                f"{self.call} -> {self.replacement}: [{props}] for "
-                f"'{self.subject}', so dispatch resolves statically to "
-                f"{self.concept_to} ({self.bound_from} -> {self.bound_to})"
-            )
         return (
             f"{self.call} -> {self.replacement}: [{props}] holds for "
             f"'{self.subject}' on every path, so {self.concept_to} "
@@ -332,7 +326,6 @@ def _optimize_source_impl(
     resource: str = DEFAULT_RESOURCE,
     size: float = DEFAULT_SIZE,
     deadline: Optional[Deadline] = None,
-    monomorphize: bool = False,
     analysis: Optional[SourceAnalysis] = None,
 ) -> OptimizeResult:
     """Run the full facts → select → rewrite → verify pipeline.
@@ -345,11 +338,6 @@ def _optimize_source_impl(
     ``deadline`` (usually from ``--timeout-s``) is checked between
     stages; on expiry the file is reported with an OPT-TIMEOUT finding
     and left untouched — cooperative, so a stage in progress finishes.
-
-    ``monomorphize`` additionally runs the OPT-MONO pass
-    (:func:`repro.optimize.monomorphize.plan_monomorphizations`):
-    generic call sites whose container kind is provably the same on
-    every path are rewritten to their specialized direct-call spellings.
     """
     tr = _trace.ACTIVE
     taxonomy = taxonomy or stl_taxonomy()
@@ -375,23 +363,13 @@ def _optimize_source_impl(
         raise RuntimeError(
             f"STLlint pass incomplete: {analysis.failures[0].message}")
 
-    def select(table: FactTable) -> list[PlannedRewrite]:
-        selected = plan_rewrites(table, taxonomy, resource, size)
-        if monomorphize:
-            from .monomorphize import plan_monomorphizations
-
-            selected += plan_monomorphizations(
-                table, {(p.line, p.call) for p in selected}
-            )
-        return selected
-
     if deadline is not None and deadline.expired():
         return _timeout_result(result, path, deadline.budget)
     if tr is None:
-        plans = select(analysis.table)
+        plans = plan_rewrites(analysis.table, taxonomy, resource, size)
     else:
         with tr.span("optimize.select", cat="optimize", path=path) as sp:
-            plans = select(analysis.table)
+            plans = plan_rewrites(analysis.table, taxonomy, resource, size)
             sp.set("plans", len(plans))
             for p in plans:
                 tr.event(
@@ -428,9 +406,8 @@ def _optimize_source_impl(
                 f"L{line}:{check}" for line, check in sorted(introduced)
             )
             return False, f"re-lint found new problems ({rendered})"
-        # ...and nothing further to do: the pipeline is idempotent (the
-        # re-plan runs the same pass set, including OPT-MONO when on).
-        again = select(rewritten.table)
+        # ...and nothing further to do: the pipeline is idempotent.
+        again = plan_rewrites(rewritten.table, taxonomy, resource, size)
         if again:
             return False, (
                 f"not idempotent: optimized output still proposes "
@@ -522,7 +499,7 @@ def _optimize_file_impl(
     analysis: Optional[SourceAnalysis] = None,
 ) -> OptimizeResult:
     """Optimize one file on disk under ``config``'s ``resource``,
-    ``size``, ``timeout_s`` and ``monomorphize``; with ``write=True`` the
+    ``size`` and ``timeout_s``; with ``write=True`` the
     rewritten source replaces the file (only when verification passed).
     ``analysis`` is passed through to :func:`_optimize_source_impl`.
 
@@ -540,8 +517,7 @@ def _optimize_file_impl(
     try:
         result = _optimize_source_impl(
             source, path=str(p), resource=config.resource,
-            size=config.size, deadline=deadline,
-            monomorphize=config.monomorphize, analysis=analysis,
+            size=config.size, deadline=deadline, analysis=analysis,
         )
         if write and result.changed and result.verified:
             _write_optimized(p, source, result)

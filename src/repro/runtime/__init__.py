@@ -34,18 +34,15 @@ from .dispatch import (
     compile_table,
     registry_generation,
 )
-from .specialize import Specialization, specialize
 
 __all__ = [
     "DispatchTable",
-    "Specialization",
     "SpecificityMatrix",
     "compile_table",
     "metrics",
     "registry_generation",
     "report",
     "reset_stats",
-    "specialize",
     "stats",
 ]
 
@@ -73,10 +70,6 @@ def stats() -> dict:
         (s.snapshot() for s in metrics.where_sites()),
         key=lambda s: (-(s["hits"] + s["misses"]), s["function"]),
     )
-    specs = sorted(
-        (s.snapshot() for s in metrics.specializations()),
-        key=lambda s: (-s["respecializations"], s["name"]),
-    )
     totals = {
         "model_cache_hits": sum(r["hits"] for r in regs),
         "model_cache_misses": sum(r["misses"] for r in regs),
@@ -88,17 +81,11 @@ def stats() -> dict:
         "table_rebuilds": sum(f["rebuilds"] for f in fns),
         "where_hits": sum(s["hits"] for s in sites),
         "where_misses": sum(s["misses"] for s in sites),
-        "specializations": len(specs),
-        "specializations_bound": sum(1 for s in specs if s["bound"]),
-        "specialization_invalidations": sum(
-            s["invalidations"] for s in specs
-        ),
     }
     return {
         "registries": regs,
         "generic_functions": fns,
         "where_sites": sites,
-        "specializations": specs,
         "totals": totals,
     }
 
@@ -135,11 +122,6 @@ def report(snapshot: Optional[dict] = None, max_rows: int = 12) -> str:
         (
             f"@where sites: {t['where_hits']} hits / "
             f"{t['where_misses']} misses"
-        ),
-        (
-            f"specializations: {t['specializations_bound']}/"
-            f"{t['specializations']} bound, "
-            f"{t['specialization_invalidations']} invalidations"
         ),
     ]
 

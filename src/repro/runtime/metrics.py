@@ -21,7 +21,6 @@ _lock = threading.Lock()
 _registries: "weakref.WeakSet[Any]" = weakref.WeakSet()
 _generic_functions: "weakref.WeakSet[Any]" = weakref.WeakSet()
 _where_sites: "weakref.WeakSet[Any]" = weakref.WeakSet()
-_specializations: "weakref.WeakSet[Any]" = weakref.WeakSet()
 
 
 class RegistryStats:
@@ -99,11 +98,6 @@ def track_where_site(stats: WhereSiteStats) -> None:
         _where_sites.add(stats)
 
 
-def track_specialization(spec: Any) -> None:
-    with _lock:
-        _specializations.add(spec)
-
-
 def registries() -> list:
     with _lock:
         return list(_registries)
@@ -117,8 +111,3 @@ def generic_functions() -> list:
 def where_sites() -> Iterable[WhereSiteStats]:
     with _lock:
         return list(_where_sites)
-
-
-def specializations() -> list:
-    with _lock:
-        return list(_specializations)

@@ -43,11 +43,14 @@ from ..concepts.builtins import (
     RandomAccessIterator,
     Sequence,
 )
+from .deque import Deque as _Deque
+from .dlist import DList as _DList
 from .errors import EmptyRangeError, IteratorRangeError
 from .function_objects import Less
 from .iterators import (IteratorBase, ahead, facade_range, read_chunks,
                         require_same_container, walk)
 from .storage import SequenceFacade
+from .vector import Vector as _Vector
 
 _default_less = Less()
 _LESS_CALL = Less.__call__
@@ -715,24 +718,6 @@ def backend_sort(container: Any,
     establishes (and everything downstream that relies on it) survives
     the rewrite."""
     return _sort_backend(container, less)
-
-
-# Monomorphized spellings of ``sort``, one per container representation —
-# the targets OPT-MONO rewrites a proven-monomorphic call site to, and
-# callable directly by anyone who knows the container type statically.
-# Each is a direct-call trampoline (repro.runtime.specialize): resolution
-# is paid once, not per call, and a model mutation flips the binding back
-# to full dispatch, so they stay exactly as correct as ``sort`` itself.
-# Their semantic specs alias ``sort``'s (see
-# repro.stllint.specs.MONO_ALGORITHM_SPELLINGS), so STLlint's facts —
-# SORTED established on exit — are unchanged by the rewrite.
-from .deque import Deque as _Deque        # noqa: E402  (after sort's overloads)
-from .dlist import DList as _DList        # noqa: E402
-from .vector import Vector as _Vector     # noqa: E402
-
-sort__vector = sort.specialize(_Vector)
-sort__list = sort.specialize(_DList)
-sort__deque = sort.specialize(_Deque)
 
 
 def stable_sort(container: Any, less: Callable[[Any, Any], bool] = _default_less) -> Any:

@@ -399,24 +399,6 @@ ALGORITHM_SPECS: dict[str, AlgorithmHandler] = {
 }
 
 
-#: Monomorphized spellings the optimizer's OPT-MONO pass may rewrite a
-#: generic call site to, keyed by (algorithm, container kind).  Each
-#: spelling is a module-level trampoline in repro.sequences.algorithms
-#: with the SAME semantic specification as the base algorithm, so the
-#: verify stage's re-lint sees identical container effects (a rewritten
-#: ``sort`` still establishes SORTED for the downstream find ->
-#: lower_bound chain).
-MONO_ALGORITHM_SPELLINGS: dict[tuple[str, str], str] = {
-    ("sort", "vector"): "sort__vector",
-    ("sort", "list"): "sort__list",
-    ("sort", "deque"): "sort__deque",
-}
-
-for _mono_key, _mono_name in MONO_ALGORITHM_SPELLINGS.items():
-    ALGORITHM_SPECS[_mono_name] = ALGORITHM_SPECS[_mono_key[0]]
-del _mono_key, _mono_name
-
-
 #: ``backend_sort``, a spelling the cost-aware pass may rewrite ``sort``
 #: on a persistent kind to, has ``sort``'s specification, so a verified
 #: rewrite keeps the facts every downstream selection relied on.

@@ -937,8 +937,7 @@ class TestAnalysisCLI:
     @pytest.mark.parametrize("command,extra", [
         ("lint", {"fail_on", "concept_pass", "interprocedural", "exclude",
                   "list_checks"}),
-        ("optimize", {"check", "write", "diff", "resource", "size",
-                      "monomorphize"}),
+        ("optimize", {"check", "write", "diff", "resource", "size"}),
     ])
     def test_lint_and_optimize_keep_every_option(self, command, extra):
         args = build_parser().parse_args([command, "--json", "p"])
@@ -977,10 +976,8 @@ class TestAnalysisCLI:
             analysis_main(["optimize", "--no-cache", "--json", target])
             assert json.loads(capsys.readouterr().out)["summary"] == {
                 "files": 1, "rewrites": 1, "reverted": 0, "written": 0}
-            flags = ["--resource", "io_ops", "--size", "64",
-                     "--monomorphize"]
-            want = {"resource": "io_ops", "size": 64.0,
-                    "monomorphize": True}
+            flags = ["--resource", "io_ops", "--size", "64"]
+            want = {"resource": "io_ops", "size": 64.0}
         analysis_main([command, "--no-cache", *flags, target])
         capsys.readouterr()
         assert {k: getattr(configs[-1], k) for k in want} == want

@@ -39,6 +39,8 @@ from repro.athena import (
 )
 from repro.concepts.algebra import algebra
 
+from .test_import_footprint import modules_after
+
 A = Atom("A")
 B = Atom("B")
 C = Atom("C")
@@ -358,29 +360,11 @@ class TestRangeTheory:
 # ---------------------------------------------------------------------------
 
 
-def _athena_modules_after(statement: str) -> set:
-    """The ``repro.athena`` modules a fresh interpreter holds after
-    running ``statement``."""
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import repro
-
-    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-    code = (f"{statement}\nimport sys\nprint(*sorted(m for m in sys.modules"
-            f" if m.startswith('repro.athena')))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True)
-    return set(proc.stdout.split())
-
-
 def test_simplicissimus_loads_only_the_proofs_its_rules_use():
     # The rewrite rules are proved from the Monoid/Group axioms, so only
     # the group proofs and what they are built from load.
-    assert _athena_modules_after("import repro.simplicissimus") == {
+    assert modules_after("import repro.simplicissimus",
+                         "repro.athena") == {
         "repro.athena", "repro.athena.proof", "repro.athena.proofs",
         "repro.athena.proofs.group_theory", "repro.athena.props",
         "repro.athena.terms", "repro.athena.theories"}

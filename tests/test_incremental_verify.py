@@ -13,7 +13,6 @@ import textwrap
 
 from repro import trace
 from repro.lint.driver import analyze_source
-from repro.optimize.monomorphize import plan_monomorphizations
 from repro.optimize.pipeline import (
     _optimize_source_impl,
     apply_rewrites,
@@ -61,12 +60,6 @@ def generated_module(seed: int) -> str:
     return "\n\n".join(out)
 
 
-def _plans(table):
-    plans = plan_rewrites(table)
-    return plans + plan_monomorphizations(
-        table, {(p.line, p.call) for p in plans})
-
-
 def _verify_both_ways(source):
     """(plans, incremental pass, full pass) over the text the default
     pipeline rewrites ``source`` to."""
@@ -91,7 +84,7 @@ def test_incremental_verify_equals_a_full_pass_over_every_source():
         prior = analyze_source(source, path=name)
         if prior.failures:
             continue
-        plans = _plans(prior.table)
+        plans = plan_rewrites(prior.table)
         if not plans:
             continue
         optimized = apply_rewrites(source, plans)

@@ -347,104 +347,3 @@ class TestCrashIsolation:
         assert rc == 3                          # partial, but...
         assert "lower_bound" in good.read_text()  # ...good.py was optimized
 
-
-# ---------------------------------------------------------------------------
-# OPT-MONO: monomorphizing proven-single-kind call sites
-# ---------------------------------------------------------------------------
-
-SORT_ONLY_VECTOR = '''
-def prepare(v: "vector"):
-    sort(v.begin(), v.end())
-    return v
-'''
-
-SORT_ONLY_LIST = '''
-def prepare(xs: "list"):
-    sort(xs.begin(), xs.end())
-    return xs
-'''
-
-
-class TestMonomorphize:
-    def test_vector_sort_plans_specialized_spelling(self):
-        from repro.optimize.monomorphize import plan_monomorphizations
-
-        plans = plan_monomorphizations(collect_facts(SORT_ONLY_VECTOR))
-        assert len(plans) == 1
-        p = plans[0]
-        assert (p.call, p.replacement) == ("sort", "sort__vector")
-        assert p.code == "OPT-MONO-sort"
-        assert "quicksort" in p.concept_to     # dispatch resolved by name
-        assert "vector" in p.properties[0]
-        assert "dispatch" in p.describe()
-
-    def test_list_sort_plans_list_spelling(self):
-        from repro.optimize.monomorphize import plan_monomorphizations
-
-        plans = plan_monomorphizations(collect_facts(SORT_ONLY_LIST))
-        assert [(p.call, p.replacement) for p in plans] \
-            == [("sort", "sort__list")]
-        assert "merge sort" in plans[0].concept_to
-
-    def test_off_by_default(self):
-        from repro.optimize.pipeline import _optimize_source_impl
-
-        result = _optimize_source_impl(SORT_ONLY_VECTOR)
-        assert result.plans == []
-        assert result.optimized == SORT_ONLY_VECTOR
-
-    def test_rewrites_and_verifies_when_enabled(self):
-        from repro.optimize.pipeline import _optimize_source_impl
-
-        result = _optimize_source_impl(SORT_ONLY_VECTOR, monomorphize=True)
-        assert result.verified and not result.reverted
-        assert "sort__vector(v.begin(), v.end())" in result.optimized
-
-    def test_composes_with_taxonomy_pass(self):
-        from repro.optimize.pipeline import _optimize_source_impl
-
-        result = _optimize_source_impl(SORT_THEN_FIND, monomorphize=True)
-        assert result.verified and not result.reverted
-        pairs = {(p.call, p.replacement) for p in result.plans}
-        assert ("find", "lower_bound") in pairs
-        assert ("sort", "sort__vector") in pairs
-        assert "sort__vector" in result.optimized
-        assert "lower_bound" in result.optimized
-
-    def test_idempotent(self):
-        from repro.optimize.pipeline import _optimize_source_impl
-
-        once = _optimize_source_impl(SORT_ONLY_VECTOR, monomorphize=True)
-        again = _optimize_source_impl(once.optimized, monomorphize=True)
-        assert again.plans == []
-        assert again.optimized == once.optimized
-
-    def test_spellings_are_lint_recognized(self):
-        """The rewritten spelling carries sort's semantic spec: SORTED is
-        still established, so a downstream find remains rewritable."""
-        from repro.optimize.pipeline import _optimize_source_impl
-
-        result = _optimize_source_impl(SORT_THEN_FIND, monomorphize=True)
-        table = collect_facts(result.optimized)
-        sites = {s.algorithm: s for s in table.call_sites()}
-        assert "sort__vector" in sites
-        lb = sites["lower_bound"]
-        assert lb.must_hold("sorted")
-
-    def test_cli_monomorphize_flag(self, tmp_path, capsys):
-        prog = tmp_path / "prog.py"
-        prog.write_text(SORT_ONLY_VECTOR)
-        assert optimize_cli([str(prog)]) == 0           # off: nothing to do
-        out_off = capsys.readouterr().out
-        assert "sort__vector" not in out_off
-        assert optimize_cli([str(prog), "--monomorphize", "--diff"]) == 0
-        out_on = capsys.readouterr().out
-        assert "sort__vector" in out_on
-
-    def test_config_fingerprint_includes_monomorphize(self):
-        from repro.analysis import AnalysisConfig
-
-        base = AnalysisConfig()
-        mono = AnalysisConfig(monomorphize=True)
-        assert base.fingerprint("optimize") != mono.fingerprint("optimize")
-        assert base.fingerprint("lint") == mono.fingerprint("lint")

@@ -340,15 +340,12 @@ class TestRuntimeStats:
     def test_stats_shape(self):
         snap = runtime.stats()
         assert set(snap) == {
-            "registries", "generic_functions", "where_sites",
-            "specializations", "totals",
+            "registries", "generic_functions", "where_sites", "totals",
         }
         for key in (
             "model_cache_hits", "model_cache_misses", "invalidations",
             "dispatch_hits", "dispatch_misses", "table_rebuilds",
             "where_hits", "where_misses", "check_time_s",
-            "specializations", "specializations_bound",
-            "specialization_invalidations",
         ):
             assert key in snap["totals"]
 
@@ -646,153 +643,6 @@ class TestSpecificityMatrix:
 
         chosen = sort.resolve((Vector,))
         assert "quicksort" in chosen.name
-
-
-class TestSpecialization:
-    """Tentpole + satellite: specialize() trampolines never serve a stale
-    binding across register/unregister/scoped/restore mutations."""
-
-    def _make(self):
-        reg = ModelRegistry()
-        Base = Concept("RtSpzBase")
-        Special = Concept(
-            "RtSpzSpecial", refines=[Base],
-            requirements=[method("t.quack()", "quack", [T])],
-            nominal=True,
-        )
-        f = GenericFunction("spz", registry=reg)
-
-        @f.overload(requires=[(Base, 0)])
-        def generic(x):
-            return "generic"
-
-        @f.overload(requires=[(Special, 0)], name="special")
-        def special(x):
-            return "special"
-
-        return reg, Special, f
-
-    def test_direct_call_binds_and_matches_dispatch(self):
-        reg, _, f = self._make()
-        tramp = f.specialize(Duck)
-        spec = tramp.__specialization__
-        assert not spec.bound                 # lazy: binds on first call
-        assert tramp(Duck()) == f(Duck()) == "generic"
-        assert spec.bound
-
-    def test_register_flips_trampoline(self):
-        reg, Special, f = self._make()
-        tramp = f.specialize(Duck)
-        assert tramp(Duck()) == "generic"
-        reg.register(Special, Duck)
-        assert not tramp.__specialization__.bound
-        assert tramp(Duck()) == "special"
-
-    def test_unregister_flips_back(self):
-        reg, Special, f = self._make()
-        tramp = f.specialize(Duck)
-        reg.register(Special, Duck)
-        assert tramp(Duck()) == "special"
-        reg.unregister(Special, Duck)
-        assert not tramp.__specialization__.bound
-        assert tramp(Duck()) == "generic"
-
-    def test_scoped_registry_mutations_flip(self):
-        reg, Special, f = self._make()
-        tramp = f.specialize(Duck)
-        assert tramp(Duck()) == "generic"
-        with reg.scoped():
-            reg.register(Special, Duck)
-            assert tramp(Duck()) == "special"
-        # Leaving the scope restores (a mutation): stale 'special' binding
-        # must not survive.
-        assert not tramp.__specialization__.bound
-        assert tramp(Duck()) == "generic"
-
-    def test_new_overload_flips(self):
-        reg, Special, f = self._make()
-        tramp = f.specialize(Duck)
-        assert tramp(Duck()) == "generic"
-        Later = Concept("RtSpzLater", refines=[Special], nominal=True)
-
-        @f.overload(requires=[(Later, 0)], name="later")
-        def later(x):
-            return "later"
-
-        assert not tramp.__specialization__.bound
-        reg.register(Special, Duck)
-        reg.register(Later, Duck)
-        assert tramp(Duck()) == "later"
-
-    def test_fallback_for_other_types_and_shapes(self):
-        reg, _, f = self._make()
-        tramp = f.specialize(Duck)
-        tramp(Duck())
-        assert tramp(Robot()) == "generic"    # other type: full dispatch
-        assert tramp(x=Duck()) == "generic"   # kwargs: full dispatch
-        with pytest.raises(NoMatchingOverloadError):
-            tramp()                            # no args: full dispatch error
-
-    def test_counters_and_snapshot(self):
-        reg, Special, f = self._make()
-        tramp = f.specialize(Duck)
-        spec = tramp.__specialization__
-        tramp(Duck())
-        reg.register(Special, Duck)
-        tramp(Duck())
-        snap = spec.snapshot()
-        assert snap["invalidations"] >= 1
-        assert snap["respecializations"] == 2
-        assert snap["key"] == ["Duck"]
-        assert spec in runtime.metrics.specializations()
-
-    def test_respecialize_eagerly(self):
-        reg, _, f = self._make()
-        tramp = f.specialize(Duck)
-        spec = tramp.__specialization__
-        spec.respecialize()
-        assert spec.bound
-
-    def test_free_function_and_type_error(self):
-        from repro.runtime import specialize
-
-        reg, _, f = self._make()
-        tramp = specialize(f, (Duck,))
-        assert tramp(Duck()) == "generic"
-        with pytest.raises(TypeError):
-            specialize(len, (list,))
-
-    def test_where_site_specialization(self):
-        reg = ModelRegistry()
-        Nominal = Concept(
-            "RtSpzWhere",
-            requirements=[method("t.quack()", "quack", [T])],
-            nominal=True,
-        )
-
-        @where((Nominal, "d"), registry=reg)
-        def speak(d):
-            return d.quack()
-
-        reg.register(Nominal, Duck)
-        tramp = speak.specialize(Duck)
-        assert tramp(Duck()) == "quack"
-        assert tramp.__specialization__.bound
-        reg.unregister(Nominal, Duck)
-        assert not tramp.__specialization__.bound
-        with pytest.raises(ConceptCheckError):
-            tramp(Duck())                     # re-check against new state
-        reg.register(Nominal, Duck)
-        assert tramp(Duck()) == "quack"       # and recovers
-
-    def test_stats_surface(self):
-        reg, _, f = self._make()
-        tramp = f.specialize(Duck)
-        tramp(Duck())
-        per_fn = f.stats()["specializations"]
-        assert any(s["bound"] for s in per_fn)
-        snap = runtime.stats()
-        assert snap["totals"]["specializations"] >= 1
 
 
 class TestLateOverloadRegistration:

@@ -21,8 +21,6 @@ from repro.sequences.algorithms import (
     _default_less,
     _note_sorted,
     sort,
-    sort__deque,
-    sort__vector,
     stable_sort,
 )
 from repro.sequences.backends import ContiguousVector, SqliteSequence
@@ -259,17 +257,6 @@ def test_left_overrun_raises_instead_of_wrapping():
     assert v.to_list() == list(range(40))
 
 
-@pytest.mark.parametrize("trampoline,make", [(sort__vector, Vector),
-                                             (sort__deque, Deque)])
-def test_trampolines_match_the_oracle(monkeypatch, trampoline, make):
-    xs = random.Random(3).choices(range(50), k=300)
-    _assert_same_as_oracle(
-        xs,
-        _recorded_run(monkeypatch, trampoline, make, xs, _default_less),
-        _recorded_run(monkeypatch, _oracle_sort, make, xs, _default_less),
-        trampoline.__name__)
-
-
 # ---------------------------------------------------------------------------
 # Write-back and exception safety
 # ---------------------------------------------------------------------------
@@ -466,8 +453,6 @@ NATIVE_SORTERS = {
     "ContiguousVector": (sort, ContiguousVector, False),
     "DList": (sort, DList, True),
     "stable_sort": (stable_sort, Vector, True),
-    "sort__vector": (sort__vector, Vector, False),
-    "sort__deque": (sort__deque, Deque, False),
 }
 
 NATIVE_SIZES = (0, 1, 2, 16, 17, 100, 1000)

@@ -13,8 +13,10 @@ from repro.concepts import (
     where,
 )
 from repro.concepts.algebra import VectorSpace
+from repro.concepts.builtins import RandomAccessContainer
 from repro.graphs import AdjacencyList, EdgeListGraphImpl, IncidenceGraph
 from repro.linalg import CVector
+from repro.sequences import DList, Vector
 
 T = Param("T")
 Quackable = Concept("Quackable", requirements=[method("t.quack()", "quack", [T])])
@@ -58,6 +60,33 @@ class TestWhere:
         assert speak(d=Duck(), prefix=">") == ">quack"
         with pytest.raises(ConceptCheckError):
             speak(">", d=Dog())
+
+    def test_omitted_default_is_checked_and_passes(self):
+        @where(c=RandomAccessContainer)
+        def first(x, c=Vector([1])):
+            return c.at(0) + x
+
+        assert first(0) == 1
+        assert first(1, Vector([5])) == 6
+
+    def test_explicit_bad_argument_for_defaulted_parameter_rejected(self):
+        @where(c=RandomAccessContainer)
+        def first(x, c=Vector([1])):
+            return c.at(0) + x
+
+        with pytest.raises(ConceptCheckError):
+            first(0, DList([1]))
+        with pytest.raises(ConceptCheckError):
+            first(0, c=DList([1]))
+
+    def test_bad_default_rejected_as_concept_error(self):
+        @where(d=Quackable)
+        def speak(d=Dog()):
+            return d.quack()
+
+        with pytest.raises(ConceptCheckError):
+            speak()
+        assert speak(Duck()) == "quack"
 
     def test_unknown_parameter_rejected_at_decoration(self):
         with pytest.raises(TypeError):
