@@ -47,13 +47,16 @@ from .deque import Deque as _Deque
 from .dlist import DList as _DList
 from .errors import EmptyRangeError, IteratorRangeError
 from .function_objects import Less
-from .iterators import (IteratorBase, ahead, facade_range, read_chunks,
-                        require_same_container, walk)
+from .iterators import (IteratorBase, NodeIterator, ahead, facade_range,
+                        read_chunks, require_same_container, walk)
 from .storage import SequenceFacade
 from .vector import Vector as _Vector
 
 _default_less = Less()
 _LESS_CALL = Less.__call__
+#: The façades' own writes; a sort goes around them only while unpatched.
+_OWN_SET_AT = (_Vector.set_at, _Deque.set_at)
+_NODE_SET = NodeIterator.set
 #: Types whose ``<`` runs no user code (sqlite stores no others).
 _SCALARS = (int, str, float, bool, bytes, type(None))
 
@@ -455,15 +458,18 @@ copy_into = GenericFunction("copy_into")
 @copy_into.overload(requires=[(Container, 0), (BackInsertionSequence, 1)],
                     name="copy_into<Container> (element-wise)")
 def _copy_into_elementwise(src: Any, dst: Any) -> Any:
-    """Append all of ``src`` onto ``dst``, one element at a time, read by
-    :func:`read_chunks` if ``dst`` is exactly a ``Vector``, ``Deque`` or
-    ``DList`` other than ``src`` (whose ``push_back`` cannot touch it)."""
+    """Append all of ``src`` onto ``dst`` by ``push_back``, or if ``dst`` is
+    exactly a ``Vector``, ``Deque`` or ``DList`` other than ``src``, append
+    what :func:`read_chunks` reads as a range: one store call, one commit."""
     first, last = src.begin(), src.end()
     chunks = (read_chunks(first, last, whole=True)
               if type(dst) in (_Vector, _Deque, _DList) and dst is not src
               else None)
-    for v in walk(first, last) if chunks is None else chain(*chunks):
-        dst.push_back(v)
+    if chunks is None:
+        for v in walk(first, last):
+            dst.push_back(v)
+    for chunk in chunks or ():
+        dst._append_range(chunk)
     return dst
 
 
@@ -609,8 +615,9 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
     Where :func:`_unobservable` holds, ``list.sort`` (stable, like the
     merge sort) puts the very same element objects in the same order.
     Only the positions whose element changed (by identity) are written
-    back, so a sorted container keeps its epoch."""
-    items = list(container)
+    back, so a sorted container keeps its epoch; on a ``DList`` that no
+    comparator changed, to its nodes with one commit."""
+    epoch, items = getattr(container, "epoch", None), list(container)
     runs = ([sorted(items)] if _unobservable(_default_less, less, items)
             else [[x] for x in items])
     while len(runs) > 1:
@@ -630,13 +637,22 @@ def _sort_linear(container: Any, less: Callable[[Any, Any], bool] = _default_les
         if len(runs) % 2:
             merged_runs.append(runs[-1])
         runs = merged_runs
-    # Rewrite the moved elements in place through the sequence's own
-    # interface.
-    it = container.begin()
-    for old, new in zip(items, runs[0] if runs else ()):
-        if new is not old:
-            it.set(new)
-        it.increment()
+    pairs = zip(items, runs[0] if runs else ())
+    if (type(container) is _DList and _DList.iterator.set is _NODE_SET
+            and container.epoch == epoch):
+        node, n = container._sentinel, 0
+        for old, new in pairs:
+            node = node.next
+            if new is not old:
+                node.value, n = new, n + 1
+        if n:
+            container._commit_mutation("write", count=n)
+    else:
+        it = container.begin()
+        for old, new in pairs:
+            if new is not old:
+                it.set(new)
+            it.increment()
     _note_sorted(container, less)
     return container
 
@@ -652,7 +668,8 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     The n elements are read once (one ``Storage.slice`` on a façade,
     through ``at`` otherwise) and quicksorted in a list; ``set_at`` then
     writes back only the positions whose element changed (by identity:
-    elements that compare equal may still differ).
+    elements that compare equal may still differ), or the store with one
+    commit if ``set_at`` is a façade's own and no comparator mutated it.
     The comparator sees exactly the calls an element-swapping quicksort
     through ``at``/``set_at`` would make, but a sort costs n reads and at
     most n writes, and an already-sorted container is not written at all
@@ -664,6 +681,7 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
     A comparator that raises, and a broken comparator's ``IndexError`` or
     ``ValueError`` (see :func:`_quicksort`), leave the container
     untouched: contents, epoch and facts are as before the call."""
+    epoch = getattr(container, "epoch", None)
     if isinstance(container, SequenceFacade):
         before = container.storage().slice(0, container.size())
     else:
@@ -674,10 +692,13 @@ def _sort_indexed(container: Any, less: Callable[[Any, Any], bool] = _default_le
         buf.sort()
     else:
         _quicksort(buf, 0, len(buf), less)
-    set_at = container.set_at
-    for k, value in enumerate(buf):
-        if value is not before[k]:
-            set_at(k, value)
+    writes = ((k, v) for k, v in enumerate(buf) if v is not before[k])
+    if (getattr(type(container), "set_at", None) in _OWN_SET_AT
+            and container.epoch == epoch and "set_at" not in vars(container)):
+        container._write_back(writes)
+    else:
+        for k, value in writes:
+            container.set_at(k, value)
     _note_sorted(container, less)
     return container
 

@@ -66,8 +66,7 @@ class ContiguousStorage(Storage):
                 raise StorageError(
                     f"cannot map contiguous store {path!r}: {exc}"
                 ) from exc
-        for item in items:
-            self.append(item)
+        self.extend(items)
 
     def _coerce(self, value: Any) -> Any:
         try:

@@ -35,12 +35,7 @@ class Deque(SequenceFacade):
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[Storage] = None) -> None:
-        if storage is None:
-            storage = self.storage_factory(items)
-        else:
-            for item in items:
-                storage.append(item)
-        self._init_facade(storage)
+        self._init_facade(items, storage)
 
     # -- Container interface --------------------------------------------------------
 
@@ -49,12 +44,6 @@ class Deque(SequenceFacade):
 
     def end(self) -> DequeIterator:
         return self.iterator(self, self._store.length())
-
-    def size(self) -> int:
-        return self._store.length()
-
-    def empty(self) -> bool:
-        return self._store.length() == 0
 
     def at(self, index: int) -> Any:
         if not 0 <= index < self._store.length():
@@ -121,9 +110,6 @@ class Deque(SequenceFacade):
         self._commit_mutation("clear")
 
     # -- Python interop ---------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._store.length()
 
     def __iter__(self):
         return iter(self.to_list())

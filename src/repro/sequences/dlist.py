@@ -42,11 +42,7 @@ class DList(SequenceFacade):
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[LinkedStorage] = None) -> None:
-        if storage is None:
-            storage = self.storage_factory()
-        self._init_facade(storage)
-        for item in items:
-            self.push_back(item)
+        self._init_facade(items, storage)
 
     # -- internal plumbing -------------------------------------------------------
 
@@ -61,12 +57,6 @@ class DList(SequenceFacade):
 
     def end(self) -> DListIterator:
         return self.iterator(self, self._sentinel)
-
-    def size(self) -> int:
-        return self._store.length()
-
-    def empty(self) -> bool:
-        return self._store.length() == 0
 
     # -- Sequence mutations --------------------------------------------------------------
 
@@ -138,9 +128,6 @@ class DList(SequenceFacade):
         self._commit_mutation("clear", self._sentinel)
 
     # -- Python interop --------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._store.length()
 
     def __iter__(self):
         node = self._sentinel.next

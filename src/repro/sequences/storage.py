@@ -125,6 +125,11 @@ class Storage(ABC):
     def append(self, value: Any) -> None:
         self.insert(self.length(), value)
 
+    def extend(self, values: Iterable[Any]) -> None:
+        """``append`` each of ``values``; a raising one stops the rest."""
+        for value in values:
+            self.append(value)
+
     def slice(self, start: int, stop: int) -> list[Any]:
         """Bulk read ``[start, stop)``; contiguous and remote backends
         override this to answer in one operation / round trip."""
@@ -187,6 +192,9 @@ class ListStorage(Storage):
     def append(self, value: Any) -> None:
         self._items.append(value)
 
+    def extend(self, values: Iterable[Any]) -> None:
+        self._items.extend(values)
+
     def slice(self, start: int, stop: int) -> list[Any]:
         return self._items[start:stop]
 
@@ -235,6 +243,9 @@ class DequeStorage(Storage):
     def append(self, value: Any) -> None:
         self._items.append(value)
 
+    def extend(self, values: Iterable[Any]) -> None:
+        self._items.extend(values)
+
     def slice(self, start: int, stop: int) -> list[Any]:
         return list(islice(self._items, start, stop))
 
@@ -265,8 +276,7 @@ class LinkedStorage(Storage):
     def __init__(self, items: Iterable[Any] = ()) -> None:
         self.sentinel = _LinkNode()
         self._size = 0
-        for item in items:
-            self.link_before(self.sentinel, _LinkNode(item))
+        self.extend(items)
 
     # -- node-level protocol (DList uses these directly) -------------------------
 
@@ -314,6 +324,9 @@ class LinkedStorage(Storage):
 
     def erase(self, index: int) -> None:
         self.unlink(self.node_at(index))
+
+    def append(self, value: Any) -> None:
+        self.link_before(self.sentinel, _LinkNode(value))
 
     def slice(self, start: int, stop: int) -> list[Any]:
         out, node = [], self.node_at(start)
@@ -422,7 +435,13 @@ class SequenceFacade:
     #: The class's container kind, resolved by :func:`resolve_scopes`.
     scopes: ClassVar[dict[str, tuple[Optional[str], ...]]]
 
-    def _init_facade(self, storage: Storage) -> None:
+    def _init_facade(self, items: Iterable[Any],
+                     storage: Optional[Storage]) -> None:
+        """Hold ``items`` in ``storage`` (by default a new one), at epoch 0."""
+        if storage is None:
+            storage = self.storage_factory(items)
+        else:
+            storage.extend(items)
         self._store = storage
         #: Monotone counter bumped by every mutation, whatever its kind.
         self.epoch: int = 0
@@ -438,6 +457,15 @@ class SequenceFacade:
 
     def storage(self) -> Storage:
         return self._store
+
+    def size(self) -> int:
+        return self._store.length()
+
+    def empty(self) -> bool:
+        return self._store.length() == 0
+
+    def __len__(self) -> int:
+        return self._store.length()
 
     @property
     def backend_capabilities(self) -> StorageCapabilities:
@@ -461,10 +489,39 @@ class SequenceFacade:
         self._store.set(index, value)
         self._commit_mutation("write")
 
+    # -- range mutations: one store call, one commit -------------------------------
+
+    def _grow(self) -> bool:
+        """Did the store outgrow a capacity?  (A façade without one: no.)"""
+        return False
+
+    def _append_range(self, values: Iterable[Any]) -> None:
+        """``push_back`` each of ``values`` through one ``Storage.extend``
+        and one commit of the values the store accepted."""
+        n = self._store.length()
+        try:
+            self._store.extend(values)
+        finally:
+            added = self._store.length() - n
+            if added:
+                self._commit_mutation("push_back", n, self._grow(), added)
+
+    def _write_back(self, writes: Iterable[tuple[int, Any]]) -> None:
+        """``Storage.set`` each ``(index, value)`` of ``writes``, then
+        commit the writes the store accepted as one."""
+        done = 0
+        try:
+            for index, value in writes:
+                self._store.set(index, value)
+                done += 1
+        finally:
+            if done:
+                self._commit_mutation("write", count=done)
+
     # -- the choke point -----------------------------------------------------------
 
     def _commit_mutation(self, op: str, at: Any = None,
-                         realloc: bool = False) -> None:
+                         realloc: bool = False, count: int = 1) -> None:
         """Every mutation funnels through here, after the store changed:
         bump the epoch, kill the iterators the class's invalidation entry
         for ``op`` names (``at``: the mutated index or node; ``realloc``:
@@ -472,8 +529,9 @@ class SequenceFacade:
         the facts lattice so runtime facts die exactly when the abstract
         tables say they must.  ``op`` is a container operation or, for a
         mutation that kills no iterator, a bare mutation kind
-        (``"write"``)."""
-        self.epoch += 1
+        (``"write"``).  ``count`` commits that many ``op`` s from ``at`` on:
+        the scope kills once, the kind runs until the facts stop changing."""
+        self.epoch += count
         resolved = self.scopes.get(op)
         if resolved is not None and self._iterators.refs:
             scope = resolved[realloc]
@@ -481,7 +539,11 @@ class SequenceFacade:
                 self.invalidation_events += self._iterators.invalidate(
                     scope, at)
         if self._facts:
-            survived = _invalidate(self._facts, OPERATION_KINDS.get(op, op))
+            kind, survived = OPERATION_KINDS.get(op, op), self._facts
+            for _ in range(count):
+                facts, survived = survived, _invalidate(survived, kind)
+                if survived == facts:
+                    break
             if survived != self._facts:
                 self._facts = survived
                 self._store.sync_facts(survived)

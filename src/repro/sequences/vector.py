@@ -44,28 +44,22 @@ class Vector(SequenceFacade):
 
     def __init__(self, items: Iterable[Any] = (),
                  storage: Optional[Storage] = None) -> None:
-        if storage is None:
-            storage = self.storage_factory(items)
-        else:
-            for item in items:
-                storage.append(item)
-        self._init_facade(storage)
-        self._capacity: int = max(storage.length(), 1)
+        self._init_facade(items, storage)
+        self._capacity: int = max(self._store.length(), 1)
         #: Reallocations so far; the tests and benches read it.
         self.reallocations: int = 0
 
     # -- internal plumbing ------------------------------------------------------
 
     def _grow(self) -> bool:
-        """Grow the capacity to hold what the store now holds, after a
-        write the store accepted; returns True when that reallocated."""
-        needed = self._store.length()
-        if needed <= self._capacity:
-            return False
-        while self._capacity < needed:
+        """Double the capacity until it holds what the store now holds, one
+        reallocation per doubling; returns True when that reallocated."""
+        grown = 0
+        while self._capacity < self._store.length():
             self._capacity *= 2
-        self.reallocations += 1
-        return True
+            grown += 1
+        self.reallocations += grown
+        return grown > 0
 
     # -- Container interface ------------------------------------------------------
 
@@ -74,12 +68,6 @@ class Vector(SequenceFacade):
 
     def end(self) -> VectorIterator:
         return self.iterator(self, self._store.length())
-
-    def size(self) -> int:
-        return self._store.length()
-
-    def empty(self) -> bool:
-        return self._store.length() == 0
 
     def capacity(self) -> int:
         return self._capacity
@@ -148,9 +136,6 @@ class Vector(SequenceFacade):
         self._commit_mutation("clear")
 
     # -- Python interop -----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._store.length()
 
     def __iter__(self):
         return iter(self.to_list())
