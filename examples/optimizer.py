@@ -67,7 +67,7 @@ class Mod97(int):
 
 algebra.declare(AlgebraicStructure(
     Mod97, "+", Group, lambda a, b: Mod97(a + b),
-    identity_value=Mod97(0), inverse=lambda a: Mod97(-a), commutative=True,
+    identity_value=Mod97(0), inverse=lambda a: Mod97(-a),
     samples=((Mod97(3), Mod97(50), Mod97(96)),),
 ))
 r1 = simplify(BinOp("+", x, Const(Mod97(0))), {"x": Mod97})

@@ -20,15 +20,17 @@ from typing import Any
 _EXPORTS = {
     ".terms": ("App", "Term", "Var", "const", "replace_subterm"),
     ".props": ("And", "Atom", "Exists", "Falsity", "Forall", "Iff",
-               "Implies", "Not", "Or", "Prop", "equals", "forall"),
+               "Implies", "Not", "Or", "Prop", "equals", "forall", "holds",
+               "open_forall"),
     ".proof": ("AssumptionBase", "Proof", "ProofError"),
     ".methods": ("Method", "method", "conj_swap", "conj_idem",
                  "hypothetical_syllogism", "forward_chaining_search"),
-    ".theories": ("OrderSig", "GroupSig", "RingSig", "RangeSig", "THEORIES",
-                  "strict_weak_order_axioms", "strict_partial_order_axioms",
-                  "total_order_axioms", "semigroup_axioms", "monoid_axioms",
-                  "group_axioms", "abelian_axioms", "ring_axioms",
-                  "range_axioms"),
+    ".theories": ("OrderSig", "GroupSig", "RingSig", "VectorSpaceSig",
+                  "RangeSig", "THEORIES", "strict_weak_order_axioms",
+                  "strict_partial_order_axioms", "total_order_axioms",
+                  "semigroup_axioms", "monoid_axioms", "group_axioms",
+                  "abelian_axioms", "ring_axioms", "field_axioms",
+                  "vector_space_axioms", "range_axioms"),
     ".proofs.strict_weak_order": ("prove_equiv_reflexive",
                                   "prove_equiv_symmetric",
                                   "prove_equivalence_properties",
@@ -39,8 +41,7 @@ _EXPORTS = {
     ".proofs.ring_theory": ("prove_mul_zero", "prove_ring_theorems"),
     ".proofs.range_theory": ("range_session", "prove_reaches_kth_successor"),
     ".instantiation": ("InstanceReport", "instantiate_group_proofs",
-                       "sig_for_structure", "eval_term", "eval_equation",
-                       "check_axioms_empirically"),
+                       "sig_for_structure"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -18,14 +18,12 @@ checking, not proof search."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
-from ..concepts.algebra import AlgebraicStructure
-from .proof import Proof, ProofError
+from ..concepts.algebra import AlgebraicStructure, law_axiom
+from ..concepts.modeling import sample_axioms
 from .proofs.group_theory import prove_group_theorems
-from .props import Atom, Forall, Prop
-from .terms import App, Term, Var
-from .theories import GroupSig, group_axioms, monoid_axioms
+from .props import Prop
+from .theories import GroupSig
 
 
 def sig_for_structure(s: AlgebraicStructure) -> GroupSig:
@@ -33,57 +31,6 @@ def sig_for_structure(s: AlgebraicStructure) -> GroupSig:
     so different instances' theorems cannot be confused."""
     tag = f"{s.typ.__name__}.{s.op_symbol}"
     return GroupSig(op=tag, e=f"{tag}.e", inv=f"{tag}.inv")
-
-
-def eval_term(term: Term, sig: GroupSig, s: AlgebraicStructure,
-              env: Mapping[str, Any]) -> Any:
-    """Evaluate a term over the concrete structure."""
-    if isinstance(term, Var):
-        return env[term.name]
-    assert isinstance(term, App)
-    if term.fsym == sig.op:
-        return s.apply(
-            eval_term(term.args[0], sig, s, env),
-            eval_term(term.args[1], sig, s, env),
-        )
-    if term.fsym == sig.e:
-        like = next(iter(env.values()), None)
-        return s.identity_for(like)
-    if term.fsym == sig.inv:
-        if s.inverse is None:
-            raise ValueError(f"structure {s.typ.__name__} has no inverse")
-        return s.inverse(eval_term(term.args[0], sig, s, env))
-    raise ValueError(f"unknown function symbol {term.fsym}")
-
-
-def eval_equation(p: Prop, sig: GroupSig, s: AlgebraicStructure,
-                  env: Mapping[str, Any]) -> bool:
-    """Evaluate a (possibly universally quantified) equation on one
-    variable assignment."""
-    while isinstance(p, Forall):
-        p = p.body
-    assert isinstance(p, Atom) and p.pred == "=", f"not an equation: {p}"
-    lhs = eval_term(p.args[0], sig, s, env)
-    rhs = eval_term(p.args[1], sig, s, env)
-    try:
-        return bool(lhs == rhs)
-    except Exception:  # noqa: BLE001 - foreign __eq__
-        return False
-
-
-def _assignments(p: Prop, values: tuple) -> list[dict[str, Any]]:
-    names: list[str] = []
-    while isinstance(p, Forall):
-        names.append(p.var)
-        p = p.body
-    if not names:
-        return [{}]
-    out = []
-    for sample in values:
-        vs = sample if isinstance(sample, tuple) else (sample,)
-        vs = (vs * 3)[: len(names)] if len(vs) < len(names) else vs
-        out.append(dict(zip(names, vs)))
-    return out
 
 
 @dataclass
@@ -119,24 +66,8 @@ def instantiate_group_proofs(s: AlgebraicStructure) -> InstanceReport:
         )
     sig = sig_for_structure(s)
     pf, theorems = prove_group_theorems(sig)
-    checked = 0
-    ok = True
-    for thm in theorems.values():
-        for env in _assignments(thm, s.samples):
-            checked += 1
-            if not eval_equation(thm, sig, s, env):
-                ok = False
-    return InstanceReport(s, theorems, pf.steps, checked, ok)
-
-
-def check_axioms_empirically(s: AlgebraicStructure,
-                             level: str = "group") -> bool:
-    """Evaluate the instantiated theory axioms on the structure's samples —
-    the sampling analogue of concept-map checking, phrased deductively."""
-    sig = sig_for_structure(s)
-    axioms = group_axioms(sig) if level == "group" else monoid_axioms(sig)
-    for ax in axioms:
-        for env in _assignments(ax, s.samples):
-            if not eval_equation(ax, sig, s, env):
-                return False
-    return True
+    failures = sample_axioms(
+        s.concept.name, [law_axiom(t, thm) for t, thm in theorems.items()],
+        s.ops(sig), s.samples, raise_on_failure=False)
+    return InstanceReport(s, theorems, pf.steps,
+                          len(theorems) * len(s.samples), not failures)

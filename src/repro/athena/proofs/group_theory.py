@@ -24,11 +24,11 @@ HOLE = Var("HOLE")
 
 
 def group_session(sig: GroupSig) -> Proof:
-    return Proof(group_axioms(sig))
+    return Proof(group_axioms(sig).values())
 
 
 def _axioms(sig: GroupSig) -> tuple[Prop, Prop, Prop]:
-    assoc, right_id, right_inv = group_axioms(sig)
+    assoc, right_id, right_inv = group_axioms(sig).values()
     return assoc, right_id, right_inv
 
 

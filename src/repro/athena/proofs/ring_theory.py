@@ -10,15 +10,15 @@ exactly the organization Section 3.3 describes.
 from __future__ import annotations
 
 from ..proof import Proof
-from ..props import Forall, Prop, equals
-from ..terms import App, Term, Var
+from ..props import Prop
+from ..terms import Var
 from ..theories import RingSig, ring_axioms
 
 HOLE = Var("HOLE")
 
 
 def ring_session(sig: RingSig) -> Proof:
-    return Proof(ring_axioms(sig))
+    return Proof(ring_axioms(sig).values())
 
 
 def prove_mul_zero(pf: Proof, sig: RingSig) -> Prop:
@@ -28,17 +28,12 @@ def prove_mul_zero(pf: Proof, sig: RingSig) -> Prop:
     additive inverse.
     """
     a, m = sig.add, sig.mul
-    axioms = ring_axioms(sig)
-    # Locate the axioms we need by shape (the theory function's order is
-    # stable, but matching by content keeps this robust to extension).
-    add_right_id = _find_axiom(pf, axioms, "additive right identity",
-                               lambda p: _is_right_identity(p, a))
-    add_right_inv = _find_axiom(pf, axioms, "additive right inverse",
-                                lambda p: _is_right_inverse(p, a))
-    add_assoc = _find_axiom(pf, axioms, "additive associativity",
-                            lambda p: _is_associativity(p, a))
-    left_distrib = _find_axiom(pf, axioms, "left distributivity",
-                               lambda p: _is_left_distributivity(p, sig))
+    # A law missing from the session's base fails the first step using it.
+    laws = ring_axioms(sig)
+    add_right_id = laws["right identity"]
+    add_right_inv = laws["right inverse"]
+    add_assoc = laws["associativity"]
+    left_distrib = laws["distributivity"]
 
     zero = a.identity()
 
@@ -74,68 +69,3 @@ def prove_ring_theorems(sig: RingSig) -> tuple[Proof, dict[str, Prop]]:
     pf = ring_session(sig)
     return pf, {"annihilation": prove_mul_zero(pf, sig)}
 
-
-# -- axiom shape matchers ------------------------------------------------------
-
-
-def _strip(p: Prop) -> Prop:
-    while isinstance(p, Forall):
-        p = p.body
-    return p
-
-
-def _is_right_identity(p: Prop, g) -> bool:
-    body = _strip(p)
-    if not (hasattr(body, "pred") and body.pred == "="):
-        return False
-    lhs, rhs = body.args
-    return (
-        isinstance(lhs, App) and lhs.fsym == g.op
-        and lhs.args[1] == g.identity() and lhs.args[0] == rhs
-    )
-
-
-def _is_right_inverse(p: Prop, g) -> bool:
-    body = _strip(p)
-    if not (hasattr(body, "pred") and body.pred == "="):
-        return False
-    lhs, rhs = body.args
-    return (
-        isinstance(lhs, App) and lhs.fsym == g.op
-        and isinstance(lhs.args[1], App) and lhs.args[1].fsym == g.inv
-        and rhs == g.identity()
-    )
-
-
-def _is_associativity(p: Prop, g) -> bool:
-    body = _strip(p)
-    if not (hasattr(body, "pred") and body.pred == "="):
-        return False
-    lhs, rhs = body.args
-    return (
-        isinstance(lhs, App) and lhs.fsym == g.op
-        and isinstance(lhs.args[0], App) and lhs.args[0].fsym == g.op
-        and isinstance(rhs, App) and rhs.fsym == g.op
-        and isinstance(rhs.args[1], App) and rhs.args[1].fsym == g.op
-    )
-
-
-def _is_left_distributivity(p: Prop, sig: RingSig) -> bool:
-    body = _strip(p)
-    if not (hasattr(body, "pred") and body.pred == "="):
-        return False
-    lhs, rhs = body.args
-    return (
-        isinstance(lhs, App) and lhs.fsym == sig.mul.op
-        and isinstance(lhs.args[1], App) and lhs.args[1].fsym == sig.add.op
-        and isinstance(rhs, App) and rhs.fsym == sig.add.op
-    )
-
-
-def _find_axiom(pf: Proof, axioms, label: str, matcher) -> Prop:
-    for ax in axioms:
-        if matcher(ax) and pf.base.holds(ax):
-            return ax
-    from ..proof import ProofError
-
-    raise ProofError(f"required axiom not in the assumption base: {label}")

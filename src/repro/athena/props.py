@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
 from .terms import App, Term, Var
 
@@ -229,3 +229,44 @@ def forall(variables: str | list[str], body: Prop) -> Prop:
 
 def equals(a: Term, b: Term) -> Atom:
     return Atom("=", (a, b))
+
+
+def open_forall(p: Prop) -> tuple[list[str], Prop]:
+    """The leading universally quantified variables of ``p`` and the body
+    under them."""
+    names = []
+    while isinstance(p, Forall):
+        names.append(p.var)
+        p = p.body
+    return names, p
+
+
+def holds(p: Prop, ops: Mapping[str, Any], *values: Any) -> bool:
+    """Evaluate ``p`` on concrete values: its leading quantified variables
+    take ``values`` in order, a function symbol ``f`` denotes ``ops[f]``,
+    ``=`` is ``==``, and ``~``/``==>`` are negation and implication (what
+    the algebraic laws use).  A constant ``c`` denotes
+    ``ops[c](like)``, ``like`` being the first value, so a shaped identity
+    (a zero vector, an identity matrix) can take its operands' shape.
+    Whatever ``ops`` raises propagates."""
+    names, body = open_forall(p)
+    env = dict(zip(names, values))
+    like = values[0] if values else None
+
+    def value(t: Term) -> Any:
+        if isinstance(t, Var):
+            return env[t.name]
+        if not t.args:
+            return ops[t.fsym](like)
+        return ops[t.fsym](*map(value, t.args))
+
+    def truth(q: Prop) -> bool:
+        if isinstance(q, Atom) and q.pred == "=":
+            return bool(value(q.args[0]) == value(q.args[1]))
+        if isinstance(q, Not):
+            return not truth(q.operand)
+        if isinstance(q, Implies):
+            return not truth(q.antecedent) or truth(q.consequent)
+        raise ValueError(f"cannot evaluate {q}")
+
+    return truth(body)

@@ -14,6 +14,11 @@ mapping; each ``*_axioms`` function produces the axiom set for any mapping.
 Instantiating a theory for ``(int, +)`` vs ``(Fraction, *)`` is just calling
 the function with a different signature — the same one generic proof then
 checks against each instance (see :mod:`repro.athena.proofs`).
+
+The algebraic theories (semigroup through vector space) are the only
+statement of their laws in the library: the algebraic concepts of
+:mod:`repro.concepts.algebra` sample them as semantic axioms and
+Simplicissimus admits rewrite rules against them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .props import And, Atom, Forall, Iff, Implies, Not, Prop, equals, forall
+from .props import And, Atom, Implies, Not, Prop, equals, forall
 from .terms import App, Term, Var
 
 
@@ -103,39 +108,43 @@ class GroupSig:
         return App(self.inv, (a,))
 
 
-def semigroup_axioms(sig: GroupSig) -> list[Prop]:
+def semigroup_axioms(sig: GroupSig) -> dict[str, Prop]:
     x, y, z = Var("x"), Var("y"), Var("z")
-    return [
-        forall("x y z",
-               equals(sig.ap(sig.ap(x, y), z), sig.ap(x, sig.ap(y, z)))),
-    ]
+    return {
+        "associativity": forall(
+            "x y z", equals(sig.ap(sig.ap(x, y), z), sig.ap(x, sig.ap(y, z)))),
+    }
 
 
-def monoid_axioms(sig: GroupSig) -> list[Prop]:
+def monoid_axioms(sig: GroupSig) -> dict[str, Prop]:
     x = Var("x")
-    return semigroup_axioms(sig) + [
-        forall("x", equals(sig.ap(x, sig.identity()), x)),   # right identity
-        forall("x", equals(sig.ap(sig.identity(), x), x)),   # left identity
-    ]
+    return {
+        **semigroup_axioms(sig),
+        "right identity": forall("x", equals(sig.ap(x, sig.identity()), x)),
+        "left identity": forall("x", equals(sig.ap(sig.identity(), x), x)),
+    }
 
 
-def group_axioms(sig: GroupSig) -> list[Prop]:
+def group_axioms(sig: GroupSig) -> dict[str, Prop]:
     """Associativity + right identity + right inverse.  (Left identity and
     left inverse are *theorems*, derived in
     :mod:`repro.athena.proofs.group_theory` — a classic showpiece for proof
     reuse across instances.)"""
     x = Var("x")
-    return semigroup_axioms(sig) + [
-        forall("x", equals(sig.ap(x, sig.identity()), x)),           # right id
-        forall("x", equals(sig.ap(x, sig.inverse(x)), sig.identity())),  # right inv
-    ]
+    return {
+        **semigroup_axioms(sig),
+        "right identity": monoid_axioms(sig)["right identity"],
+        "right inverse": forall(
+            "x", equals(sig.ap(x, sig.inverse(x)), sig.identity())),
+    }
 
 
-def abelian_axioms(sig: GroupSig) -> list[Prop]:
+def abelian_axioms(sig: GroupSig) -> dict[str, Prop]:
     x, y = Var("x"), Var("y")
-    return group_axioms(sig) + [
-        forall("x y", equals(sig.ap(x, y), sig.ap(y, x))),
-    ]
+    return {
+        **group_axioms(sig),
+        "commutativity": forall("x y", equals(sig.ap(x, y), sig.ap(y, x))),
+    }
 
 
 @dataclass(frozen=True)
@@ -146,18 +155,60 @@ class RingSig:
     mul: GroupSig = GroupSig(op="*", e="1", inv="recip")
 
 
-def ring_axioms(sig: RingSig) -> list[Prop]:
+def ring_axioms(sig: RingSig) -> dict[str, Prop]:
+    """An abelian group under ``add``, a monoid under ``mul``, and ``mul``
+    distributing over ``add`` on both sides."""
     x, y, z = Var("x"), Var("y"), Var("z")
     a, m = sig.add, sig.mul
-    return abelian_axioms(a) + semigroup_axioms(m) + [
-        forall("x", equals(m.ap(x, m.identity()), x)),
-        forall("x", equals(m.ap(m.identity(), x), x)),
-        # Distributivity (both sides).
-        forall("x y z", equals(m.ap(x, a.ap(y, z)),
-                               a.ap(m.ap(x, y), m.ap(x, z)))),
-        forall("x y z", equals(m.ap(a.ap(x, y), z),
-                               a.ap(m.ap(x, z), m.ap(y, z)))),
-    ]
+    return {
+        **abelian_axioms(a),
+        **{f"multiplicative {name}": law
+           for name, law in monoid_axioms(m).items()},
+        "distributivity": forall("x y z", equals(
+            m.ap(x, a.ap(y, z)), a.ap(m.ap(x, y), m.ap(x, z)))),
+        "right distributivity": forall("x y z", equals(
+            m.ap(a.ap(x, y), z), a.ap(m.ap(x, z), m.ap(y, z)))),
+    }
+
+
+def field_axioms(sig: RingSig) -> dict[str, Prop]:
+    """A ring whose nonzero elements have multiplicative inverses."""
+    x = Var("x")
+    a, m = sig.add, sig.mul
+    return {
+        **ring_axioms(sig),
+        "multiplicative inverse": forall("x", Implies(
+            Not(equals(x, a.identity())),
+            equals(m.ap(x, m.inverse(x)), m.identity()))),
+    }
+
+
+@dataclass(frozen=True)
+class VectorSpaceSig:
+    """Operator mapping for Fig. 3's vector space: the vectors' additive
+    group, the scalars' field, and scalar multiplication."""
+
+    vectors: GroupSig = GroupSig(op="+", e="0", inv="neg")
+    scalars: RingSig = RingSig()
+    mult: str = "mult"
+
+    def scale(self, v: Term, s: Term) -> App:
+        return App(self.mult, (v, s))
+
+
+def vector_space_axioms(sig: VectorSpaceSig) -> dict[str, Prop]:
+    """Vectors form an abelian group, scalars a field, and scaling
+    distributes over vector addition."""
+    v, w, s = Var("v"), Var("w"), Var("s")
+    g = sig.vectors
+    return {
+        **abelian_axioms(g),
+        **{f"field {name}": law
+           for name, law in field_axioms(sig.scalars).items()},
+        "scalar distributivity": forall("v w s", equals(
+            sig.scale(g.ap(v, w), s),
+            g.ap(sig.scale(v, s), sig.scale(w, s)))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +243,10 @@ def range_axioms(sig: RangeSig) -> list[Prop]:
     ]
 
 
-TheoryFn = Callable[..., list[Prop]]
+#: Ordering and range theories are lists of axioms; algebraic theories
+#: name each law, and the algebraic concepts' semantic axioms carry those
+#: names.
+TheoryFn = Callable[..., "list[Prop] | dict[str, Prop]"]
 
 #: Name -> theory function, the library's "numerous properties ... already
 #: formalized".
@@ -205,5 +259,7 @@ THEORIES: dict[str, TheoryFn] = {
     "group": group_axioms,
     "abelian group": abelian_axioms,
     "ring": ring_axioms,
+    "field": field_axioms,
+    "vector space": vector_space_axioms,
     "range": range_axioms,
 }

@@ -11,25 +11,80 @@ testing.
 
 The hierarchy — Semigroup ⊂ Monoid ⊂ Group ⊂ AbelianGroup, and Ring/Field
 over two operations — mirrors the concepts the authors "have already
-formalized and used in proofs" (Section 3.3); the Athena theories in
-:mod:`repro.athena.theories` state the same axioms deductively.
+formalized and used in proofs" (Section 3.3).  Their laws are written once,
+as the Athena theories of :mod:`repro.athena.theories`: each concept's
+semantic axioms are the laws its theory adds to its parents' theories,
+sampled by evaluating the theory's propositions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Optional
 
-from .concept import Concept
-from .errors import SemanticAxiomViolation
-from .requirements import (
-    AnyType,
-    Param,
-    SemanticAxiom,
-    function,
+from ..athena.props import Prop, holds, open_forall
+from ..athena.theories import (
+    GroupSig,
+    RingSig,
+    VectorSpaceSig,
+    abelian_axioms,
+    field_axioms,
+    group_axioms,
+    monoid_axioms,
+    ring_axioms,
+    semigroup_axioms,
+    vector_space_axioms,
 )
+from .concept import Concept
+from .modeling import sample_axioms
+from .requirements import Param, SemanticAxiom, function
 
 T = Param("T")
+
+#: The algebraic concepts' operation names as an operator mapping: a law's
+#: function symbols are the names an ``ops`` namespace resolves.
+GROUP_OPS = GroupSig(op="op", e="identity", inv="inverse")
+_MUL_OPS = GroupSig(op="mul", e="one", inv="reciprocal")
+
+#: Each algebraic concept's theory, as a function of the operator mapping
+#: of its (additive) operation; multiplication keeps the concepts' names.
+THEORY_OF: dict[Concept, Callable[[GroupSig], dict[str, Prop]]] = {}
+
+
+def own_laws(concept: Concept, sig: GroupSig = GROUP_OPS) -> dict[str, Prop]:
+    """The laws ``concept``'s theory adds to its parents' theories, over
+    ``sig``; none for a concept outside :data:`THEORY_OF`."""
+    theory = THEORY_OF.get(concept)
+    if theory is None:
+        return {}
+    inherited = {law for parent, _ in concept.refinements()
+                 if parent in THEORY_OF
+                 for law in THEORY_OF[parent](sig).values()}
+    return {name: law for name, law in theory(sig).items()
+            if law not in inherited}
+
+
+def law_axiom(name: str, law: Prop) -> SemanticAxiom:
+    """``law`` as a sampled axiom: its quantified variables take a sample's
+    values and :func:`~repro.athena.props.holds` evaluates it under the
+    ``ops`` namespace."""
+    variables, body = open_forall(law)
+    text = str(body)
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]  # a binary connective's own parentheses
+    return SemanticAxiom(name, tuple(variables), partial(holds, law), text)
+
+
+def _algebraic(theory: Callable[[GroupSig], dict[str, Prop]], name: str,
+               **kwargs: Any) -> Concept:
+    """A concept whose semantic axioms are :func:`own_laws` of ``theory``."""
+    concept = Concept(name, **kwargs)
+    THEORY_OF[concept] = theory
+    concept.requirements += tuple(
+        law_axiom(n, law) for n, law in own_laws(concept).items())
+    return concept
+
 
 # ---------------------------------------------------------------------------
 # The concept hierarchy (semantic concepts: signatures + axioms)
@@ -44,121 +99,47 @@ Magma = Concept(
     doc="A set with a closed binary operation.",
 )
 
-Semigroup = Concept(
-    "Semigroup",
-    params=("T",),
-    refines=[Magma],
-    requirements=[
-        SemanticAxiom(
-            "associativity",
-            ("a", "b", "c"),
-            lambda ops, a, b, c: ops.op(ops.op(a, b), c) == ops.op(a, ops.op(b, c)),
-            "op(op(a, b), c) == op(a, op(b, c))",
-        ),
-    ],
-    doc="Associative magma.",
-)
+Semigroup = _algebraic(
+    semigroup_axioms, "Semigroup", refines=[Magma], doc="Associative magma.")
 
-Monoid = Concept(
-    "Monoid",
-    params=("T",),
+Monoid = _algebraic(
+    monoid_axioms, "Monoid",
     refines=[Semigroup],
-    requirements=[
-        function("identity()", "identity", [T], T),
-        SemanticAxiom(
-            "right identity",
-            ("a",),
-            lambda ops, a: ops.op(a, ops.identity(a)) == a,
-            "op(a, e) == a  —  the Fig. 5 rule x + 0 -> x",
-        ),
-        SemanticAxiom(
-            "left identity",
-            ("a",),
-            lambda ops, a: ops.op(ops.identity(a), a) == a,
-            "op(e, a) == a",
-        ),
-    ],
+    requirements=[function("identity()", "identity", [T], T)],
     doc="Semigroup with identity.",
 )
 
-Group = Concept(
-    "Group",
-    params=("T",),
+Group = _algebraic(
+    group_axioms, "Group",
     refines=[Monoid],
-    requirements=[
-        function("inverse(a)", "inverse", [T], T),
-        SemanticAxiom(
-            "right inverse",
-            ("a",),
-            lambda ops, a: ops.op(a, ops.inverse(a)) == ops.identity(a),
-            "op(a, inverse(a)) == e  —  the Fig. 5 rule x + (-x) -> 0",
-        ),
-    ],
+    requirements=[function("inverse(a)", "inverse", [T], T)],
     doc="Monoid with inverses.",
 )
 
-AbelianGroup = Concept(
-    "Abelian Group",
-    params=("T",),
-    refines=[Group],
-    requirements=[
-        SemanticAxiom(
-            "commutativity",
-            ("a", "b"),
-            lambda ops, a, b: ops.op(a, b) == ops.op(b, a),
-            "op(a, b) == op(b, a)",
-        ),
-    ],
-    doc="Commutative group.",
-)
+AbelianGroup = _algebraic(
+    abelian_axioms, "Abelian Group", refines=[Group], doc="Commutative group.")
 
 #: Fig. 3 names this structure for the additive part of a vector space.
-AdditiveAbelianGroup = Concept(
-    "Additive Abelian Group",
-    params=("T",),
+AdditiveAbelianGroup = _algebraic(
+    abelian_axioms, "Additive Abelian Group",
     refines=[AbelianGroup],
     doc="Abelian group written additively (Fig. 3's vector-addition part).",
 )
 
-Ring = Concept(
-    "Ring",
-    params=("T",),
+Ring = _algebraic(
+    lambda g: ring_axioms(RingSig(g, _MUL_OPS)), "Ring",
     refines=[AdditiveAbelianGroup],
     requirements=[
         function("mul(a, b)", "mul", [T, T], T),
         function("one()", "one", [T], T),
-        SemanticAxiom(
-            "distributivity",
-            ("a", "b", "c"),
-            lambda ops, a, b, c: ops.mul(a, ops.op(b, c))
-            == ops.op(ops.mul(a, b), ops.mul(a, c)),
-            "a*(b+c) == a*b + a*c",
-        ),
-        SemanticAxiom(
-            "multiplicative associativity",
-            ("a", "b", "c"),
-            lambda ops, a, b, c: ops.mul(ops.mul(a, b), c)
-            == ops.mul(a, ops.mul(b, c)),
-            "(a*b)*c == a*(b*c)",
-        ),
     ],
     doc="Ring: additive abelian group with associative, distributive mul.",
 )
 
-Field = Concept(
-    "Field",
-    params=("T",),
+Field = _algebraic(
+    lambda g: field_axioms(RingSig(g, _MUL_OPS)), "Field",
     refines=[Ring],
-    requirements=[
-        function("reciprocal(a)", "reciprocal", [T], T),
-        SemanticAxiom(
-            "multiplicative inverse",
-            ("a",),
-            lambda ops, a: a == ops.identity(a)
-            or ops.mul(a, ops.reciprocal(a)) == ops.one(a),
-            "a != 0 implies a * (1/a) == 1",
-        ),
-    ],
+    requirements=[function("reciprocal(a)", "reciprocal", [T], T)],
     doc="Ring whose nonzero elements form a multiplicative group.",
 )
 
@@ -167,20 +148,15 @@ V, S = Param("V"), Param("S")
 #: Fig. 3: "Types V and S model the Vector Space concept if, in addition to
 #: the type S modeling the Field concept and the type V modeling the
 #: Additive Abelian Group concept, the above requirements are satisfied."
-VectorSpace = Concept(
+VectorSpace = _algebraic(
+    lambda g: vector_space_axioms(
+        VectorSpaceSig(g, RingSig(g, _MUL_OPS), "mult")),
     "Vector Space",
     params=("V", "S"),
     refines=[(AdditiveAbelianGroup, (V,)), (Field, (S,))],
     requirements=[
         function("mult(v, s)", "mult", [V, S], V),
         function("mult(s, v)", "mult", [S, V], V, owner_index=1),
-        SemanticAxiom(
-            "scalar distributivity",
-            ("v", "w", "s"),
-            lambda ops, v, w, s: ops.mult(ops.op(v, w), s)
-            == ops.op(ops.mult(v, s), ops.mult(w, s)),
-            "(v + w)*s == v*s + w*s",
-        ),
     ],
     doc="The multi-type concept of Fig. 3; scalar type is NOT an associated "
         "type of the vector type (the CLA-CRM argument of Section 2.4).",
@@ -200,6 +176,8 @@ class AlgebraicStructure:
     ``is_identity`` exists separately because for shape-dependent identities
     (the identity matrix) membership cannot be tested with ``==`` against a
     single value.  ``inverse`` is required at Group level and above.
+    ``samples`` are value tuples; a law is sampled on each tuple long
+    enough to bind its variables.
     """
 
     typ: type
@@ -209,7 +187,6 @@ class AlgebraicStructure:
     identity_value: Any = None
     is_identity: Optional[Callable[[Any], bool]] = None
     inverse: Optional[Callable[[Any], Any]] = None
-    commutative: bool = False
     samples: tuple = ()
     make_identity: Optional[Callable[[Any], Any]] = None
 
@@ -227,6 +204,11 @@ class AlgebraicStructure:
         except Exception:  # noqa: BLE001 - foreign __eq__
             return False
 
+    def ops(self, sig: GroupSig) -> dict[str, Any]:
+        """The structure's operations keyed by ``sig``'s symbols."""
+        return {sig.op: self.apply, sig.e: self.identity_for,
+                sig.inv: self.inverse}
+
 
 class AlgebraRegistry:
     """Registry of :class:`AlgebraicStructure` keyed by (type, operator).
@@ -242,31 +224,16 @@ class AlgebraRegistry:
     def declare(
         self, structure: AlgebraicStructure, check_axioms: bool = True
     ) -> AlgebraicStructure:
-        if check_axioms and structure.samples:
-            self.verify_axioms(structure)
+        """Register ``structure``.  With ``check_axioms``, every law of its
+        concept is first sampled (see
+        :func:`~repro.concepts.modeling.sample_axioms`): a failing or
+        raising sample *refutes* the declaration; passing samples do not
+        prove it — proving is :mod:`repro.athena`'s job."""
+        if check_axioms:
+            sample_axioms(structure.concept.name, structure.concept.axioms(),
+                          structure.ops(GROUP_OPS), structure.samples)
         self._structures[(structure.typ, structure.op_symbol)] = structure
         return structure
-
-    def verify_axioms(self, structure: AlgebraicStructure) -> None:
-        """Sampling-based axiom check: a failing sample *refutes* the
-        declaration (raises); passing samples do not prove it — proving is
-        :mod:`repro.athena`'s job."""
-        ops = _StructureOps(structure)
-        for axiom in structure.concept.axioms():
-            for sample in structure.samples:
-                values = sample if isinstance(sample, tuple) else (sample,)
-                if len(values) < len(axiom.variables):
-                    # Recycle values for higher-arity axioms.
-                    values = (values * 3)[: len(axiom.variables)]
-                args = values[: len(axiom.variables)]
-                try:
-                    ok = axiom.predicate(ops, *args)
-                except NotImplementedError:
-                    continue
-                if not ok:
-                    raise SemanticAxiomViolation(
-                        structure.concept.name, axiom.name, args
-                    )
 
     def lookup(self, typ: type, op_symbol: str) -> Optional[AlgebraicStructure]:
         for base in typ.__mro__:
@@ -286,27 +253,6 @@ class AlgebraRegistry:
         return list(self._structures.values())
 
 
-class _StructureOps:
-    """Adapter letting concept axioms run against an AlgebraicStructure."""
-
-    def __init__(self, s: AlgebraicStructure) -> None:
-        self._s = s
-
-    def op(self, a: Any, b: Any) -> Any:
-        return self._s.apply(a, b)
-
-    def identity(self, like: Any) -> Any:
-        return self._s.identity_for(like)
-
-    def inverse(self, a: Any) -> Any:
-        if self._s.inverse is None:
-            raise NotImplementedError
-        return self._s.inverse(a)
-
-    def __getattr__(self, name: str) -> Any:
-        raise NotImplementedError(name)
-
-
 #: Default process-wide algebra registry, pre-populated below with the
 #: built-in instances from Fig. 5's table.
 algebra = AlgebraRegistry()
@@ -320,14 +266,14 @@ def declare_standard_structures(registry: AlgebraRegistry) -> None:
     registry.declare(
         AlgebraicStructure(
             int, "+", AbelianGroup, lambda a, b: a + b,
-            identity_value=0, inverse=lambda a: -a, commutative=True,
+            identity_value=0, inverse=lambda a: -a,
             samples=((3, 5, 7), (-2, 11, 0), (1, 1, 1)),
         )
     )
     registry.declare(
         AlgebraicStructure(
             int, "*", Monoid, lambda a, b: a * b,
-            identity_value=1, commutative=True,
+            identity_value=1,
             samples=((3, 5, 7), (-2, 11, 1)),
         )
     )
@@ -337,28 +283,28 @@ def declare_standard_structures(registry: AlgebraRegistry) -> None:
     registry.declare(
         AlgebraicStructure(
             float, "*", Group, lambda a, b: a * b,
-            identity_value=1.0, inverse=lambda a: 1.0 / a, commutative=True,
+            identity_value=1.0, inverse=lambda a: 1.0 / a,
             samples=((2.0, 4.0, 0.5), (8.0, 0.25, 1.0)),
         )
     )
     registry.declare(
         AlgebraicStructure(
             float, "+", AbelianGroup, lambda a, b: a + b,
-            identity_value=0.0, inverse=lambda a: -a, commutative=True,
+            identity_value=0.0, inverse=lambda a: -a,
             samples=((2.0, 4.0, 0.5), (8.0, 0.25, 0.0)),
         )
     )
     registry.declare(
         AlgebraicStructure(
             bool, "and", Monoid, lambda a, b: a and b,
-            identity_value=True, commutative=True,
+            identity_value=True,
             samples=((True, False, True), (False, False, True)),
         )
     )
     registry.declare(
         AlgebraicStructure(
             bool, "or", Monoid, lambda a, b: a or b,
-            identity_value=False, commutative=True,
+            identity_value=False,
             samples=((True, False, True), (False, False, True)),
         )
     )
@@ -367,14 +313,14 @@ def declare_standard_structures(registry: AlgebraRegistry) -> None:
     registry.declare(
         AlgebraicStructure(
             int, "&", Monoid, lambda a, b: a & b,
-            identity_value=-1, commutative=True,
+            identity_value=-1,
             samples=((0b1010, 0b0110, 0b1111), (7, 3, -1)),
         )
     )
     registry.declare(
         AlgebraicStructure(
             int, "|", Monoid, lambda a, b: a | b,
-            identity_value=0, commutative=True,
+            identity_value=0,
             samples=((0b1010, 0b0110, 0), (7, 3, 1)),
         )
     )
@@ -389,7 +335,6 @@ def declare_standard_structures(registry: AlgebraRegistry) -> None:
         AlgebraicStructure(
             Fraction, "*", Group, lambda a, b: a * b,
             identity_value=Fraction(1), inverse=lambda a: 1 / a,
-            commutative=True,
             samples=(
                 (Fraction(2, 3), Fraction(5, 7), Fraction(1)),
                 (Fraction(-4, 9), Fraction(3, 2), Fraction(11)),
@@ -400,7 +345,6 @@ def declare_standard_structures(registry: AlgebraRegistry) -> None:
         AlgebraicStructure(
             Fraction, "+", AbelianGroup, lambda a, b: a + b,
             identity_value=Fraction(0), inverse=lambda a: -a,
-            commutative=True,
             samples=(
                 (Fraction(2, 3), Fraction(5, 7), Fraction(0)),
                 (Fraction(-4, 9), Fraction(3, 2), Fraction(11)),

@@ -467,25 +467,42 @@ class ModelRegistry:
                     f"for {', '.join(t.__name__ for t in tys)}"
                 )
             samples = cmap.sampler()
-        ops_ns = OpsNamespace(self, concept, tys)
-        violations: list[SemanticAxiomViolation] = []
-        for axiom in axioms:
-            for values in samples:
-                if len(values) < len(axiom.variables):
-                    continue
-                args = tuple(values[: len(axiom.variables)])
-                try:
-                    ok = axiom.predicate(ops_ns, *args)
-                except Exception as exc:  # noqa: BLE001 - report as violation
-                    ok = False
-                    args = args + (f"raised {exc!r}",)
-                if not ok:
-                    violation = SemanticAxiomViolation(concept.name, axiom.name, args)
-                    if raise_on_failure:
-                        raise violation
-                    violations.append(violation)
-                    break
-        return violations
+        return sample_axioms(concept.name, axioms,
+                             OpsNamespace(self, concept, tys), samples,
+                             raise_on_failure)
+
+
+def sample_axioms(
+    concept_name: str,
+    axioms: Sequence[SemanticAxiom],
+    ops: Any,
+    samples: Sequence[Sequence[Any]],
+    raise_on_failure: bool = True,
+) -> list[SemanticAxiomViolation]:
+    """Test each axiom's predicate under ``ops`` on every sample long
+    enough to bind its variables: the one sampled checker behind
+    :meth:`ModelRegistry.check_semantics` and algebraic-structure
+    declaration.  A predicate that is false, or raises, is a
+    :class:`SemanticAxiomViolation` whose witness is the sample (plus the
+    exception, if one was raised); each axiom reports its first."""
+    violations: list[SemanticAxiomViolation] = []
+    for axiom in axioms:
+        for values in samples:
+            if len(values) < len(axiom.variables):
+                continue
+            args = tuple(values[: len(axiom.variables)])
+            try:
+                ok = axiom.predicate(ops, *args)
+            except Exception as exc:  # noqa: BLE001 - report as violation
+                ok = False
+                args = args + (f"raised {exc!r}",)
+            if not ok:
+                violation = SemanticAxiomViolation(concept_name, axiom.name, args)
+                if raise_on_failure:
+                    raise violation
+                violations.append(violation)
+                break
+    return violations
 
 
 class OpsNamespace:

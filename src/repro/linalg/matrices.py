@@ -59,6 +59,15 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return type(self).from_array(-self.data)
 
+    def _peer(self, other: "Matrix") -> np.ndarray:
+        """``other``'s entries, once it is a matrix of this one's shape."""
+        if not isinstance(other, Matrix):
+            raise TypeError(f"expected a matrix, got {type(other).__name__}")
+        if self.data.shape != other.data.shape:
+            raise ValueError(
+                f"shape mismatch: {self.data.shape} vs {other.data.shape}")
+        return other.data
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             raise TypeError(f"expected a matrix, got {type(other).__name__}")

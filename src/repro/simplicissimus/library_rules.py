@@ -106,7 +106,6 @@ def declare_lidia(registry: AlgebraRegistry = default_algebra) -> None:
             LiDIAFloat, "*", Group, lambda a, b: a * b,
             identity_value=LiDIAFloat(1),
             inverse=lambda a: a.Inverse(),
-            commutative=True,
             samples=(
                 (LiDIAFloat(2, 3), LiDIAFloat(5, 7), LiDIAFloat(-4, 9)),
                 (LiDIAFloat(1), LiDIAFloat(12, 5), LiDIAFloat(3)),

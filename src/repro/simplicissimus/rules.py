@@ -8,9 +8,11 @@ Fig. 5's two generic rules::
 "The concept-based rules are directly related to and derivable from the
 axioms governing the Monoid and Group concepts" — here each rule *is* one
 of those equations.  An :class:`EquationRule` carries an Athena equation
-``forall x. lhs = rhs`` and is admitted only if the equation is an axiom
-of the guarding concept's theory (:mod:`repro.athena.theories`) or a
-theorem Athena proves from it (:mod:`repro.athena.proofs.group_theory`).
+``forall x. lhs = rhs`` and is admitted only if the equation is a law the
+guarding concept adds to its parents' theories (the table
+:data:`repro.concepts.algebra.THEORY_OF` over :mod:`repro.athena.theories`)
+or a theorem Athena proves from them
+(:mod:`repro.athena.proofs.group_theory`).
 The rule *refuses to fire* unless the algebra registry confirms the
 (type, operator) pair models the required concept.  That guard is what
 makes the rewrite sound: ``min(a+b, CAP)`` saturating addition has an
@@ -25,15 +27,21 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..athena import (
-    Forall,
     GroupSig,
     Prop,
     group_axioms,
     monoid_axioms,
+    open_forall,
     prove_group_theorems,
 )
 from ..athena.terms import Term, Var as TermVar
-from ..concepts.algebra import AlgebraRegistry, Concept, Group, Monoid
+from ..concepts.algebra import (
+    AlgebraRegistry,
+    Concept,
+    Group,
+    Monoid,
+    own_laws,
+)
 from ..facts.properties import SORTED, FactEnv
 from .expr import BinOp, Call, Const, Expr, IdentityOf, Inverse, TypeEnv, Var
 
@@ -112,36 +120,26 @@ def _group_theorems() -> dict[str, Prop]:
     return prove_group_theorems(SIG)[1]
 
 
-def _theory(concept: Concept) -> list[Prop]:
-    """The equations a rule guarded by ``concept`` may be."""
-    if concept is Monoid:
-        return monoid_axioms(SIG)
-    if concept is Group:
-        return group_axioms(SIG) + list(_group_theorems().values())
-    return []
-
-
-def _open(p: Prop) -> tuple[list[str], Prop]:
-    """The leading quantified variables of ``p`` and the body under them."""
-    names = []
-    while isinstance(p, Forall):
-        names.append(p.var)
-        p = p.body
-    return names, p
+def _equations(concept: Concept) -> list[Prop]:
+    """The equations a rule guarded by ``concept`` may be: the laws its
+    theory adds to its parents' (so a rule's guard is the weakest concept
+    stating its equation), and for Group the theorems proved from them."""
+    laws = list(own_laws(concept, SIG).values())
+    return laws + list(_group_theorems().values()) if concept is Group else laws
 
 
 def _canonical(p: Prop) -> Prop:
     """``p``'s body with its quantified variables renamed by position, so
     an axiom over ``x`` equals a ``pick_any`` theorem over ``x3``."""
-    names, body = _open(p)
+    names, body = open_forall(p)
     return body.substitute({n: TermVar(f"?{i}") for i, n in enumerate(names)})
 
 
 class EquationRule(RewriteRule):
     """A rule that is an equation ``forall x. lhs = rhs`` over :data:`SIG`,
-    applied left to right; :class:`ValueError` unless the equation is an
-    axiom or proved theorem of ``requires``'s theory (up to the names of
-    its bound variables).
+    applied left to right; :class:`ValueError` unless the equation is one
+    of :func:`_equations` of ``requires`` (up to the names of its bound
+    variables).
 
     The left side is the pattern: ``x * y`` matches a :class:`BinOp` and
     ``inv(x)`` an :class:`Inverse`, all under one concrete operator;
@@ -154,13 +152,13 @@ class EquationRule(RewriteRule):
     """
 
     def __init__(self, name: str, requires: Concept, equation: Prop) -> None:
-        if _canonical(equation) not in map(_canonical, _theory(requires)):
+        if _canonical(equation) not in map(_canonical, _equations(requires)):
             raise ValueError(
                 f"rule {name!r}: {equation} is neither an axiom of "
                 f"{requires.name} nor a theorem proved from them"
             )
         self.name, self.requires, self.equation = name, requires, equation
-        self._vars, body = _open(equation)
+        self._vars, body = open_forall(equation)
         self._lhs, self._rhs = body.args
 
     def try_rewrite(self, node, tenv, registry):
@@ -280,13 +278,13 @@ def _is_identity_expr(e: Expr, op: str, structure) -> bool:
 
 
 def _standard_rules() -> tuple[RewriteRule, ...]:
-    _, right_identity, left_identity = monoid_axioms(SIG)
-    right_inverse = group_axioms(SIG)[2]
+    monoid = monoid_axioms(SIG)
     theorems = _group_theorems()
     return (
-        EquationRule("right-identity", Monoid, right_identity),
-        EquationRule("left-identity", Monoid, left_identity),
-        EquationRule("right-inverse", Group, right_inverse),
+        EquationRule("right-identity", Monoid, monoid["right identity"]),
+        EquationRule("left-identity", Monoid, monoid["left identity"]),
+        EquationRule("right-inverse", Group,
+                     group_axioms(SIG)["right inverse"]),
         EquationRule("left-inverse", Group, theorems["left inverse"]),
         EquationRule("double-inverse", Group,
                      theorems["inverse involution"]),

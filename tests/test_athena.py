@@ -255,7 +255,7 @@ class TestGroupProofs:
 
     def test_without_right_inverse_axiom_proof_rejected(self):
         sig = GroupSig()
-        pf = Proof(monoid_axioms(sig))  # monoid only: no inverse axiom
+        pf = Proof(monoid_axioms(sig).values())  # no inverse axiom
         from repro.athena.proofs.group_theory import prove_left_inverse
 
         with pytest.raises(ProofError):

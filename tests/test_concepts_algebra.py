@@ -164,3 +164,63 @@ class TestAxiomChecking:
             make_identity=lambda like: (),
         )
         assert s.identity_for((1, 2)) == ()
+
+
+class TestOneExceptionPolicy:
+    """A law that raises on a sample is a violation naming the exception,
+    whether a structure's declaration or a concept map's check samples it."""
+
+    ZERO = (Fraction(0), Fraction(1), Fraction(2))
+
+    def test_declare_reports_a_raising_law(self):
+        with pytest.raises(SemanticAxiomViolation,
+                           match="ZeroDivisionError") as exc:
+            AlgebraRegistry().declare(AlgebraicStructure(
+                Fraction, "*", Group, lambda a, b: a * b,
+                identity_value=Fraction(1), inverse=lambda a: 1 / a,
+                samples=(self.ZERO,),
+            ))
+        assert exc.value.axiom_name == "right inverse"
+
+    def test_check_semantics_reports_the_same_law(self):
+        from repro.concepts.modeling import ModelRegistry
+
+        reg = ModelRegistry()
+        reg.declare(Group, Fraction, operation_impls={
+            "op": lambda a, b: a * b,
+            "identity": lambda like: Fraction(1),
+            "inverse": lambda a: 1 / a,
+        })
+        with pytest.raises(SemanticAxiomViolation,
+                           match="ZeroDivisionError") as exc:
+            reg.check_semantics(Group, Fraction, samples=[self.ZERO])
+        assert exc.value.axiom_name == "right inverse"
+
+
+class TestLawsFromTheories:
+    def test_own_laws_are_the_theory_less_the_parents(self):
+        assert [a.name for a in Group.own_axioms()] == ["right inverse"]
+        assert [a.name for a in AbelianGroup.own_axioms()] == ["commutativity"]
+        assert AdditiveAbelianGroup.own_axioms() == ()
+        assert [a.name for a in VectorSpace.own_axioms()] == [
+            "scalar distributivity"]
+
+    def test_every_algebraic_concept_map_passes_its_samples(self):
+        # All of a one-type concept's laws, inherited ones included, share
+        # one operation vocabulary; a multi-type concept's inherited laws
+        # are about its other parameters, so it is held to its own.
+        import repro.linalg  # noqa: F401 - declares the Field/Vector Space maps
+        from repro.concepts import models
+        from repro.concepts.algebra import THEORY_OF
+        from repro.concepts.modeling import OpsNamespace, sample_axioms
+
+        checked = 0
+        for concept in THEORY_OF:
+            laws = concept.axioms() if concept.arity == 1 else concept.own_axioms()
+            for cmap in models.declared_models(concept):
+                if cmap.sampler is not None:
+                    checked += 1
+                    ops = OpsNamespace(models, concept, cmap.types)
+                    assert sample_axioms(concept.name, laws, ops, cmap.sampler(),
+                                         raise_on_failure=False) == []
+        assert checked >= 10

@@ -101,34 +101,35 @@ class TestSimulatorInternals:
 
 
 class TestAthenaEvaluation:
-    def test_eval_term_unknown_symbol(self):
-        from repro.athena import eval_term, sig_for_structure
+    def test_holds_unknown_symbol(self):
+        from repro.athena import holds, sig_for_structure
+        from repro.athena.props import equals
         from repro.athena.terms import App
         from repro.concepts.algebra import algebra
 
         s = algebra.lookup(int, "+")
-        sig = sig_for_structure(s)
-        with pytest.raises(ValueError):
-            eval_term(App("mystery"), sig, s, {})
+        ops = s.ops(sig_for_structure(s))
+        with pytest.raises(KeyError):
+            holds(equals(App("mystery"), App("mystery")), ops, 7)
 
-    def test_eval_equation_on_quantified(self):
-        from repro.athena import GroupSig, eval_equation, group_axioms, sig_for_structure
+    def test_holds_on_quantified(self):
+        from repro.athena import group_axioms, holds, sig_for_structure
         from repro.concepts.algebra import algebra
 
         s = algebra.lookup(int, "+")
         sig = sig_for_structure(s)
-        right_id = group_axioms(sig)[1]
-        assert eval_equation(right_id, sig, s, {"x": 7})
+        right_id = group_axioms(sig)["right identity"]
+        assert holds(right_id, s.ops(sig), 7)
 
     def test_inverse_required(self):
-        from repro.athena import eval_term, sig_for_structure
+        from repro.athena import group_axioms, holds, sig_for_structure
         from repro.concepts.algebra import AlgebraicStructure, Monoid
 
         s = AlgebraicStructure(int, "zap", Monoid, lambda a, b: a,
                                identity_value=0)
         sig = sig_for_structure(s)
-        with pytest.raises(ValueError):
-            eval_term(sig.inverse(sig.identity()), sig, s, {})
+        with pytest.raises(TypeError):
+            holds(group_axioms(sig)["right inverse"], s.ops(sig), 3)
 
 
 class TestOverloadDiagnostics:

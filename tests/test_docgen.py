@@ -1,5 +1,11 @@
 """Tests for the concept documentation generator."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import repro
 import repro.graphs  # noqa: F401 - declares models shown in the reference
 import repro.linalg  # noqa: F401
 import repro.sequences  # noqa: F401
@@ -81,3 +87,19 @@ class TestReference:
                        "Strict Weak Order", "Sorted Associative Container"):
             assert needle in text, needle
         assert len(text.splitlines()) > 300
+
+
+def test_concepts_md_is_the_standard_reference():
+    """CONCEPTS.md is ``standard_reference()`` as a fresh interpreter
+    renders it, so models that other tests register cannot leak in."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "from repro.concepts.docgen import "
+         "standard_reference; print(standard_reference())"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    header = ("Generated by the Caramel-style docgen: "
+              "`repro.concepts.docgen.standard_reference()`\n\n")
+    committed = pathlib.Path(__file__).resolve().parent.parent / "CONCEPTS.md"
+    assert committed.read_text() == header + proc.stdout, (
+        "CONCEPTS.md is stale: regenerate it from standard_reference()")

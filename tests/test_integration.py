@@ -34,7 +34,6 @@ class TestOneTypeThroughEverySystem:
         self.reg.declare(AlgebraicStructure(
             Gf13, "+", Group, lambda a, b: Gf13(a + b),
             identity_value=Gf13(0), inverse=lambda a: Gf13(-a),
-            commutative=True,
             samples=((Gf13(3), Gf13(11), Gf13(12)), (Gf13(0), Gf13(1), Gf13(7))),
         ))
 
