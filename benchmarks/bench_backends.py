@@ -13,6 +13,11 @@ claims that justify it:
   doubling chunks, so it pays exactly the trips that schedule needs to
   reach the probe (about probe / ``WALK_CHUNK_CAP``); the indexed path
   pays one, total.
+- **the engine answers unsorted reads**: ``find_in`` and ``accumulate``
+  on an unsorted ``N_ENGINE``-element sqlite sequence each make exactly
+  one round trip (a value-index probe, one ``SUM``), timed against the
+  range scans they replace: ``find`` over the same range, and the walk
+  summed in Python.  The gate is the round-trip count, not the timing.
 - **contiguity is not a tax**: a sequential sweep over a
   :class:`~repro.sequences.backends.contiguous.ContiguousVector` (one
   ``array`` block) must stay within ``MAX_CONTIG_RATIO``x of the plain
@@ -24,7 +29,7 @@ Standalone mode (used by the CI bench-smoke job)::
     PYTHONPATH=src python benchmarks/bench_backends.py --quick
 
 prints the table, writes ``benchmarks/out/backends.json``, and exits
-nonzero if either gate is missed.
+nonzero if any gate is missed.
 """
 
 import json
@@ -38,6 +43,8 @@ MIN_INDEXED_SPEEDUP = 10.0
 MAX_CONTIG_RATIO = 2.0
 #: The indexed-vs-scan gate is pinned at this size (the ISSUE's n=10k).
 N_SQLITE = 10_000
+#: The engine-read gate's size: the containers workload's largest.
+N_ENGINE = 1000
 OUT_JSON = pathlib.Path(__file__).parent / "out" / "backends.json"
 
 
@@ -98,6 +105,48 @@ def _measure_indexed_vs_scan(scan_iters: int, indexed_iters: int) -> dict:
     }
 
 
+def _measure_engine_reads(iters: int) -> dict:
+    """find_in and accumulate on one unsorted sqlite sequence, answered
+    in the engine, against the range scans: ``find`` over the same range
+    and the walk summed in Python.  Round trips exclude the deref."""
+    import random
+
+    from repro.sequences.algorithms import accumulate, find, find_in
+    from repro.sequences.backends import SqliteSequence
+    from repro.sequences.iterators import python_range
+
+    xs = list(range(N_ENGINE))
+    random.Random(N_ENGINE).shuffle(xs)
+    s = SqliteSequence(xs)
+    probe = xs[N_ENGINE // 2]
+    store = s.storage()
+
+    def trips(fn):
+        before = store.roundtrips
+        fn()
+        return store.roundtrips - before
+
+    find_trips = trips(lambda: find_in(s, probe).index)
+    acc_trips = trips(lambda: accumulate(s.begin(), s.end(), 0))
+    assert find_in(s, probe).index == N_ENGINE // 2
+    assert accumulate(s.begin(), s.end(), 0) == sum(xs)
+    times = {
+        "find_in_us": lambda: find_in(s, probe),
+        "find_scan_us": lambda: find(s.begin(), s.end(), probe),
+        "accumulate_us": lambda: accumulate(s.begin(), s.end(), 0),
+        "accumulate_scan_us": lambda: sum(python_range(s.begin(), s.end())),
+    }
+    out = {key: _time_per_call(fn, iters) * 1e6 for key, fn in times.items()}
+    s.close()
+    return {
+        "n": N_ENGINE,
+        **out,
+        "find_in_roundtrips": find_trips,
+        "accumulate_roundtrips": acc_trips,
+        "ok": find_trips == 1 and acc_trips == 1,
+    }
+
+
 def _measure_sweep(n: int, repeat: int = 5) -> dict:
     """One full sequential iterator sweep, list-backed vs contiguous."""
     from repro.sequences import Vector
@@ -134,16 +183,19 @@ def _measure(quick: bool) -> dict:
         scan_iters=2 if quick else 5,
         indexed_iters=50 if quick else 500,
     )
+    engine = _measure_engine_reads(iters=20 if quick else 200)
     sweep = _measure_sweep(n=10_000 if quick else 50_000)
     return {
         "indexed_vs_scan": indexed,
+        "engine_reads": engine,
         "sequential_sweep": sweep,
-        "ok": indexed["ok"] and sweep["ok"],
+        "ok": indexed["ok"] and engine["ok"] and sweep["ok"],
     }
 
 
 def _render(m: dict) -> str:
     ix = m["indexed_vs_scan"]
+    en = m["engine_reads"]
     sw = m["sequential_sweep"]
     return "\n".join([
         f"indexed find vs scan on sorted sqlite, n={ix['n']}:",
@@ -154,6 +206,14 @@ def _render(m: dict) -> str:
         f"  speedup: {ix['speedup']:.1f}x "
         f"(floor {ix['min_speedup']:.0f}x) "
         f"{'OK' if ix['ok'] else 'FAIL'}",
+        f"engine reads vs range scans on unsorted sqlite, n={en['n']}:",
+        f"  {'find (range scan)':<24s} {en['find_scan_us']:>12.1f}us",
+        f"  {'find_in (value index)':<24s} {en['find_in_us']:>12.1f}us  "
+        f"({en['find_in_roundtrips']} round trip)",
+        f"  {'walk + sum':<24s} {en['accumulate_scan_us']:>12.1f}us",
+        f"  {'accumulate (SUM)':<24s} {en['accumulate_us']:>12.1f}us  "
+        f"({en['accumulate_roundtrips']} round trip)",
+        f"  one round trip each: {'OK' if en['ok'] else 'FAIL'}",
         f"sequential sweep, n={sw['n']}:",
         f"  {'Vector (list store)':<24s} {sw['vector_ms']:>12.2f}ms",
         f"  {'ContiguousVector':<24s} {sw['contig_ms']:>12.2f}ms",
@@ -171,6 +231,7 @@ def test_indexed_find_beats_scan(benchmark, record):
     m = _measure_indexed_vs_scan(scan_iters=2, indexed_iters=50)
     record("backends_indexed", _render({
         "indexed_vs_scan": m,
+        "engine_reads": _measure_engine_reads(iters=20),
         "sequential_sweep": _measure_sweep(n=10_000),
     }))
     assert m["indexed_roundtrips"] == 1, m
@@ -185,6 +246,17 @@ def test_indexed_find_beats_scan(benchmark, record):
     s = SqliteSequence(range(1000))
     s.assert_fact("sorted")
     benchmark(lambda: indexed_find(s, 500))
+
+
+def test_engine_reads_take_one_round_trip(benchmark):
+    m = _measure_engine_reads(iters=20)
+    assert m["find_in_roundtrips"] == 1, m
+    assert m["accumulate_roundtrips"] == 1, m
+    from repro.sequences.algorithms import accumulate
+    from repro.sequences.backends import SqliteSequence
+
+    s = SqliteSequence(range(N_ENGINE))
+    benchmark(lambda: accumulate(s.begin(), s.end(), 0))
 
 
 def test_contiguous_sweep_within_ratio(benchmark):
@@ -225,6 +297,13 @@ def main(argv=None) -> int:
             f"{m['indexed_vs_scan']['speedup']:.1f}x faster than the "
             f"scan (floor {MIN_INDEXED_SPEEDUP:.0f}x), or round-trip "
             f"counts off"
+        )
+        return 1
+    if not m["engine_reads"]["ok"]:
+        print(
+            f"FAIL: find_in made {m['engine_reads']['find_in_roundtrips']} "
+            f"and accumulate {m['engine_reads']['accumulate_roundtrips']} "
+            f"round trips on unsorted sqlite, not one each"
         )
         return 1
     if not m["sequential_sweep"]["ok"]:

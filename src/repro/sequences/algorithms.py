@@ -15,6 +15,8 @@ container itself.
 Range kernels: where :func:`_unobservable` holds, ``find``, ``count``,
 ``accumulate``, the bounds and ``copy_into`` run the interpreter's own
 loops on what :func:`~repro.sequences.iterators.read_chunks` reads.
+A store may answer in its own engine instead (:func:`_in_engine`):
+sqlite's ``accumulate`` over integers and its ``find_in``.
 
 Dispatch for ``advance``/``distance``/``sort`` runs through the
 :mod:`repro.runtime` decision tables: specificity is compiled once per
@@ -72,6 +74,17 @@ def _unobservable(kernel: Callable, fn: Callable, operands: Iterable) -> bool:
         return False
     return set(map(type, operands)) in (
         ({int},) if kernel is operator.add else ({int}, {str}))
+
+
+def _in_engine(first: IteratorBase, last: IteratorBase, kernel: str,
+               *args: Any) -> Any:
+    """What the store of the façade range ``[first, last)`` (see
+    :func:`facade_range`) answers to ``kernel(*args, lo, hi)``: the
+    position or value the loop would give, or None where its store has no
+    such kernel, or cannot answer for ``args``."""
+    span = facade_range(first, last)
+    fn = None if span is None else getattr(span[0], kernel, None)
+    return None if fn is None else fn(*args, span[1], span[2])
 
 
 def _split(first: IteratorBase, last: IteratorBase, kernel: Callable,
@@ -273,8 +286,17 @@ def accumulate(
     init: Any,
     op: Callable[[Any, Any], Any] = operator.add,
 ) -> Any:
-    """Left fold.  Requires: Input Iterator."""
+    """Left fold.  Requires: Input Iterator.
+
+    An ``int`` sum over a store that sums integers in its engine (sqlite's
+    ``sum_integers``) is one round trip there; a range holding any other
+    value, or whose sum the engine cannot hold, pays that trip, then runs
+    the loop."""
     require_same_container(first, last)
+    if _unobservable(operator.add, op, (init,)):
+        total = _in_engine(first, last, "sum_integers")
+        if total is not None:
+            return init + total
     acc = init
     for part in _split(first, last, operator.add, op, init):
         acc = (sum(part, acc) if type(part) is list
@@ -408,6 +430,9 @@ def indexed_find(container: Any, value: Any = None,
     entry condition as :func:`lower_bound`; the taxonomy entry for
     "indexed lookup" declares it, which is what licenses the optimizer's
     ``find`` → ``indexed_find`` rewrite on sorted persistent sequences).
+    The answer does not rest on it: the index answers in any order, and
+    where it cannot answer as ``==`` would (see ``index_lookup``), or the
+    range is not a façade's, this is :func:`find`.
 
     Accepts both spellings a rewritten call site can have: the container
     form ``indexed_find(c, value)`` and, because the optimizer replaces
@@ -416,19 +441,14 @@ def indexed_find(container: Any, value: Any = None,
     narrow the lookup to ``[first, last)``.
     """
     if isinstance(container, IteratorBase):
-        first, last, sought = container, value, _range_value
-        require_same_container(first, last)
-        seq = first.container
-        index = seq.index_lookup(sought, lo=first._index, hi=last._index)
-        return last.clone() if index is None else _at_index(seq, index)
-    index = container.index_lookup(value)
-    return container.end() if index is None else _at_index(container, index)
-
-
-def _at_index(container: Any, index: int) -> IteratorBase:
-    it = container.begin()
-    advance(it, index)
-    return it
+        first, last, value = container, value, _range_value
+    else:
+        first, last = container.begin(), container.end()
+    require_same_container(first, last)
+    index = _in_engine(first, last, "index_lookup", value)
+    if index is None:
+        return find(first, last, value)
+    return ahead(first, index - first._index)
 
 
 find_in = GenericFunction("find_in")
@@ -442,14 +462,13 @@ def _find_in_scan(container: Any, value: Any) -> IteratorBase:
 
 
 @find_in.overload(requires=[(PersistentContainer, 0)],
-                  name="find_in<PersistentContainer> (fact-routed)")
+                  name="find_in<PersistentContainer> (value index)")
 def _find_in_persistent(container: Any, value: Any) -> IteratorBase:
     """On a persistent backend every element access is a round trip, so
-    routing matters: with the ``sorted`` fact recorded the backend's
-    indexed lookup answers in one trip; without it we must still scan."""
-    if container.has_fact("sorted"):
-        return indexed_find(container, value)
-    return find(container.begin(), container.end(), value)
+    routing matters: the backend's value index answers an equality probe
+    in one trip, sorted or not (:func:`indexed_find`); a value the index
+    cannot answer for as ``==`` would is scanned for."""
+    return indexed_find(container, value)
 
 
 copy_into = GenericFunction("copy_into")

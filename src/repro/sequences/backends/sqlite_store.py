@@ -4,7 +4,8 @@ The representation behind the Persistent Container concept: elements live
 in a sqlite table keyed by dense position, with a value index that gives
 the backend an O(log n), single-round-trip lookup path — the concrete
 payoff the io/cpu cost split in the taxonomy routes ``find`` to when the
-sequence is sorted.
+sequence is sorted, and that ``find_in`` takes in any order.  A sum of
+integers is one round trip too (:meth:`SqliteStorage.sum_integers`).
 
 Durability covers *facts* as well as elements: the façade's runtime fact
 set (``sorted`` et al.) is stored in a side table by ``sync_facts`` and
@@ -41,8 +42,27 @@ from ..vector import Vector, VectorIterator
 #: front so the failure mode is a StorageError, not a late adapter error.
 #: ``bool`` is refused too, though an ``int``: sqlite would read True as 1.
 _STORABLE = (type(None), int, float, str, bytes)
+#: Sought values whose ``value = ?`` in SQL is Python's ``==`` against
+#: every value the store can hold, if sqlite can bind them (:func:`_binds`):
+#: sqlite compares an INTEGER with a REAL exactly, a bool binds as the int
+#: it equals, NaN binds as NULL (which ``=`` never matches, as NaN equals
+#: nothing), and a number, a TEXT and a BLOB never equal one another.
+_PROBED = (int, float, bool, str, bytes)
 #: ``UPDATE ... FROM`` needs SQLite 3.33 and ``AS MATERIALIZED`` 3.35.
 SQLITE_FLOOR = (3, 35)
+
+
+def _binds(value: Any) -> bool:
+    """Does sqlite bind ``value`` without an error?  Not an ``int`` outside
+    64 bits, nor a ``str`` that does not encode to UTF-8."""
+    if isinstance(value, int):
+        return -2 ** 63 <= value < 2 ** 63
+    if isinstance(value, str):
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            return False
+    return True
 
 
 class SqliteStorage(Storage):
@@ -95,16 +115,20 @@ class SqliteStorage(Storage):
             raise StorageError(
                 f"cannot open sqlite store {path!r}: {exc}"
             ) from exc
-        for item in items:
-            self.append(item)
+        self.extend(items)
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
+    def _execute(self, sql: str, params: Any = (),
+                 many: bool = False) -> sqlite3.Cursor:
+        """One round trip: ``sql`` with ``params``, or with each of them
+        (``executemany``) if ``many``."""
         if self._closed:
             raise StorageError(f"sqlite store {self._path!r} is closed")
         self.roundtrips += 1
         try:
+            if many:
+                return self._conn.executemany(sql, params)
             return self._conn.execute(sql, params)
         except sqlite3.Error as exc:
             raise StorageError(
@@ -118,6 +142,10 @@ class SqliteStorage(Storage):
                 f"value of type {type(value).__name__} is not storable "
                 f"in a sqlite-backed sequence (use int/float/str/bytes)"
             )
+        if not _binds(value):
+            raise StorageError(
+                f"{type(value).__name__} {value!r:.60} is not storable in a "
+                f"sqlite-backed sequence (outside 64-bit INTEGER or UTF-8)")
         return value
 
     # -- index protocol -----------------------------------------------------------
@@ -168,6 +196,26 @@ class SqliteStorage(Storage):
                       (self._len, self._check_storable(value)))
         self._len += 1
 
+    def extend(self, values: Iterable[Any]) -> None:
+        """Insert the storable prefix of ``values`` with one
+        ``executemany``, then raise what stopped it: an unstorable value's
+        :class:`StorageError`, or an error from ``values`` itself."""
+        rows: list[tuple[int, Any]] = []
+        try:
+            for value in values:
+                rows.append((self._len + len(rows),
+                             self._check_storable(value)))
+        finally:
+            if rows:
+                changes = None if self._closed else self._conn.total_changes
+                try:
+                    self._execute("INSERT INTO seq (pos, value) VALUES "
+                                  "(?, ?)", rows, many=True)
+                finally:
+                    # An error can stop executemany after some rows went in.
+                    if changes is not None:
+                        self._len += self._conn.total_changes - changes
+
     def slice(self, start: int, stop: int) -> list[Any]:
         return [v for (v,) in self._execute(
             "SELECT value FROM seq WHERE pos >= ? AND pos < ? ORDER BY pos",
@@ -177,25 +225,44 @@ class SqliteStorage(Storage):
         self._execute("DELETE FROM seq")
         self._len = 0
 
-    # -- the indexed paths the io-aware taxonomy routes to ------------------------
+    # -- reads answered in the engine: the value index and SUM --------------------
 
-    def index_lookup(self, value: Any, lo: int = 0,
-                     hi: Optional[int] = None) -> Optional[int]:
+    def index_lookup(self, value: Any, lo: int, hi: int) -> Optional[int]:
         """Position of the first element equal to ``value`` in
-        ``[lo, hi)`` via the value index — one O(log n) round trip, no
-        scan.  ``MIN(pos)`` makes the answer the first occurrence in
-        iteration order regardless of duplicates."""
-        sql = "SELECT MIN(pos) FROM seq WHERE value = ? AND pos >= ?"
-        # A bool is never stored, but it may be sought: sqlite binds it as
-        # 0 or 1, the ints Python's ``==`` equates it with.
-        if not isinstance(value, bool):
-            self._check_storable(value)
-        params: tuple[Any, ...] = (value, lo)
-        if hi is not None:
-            sql += " AND pos < ?"
-            params += (hi,)
-        row = self._execute(sql, params).fetchone()
-        return None if row is None or row[0] is None else row[0]
+        ``[lo, hi)``, or ``hi`` if there is none, via the value index —
+        one O(log n) round trip, no scan, in any order.  ``MIN(pos)``
+        makes the answer the first occurrence in iteration order
+        regardless of duplicates.  None, with no round trip, if SQL's
+        ``=`` is not Python's ``==`` for ``value`` (see :data:`_PROBED`):
+        the caller must scan."""
+        if lo >= hi:
+            return hi
+        if value is None:
+            test, params = "value IS NULL", (lo, hi)
+        elif type(value) in _PROBED and _binds(value):
+            test, params = "value = ?", (value, lo, hi)
+        else:
+            return None
+        (pos,) = self._execute(f"SELECT MIN(pos) FROM seq WHERE {test} "
+                               f"AND pos >= ? AND pos < ?", params).fetchone()
+        return hi if pos is None else pos
+
+    def sum_integers(self, lo: int, hi: int) -> Optional[int]:
+        """The sum of ``[lo, hi)`` in one round trip if every value there
+        is an integer and the sum fits in 64 bits, else None.  sqlite's
+        ``SUM`` is an integer only if every non-NULL value is one, and
+        ``COUNT(value)`` counts the values that are not NULL."""
+        if lo >= hi:
+            return 0
+        try:
+            total, values = self._execute(
+                "SELECT SUM(value), COUNT(value) FROM seq "
+                "WHERE pos >= ? AND pos < ?", (lo, hi)).fetchone()
+        except StorageError as exc:
+            if str(exc.__cause__) != "integer overflow":
+                raise
+            return None
+        return total if type(total) is int and values == hi - lo else None
 
     def backend_sort(self) -> bool:
         """Sort in one statement: position k takes the k-th value in
@@ -281,11 +348,7 @@ class SqliteSequence(Vector):
             storage = SqliteStorage(path=path)
         super().__init__(items, storage=storage)
 
-    # -- the backend-optimal entry points concept overloads dispatch to -----------
-
-    def index_lookup(self, value: Any, lo: int = 0,
-                     hi: Optional[int] = None) -> Optional[int]:
-        return self._store.index_lookup(value, lo=lo, hi=hi)
+    # -- the backend-optimal entry point the sort overload dispatches to ---------
 
     def backend_sort(self) -> None:
         if self._store.backend_sort():

@@ -4,7 +4,8 @@ oracle over every backend and every algorithm with a kernel.
 Each case runs one algorithm three times on fresh containers with the
 same contents.  Two reference runs switch the kernels off (the
 algorithms module's ``read_chunks`` answers None, as it does for
-iterators it does not know), so the algorithms run their loops.  One of them hands every algorithm but ``sort`` thin wrapper
+iterators it does not know, and no store answers in its own engine), so
+the algorithms run their loops.  One of them hands every algorithm but ``sort`` thin wrapper
 iterators (:class:`Plain`) that only forward the iterator interface, so
 it runs the plain ``equals``/``deref``/``increment`` loop.  The kernel run uses
 the containers' own iterators with the kernels on.  All three must
@@ -154,6 +155,7 @@ def _roundtrips(c: Any) -> int:
 
 def _kernels_off(monkeypatch) -> None:
     monkeypatch.setattr(algorithms, "read_chunks", lambda *a, **k: None)
+    monkeypatch.setattr(algorithms, "_in_engine", lambda *a: None)
 
 
 #: Each algorithm as (container, first, last, value, plain) -> result.

@@ -4,18 +4,27 @@ A differential oracle drives seeded streams of insert, erase, set,
 push_back and sort through a :class:`SqliteSequence` and a plain list and
 compares them exactly: by type and sign of zero, not just ``==``, since
 sqlite's ``=`` makes ``1`` and ``1.0``, and ``0.0`` and ``-0.0``, one
-value.  Around it: the number of statements per write does not grow with
-n, the file layout is the one every earlier version wrote and read, and an
-SQLite older than the statements need is refused by name.
+value.  A second oracle checks the reads sqlite answers in its engine
+(``find_in`` and ``indexed_find`` through the value index, ``accumulate``
+as one ``SUM``) against the same calls on a :class:`Vector` of the same
+values.  Around them: the number of statements per write, and per engine
+read, does not grow with n; a value sqlite cannot bind is refused before
+any write; the file layout is the one every earlier version wrote and
+read; and an SQLite older than the statements need is refused by name.
 """
 
+import math
 import random
 import sqlite3
+from fractions import Fraction
 
 import pytest
 
-from repro.sequences.algorithms import find, indexed_find, sort
+from repro.sequences import Vector
+from repro.sequences.algorithms import (accumulate, find, find_in,
+                                        indexed_find, sort)
 from repro.sequences.backends import SqliteSequence, SqliteStorage
+from repro.sequences.iterators import IndexIterator
 from repro.sequences.storage import StorageError
 
 #: Values sqlite tells apart only by storage class or by sign: 1 / 1.0,
@@ -140,6 +149,142 @@ def test_resorting_sorted_reals_changes_rows_only_at_zero():
     assert store.backend_sort()
     assert store._conn.total_changes - before == 3
     assert exact(store.slice(0, 5)) == exact(zeros)
+
+
+# ---------------------------------------------------------------------------
+# Reads answered in the engine: the value index and SUM, against a Vector
+# ---------------------------------------------------------------------------
+
+#: Stored values: ints up to the 64-bit edges, floats with signed zeros,
+#: infinities, NaN (stored as NULL) and doubles at 2**53 and 2**63, text,
+#: blobs and None.
+STORED = (0, 1, 2, -3, 2 ** 53, 2 ** 63 - 1, -2 ** 63, 0.0, -0.0, 1.0, 2.5,
+          2.0 ** 53, float(2 ** 63), math.inf, -math.inf, math.nan, "a",
+          "", "\u00e9", b"a", b"", None)
+#: Sought values: the stored ones, and those SQL's ``=`` cannot answer
+#: for as ``==`` does, or that sqlite cannot bind.
+SOUGHT = STORED + (True, False, 2 ** 63, -2 ** 63 - 1, 2 ** 53 + 1,
+                   Fraction(2), Fraction(1, 2), "\udc80", 7, "zz", b"zz")
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except Exception as exc:            # noqa: BLE001 - compared below
+        return ("raised", type(exc), str(exc))
+    if isinstance(result, IndexIterator):
+        return ("at", result.index, result.is_valid())
+    return ("value", type(result).__name__, repr(result))
+
+
+def _reads(c, first, last, value):
+    """The engine reads on ``c`` over positions ``[first, last)``."""
+    def at(k):
+        return c.iterator(c, k)
+
+    yield "find_in", lambda: find_in(c, value)
+    yield "indexed_find", lambda: indexed_find(c, value)
+    yield "indexed_find range", lambda: indexed_find(at(first), at(last),
+                                                     value)
+    for init in (0, 5, 0.0, True):
+        yield f"accumulate {init!r}", lambda init=init: accumulate(
+            at(first), at(last), init)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_engine_reads_answer_as_a_vector_does(seed, ordered):
+    rng = random.Random(seed)
+    for n in (0, 1, 5, 30):
+        s = SqliteSequence(rng.choice(STORED) for _ in range(n))
+        if ordered:
+            sort(s)
+        v = Vector(s.to_list())
+        for value in rng.sample(SOUGHT, 12):
+            first = rng.randrange(n + 1)
+            last = rng.randrange(first, n + 1)
+            for (name, fast), (_, ref) in zip(_reads(s, first, last, value),
+                                              _reads(v, first, last, value)):
+                epochs = s.epoch, v.epoch
+                case = (seed, ordered, s.to_list(), value, first, last, name)
+                assert _outcome(fast) == _outcome(ref), case
+                assert (s.epoch, v.epoch) == epochs, case
+                assert exact(s.to_list()) == exact(v.to_list()), case
+        s.close()
+
+
+def test_a_sum_past_64_bits_runs_the_loop():
+    # sqlite's SUM stops with "integer overflow"; the loop reads the
+    # range in one more round trip and sums it exactly.
+    xs = [2 ** 63 - 1] * 5 + [-2 ** 63] * 2 + [7]
+    s = SqliteSequence(xs)
+    before = s.storage().roundtrips
+    assert accumulate(s.begin(), s.end(), 2 ** 70) == 2 ** 70 + sum(xs)
+    assert s.storage().roundtrips - before == 2
+    s.close()
+
+
+@pytest.mark.parametrize("stored,value,expected", [
+    ([1, 2, 3], Fraction(2), 1),
+    ([float(2 ** 63)], 2 ** 63, 0),
+    (["a", "b"], "\udc80", 2),
+])
+def test_indexed_find_answers_as_the_scan_where_sqlite_cannot_bind(
+        stored, value, expected):
+    s = SqliteSequence(stored)
+    sort(s)
+    assert indexed_find(s, value).index == expected
+    assert find(s.begin(), s.end(), value).index == expected
+    s.close()
+
+
+@pytest.mark.parametrize("value", [None, 0.0])
+def test_find_in_on_a_sorted_sequence_finds_none_and_zero(value):
+    # None is sought with IS NULL; -0.0 and 0 equal 0.0.
+    s = SqliteSequence([1, None, -0.0, None, 0])
+    sort(s)
+    assert find_in(s, value).index == s.to_list().index(value)
+    s.close()
+
+
+@pytest.mark.parametrize("n", [16, 1000])
+def test_engine_reads_take_one_round_trip(n):
+    xs = random.Random(n).choices(range(50), k=n)
+    s = SqliteSequence(xs)
+    assert not s.has_fact("sorted")
+    store = s.storage()
+    for call, expected in (
+            (lambda: find_in(s, xs[n // 2]).index, xs.index(xs[n // 2])),
+            (lambda: find_in(s, 99).index, n),
+            (lambda: accumulate(s.begin(), s.end(), 0), sum(xs))):
+        before = store.roundtrips
+        assert call() == expected
+        assert store.roundtrips - before == 1
+    s.close()
+
+
+@pytest.mark.parametrize("value", [2 ** 63, -2 ** 63 - 1, "\udc80"])
+def test_a_value_sqlite_cannot_bind_is_refused_before_any_write(value):
+    s = SqliteSequence([1, "a"])
+    for write in (lambda: s.push_back(value),
+                  lambda: s.insert(s.begin(), value),
+                  lambda: s.set_at(0, value)):
+        with pytest.raises(StorageError):
+            write()
+        assert s.to_list() == [1, "a"] and s.epoch == 0
+    s.close()
+
+
+def test_extend_stores_the_storable_prefix_in_one_round_trip():
+    store = SqliteStorage()
+    before = store.roundtrips
+    store.extend(range(1000))
+    assert store.roundtrips - before == 1
+    assert store.length() == 1000 and store.slice(998, 1000) == [998, 999]
+    with pytest.raises(StorageError):
+        store.extend([5, 6, 2 ** 64, 7])
+    assert store.length() == 1002 and store.slice(999, 1002) == [999, 5, 6]
+    store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -288,10 +288,12 @@ class TestBackendDispatch:
         backend_sort(s, lambda a, b: b < a)
         assert s.to_list() == [3, 2, 1]
 
-    def test_find_in_scans_when_unsorted(self):
+    def test_find_in_probes_the_index_when_unsorted(self):
         s = SqliteSequence([3, 1, 2])
-        assert find_in(s, 1).deref() == 1
+        before = s.storage().roundtrips
+        assert find_in(s, 1).index == 1
         assert find_in(s, 99).equals(s.end())
+        assert s.storage().roundtrips - before == 2
 
     def test_indexed_find_range_form(self):
         s = SqliteSequence([3, 1, 2])
