@@ -23,9 +23,10 @@ of a traceback::
 
 from __future__ import annotations
 
+import itertools
 import sqlite3
 import sys
-from typing import Any, ClassVar, Iterable, Optional
+from typing import Any, ClassVar, Iterable, Iterator, Optional
 
 from ...concepts import models as _models
 from ...concepts.builtins import (
@@ -197,24 +198,21 @@ class SqliteStorage(Storage):
         self._len += 1
 
     def extend(self, values: Iterable[Any]) -> None:
-        """Insert the storable prefix of ``values`` with one
-        ``executemany``, then raise what stopped it: an unstorable value's
-        :class:`StorageError`, or an error from ``values`` itself."""
-        rows: list[tuple[int, Any]] = []
-        try:
-            for value in values:
-                rows.append((self._len + len(rows),
-                             self._check_storable(value)))
-        finally:
-            if rows:
-                changes = None if self._closed else self._conn.total_changes
-                try:
-                    self._execute("INSERT INTO seq (pos, value) VALUES "
-                                  "(?, ?)", rows, many=True)
-                finally:
-                    # An error can stop executemany after some rows went in.
-                    if changes is not None:
-                        self._len += self._conn.total_changes - changes
+        """Insert ``values`` with one ``executemany``, up to the first that
+        is not storable, or an error from ``values`` itself, which is then
+        raised: the values before it are stored."""
+        rows = self._rows(values)
+        first = next(rows, None)
+        if first is not None:
+            self._execute("INSERT INTO seq (pos, value) VALUES (?, ?)",
+                          itertools.chain((first,), rows), many=True)
+
+    def _rows(self, values: Iterable[Any]) -> Iterator[tuple[int, Any]]:
+        """``(pos, value)`` rows for ``extend``, streamed: ``_len`` counts
+        a row when the next is asked for, after the previous went in."""
+        for value in values:
+            yield self._len, self._check_storable(value)
+            self._len += 1
 
     def slice(self, start: int, stop: int) -> list[Any]:
         return [v for (v,) in self._execute(
@@ -248,21 +246,24 @@ class SqliteStorage(Storage):
         return hi if pos is None else pos
 
     def sum_integers(self, lo: int, hi: int) -> Optional[int]:
-        """The sum of ``[lo, hi)`` in one round trip if every value there
-        is an integer and the sum fits in 64 bits, else None.  sqlite's
-        ``SUM`` is an integer only if every non-NULL value is one, and
-        ``COUNT(value)`` counts the values that are not NULL."""
+        """The sum of ``[lo, hi)`` in one round trip if every row there
+        holds an INTEGER and the sum fits in 64 bits, else None.  Rows
+        are told apart by storage class: ``SUM`` reads a TEXT such as
+        ``'5'`` as the number it looks like, where Python's ``+`` raises."""
         if lo >= hi:
             return 0
         try:
-            total, values = self._execute(
-                "SELECT SUM(value), COUNT(value) FROM seq "
-                "WHERE pos >= ? AND pos < ?", (lo, hi)).fetchone()
+            total, others = self._execute(
+                "SELECT SUM(value), COUNT(*) FILTER (WHERE typeof(value) "
+                "<> 'integer') FROM seq WHERE pos >= ? AND pos < ?",
+                (lo, hi)).fetchone()
         except StorageError as exc:
-            if str(exc.__cause__) != "integer overflow":
+            # An integer SUM past 64 bits; a fault of the store itself
+            # comes up again from the loop's own read.
+            if not isinstance(exc.__cause__, sqlite3.OperationalError):
                 raise
             return None
-        return total if type(total) is int and values == hi - lo else None
+        return None if others else total
 
     def backend_sort(self) -> bool:
         """Sort in one statement: position k takes the k-th value in

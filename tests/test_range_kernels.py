@@ -13,7 +13,9 @@ return the same result and position, raise the same exception with the
 same message, and leave the same contents, ``epoch`` and
 ``invalidation_events``.  On sqlite the kernel run may make no more
 round trips than the loop over the containers' own iterators (which
-reads in chunks), and ``find`` exactly as many.
+reads in chunks), and ``find`` exactly as many; an ``int`` sum over a
+range holding another type pays exactly one trip more, the engine's
+``SUM`` that finds it.
 
 The cases where a kernel must not fire (``bool``, ``float``, mixed
 contents, a comparator or operation that is user code or a built-in
@@ -199,11 +201,14 @@ for _fn in OPERATORS:
 def _run(monkeypatch, backend: str, algorithm: str, items: list,
          span: tuple, value: Any, mode: str,
          setup: Callable = None) -> dict:
-    """One run: ``mode`` is "kernel", "loop" (kernels off), "bare" (kernels
-    and the predicate off) or "plain" (kernels off, and :class:`Plain`
+    """One run: ``mode`` is "kernel", "chunks" (kernels on but no store
+    answers in its own engine), "loop" (kernels off), "bare" (kernels and
+    the predicate off) or "plain" (kernels off, and :class:`Plain`
     iterators for range algorithms)."""
     with monkeypatch.context() as m:
-        if mode != "kernel":
+        if mode == "chunks":
+            m.setattr(algorithms, "_in_engine", lambda *a: None)
+        elif mode != "kernel":
             _kernels_off(m)
         if mode == "bare":
             m.setattr(algorithms, "_unobservable", lambda *a: False)
@@ -370,6 +375,33 @@ def test_other_types_run_the_loop(monkeypatch, backend, algorithm, items,
         for init in (0, 0.0, True):
             _check(monkeypatch, backend, algorithm, items, (0, len(items)),
                    init)
+
+
+@pytest.mark.parametrize("items", [
+    [0.5, 1.5, 2.5],                              # float
+    [1e16, 1.0, -1e16, 1.0],                      # float sums that round
+    [1, 2, None],                                 # NULL
+    [1, "a", 2],                                  # mixed int/str
+    [1, "5"],                                     # text SUM reads as 5
+    [1, 2, b"3"],
+])
+def test_a_sqlite_sum_over_other_types_costs_one_trip(monkeypatch, items):
+    # Both spans hold a row that is not an INTEGER.  The engine's SUM
+    # finds it, then the range kernel reads the range as it would without
+    # the engine: one trip more than that, and at most one more than the
+    # loop.
+    for init in (0, 7):
+        for span in ((0, len(items)), (1, len(items))):
+            fast, chunks, loop, plain = (
+                _run(monkeypatch, "SqliteSequence", "accumulate", items,
+                     span, init, mode)
+                for mode in ("kernel", "chunks", "loop", "plain"))
+            case = (items, span, init)
+            trips = fast.pop("roundtrips")
+            assert trips == chunks.pop("roundtrips") + 1, case
+            assert trips <= loop.pop("roundtrips") + 1, case
+            del plain["roundtrips"]
+            assert fast == chunks == loop == plain, case
 
 
 @pytest.mark.parametrize("algorithm", sorted(RANGE))

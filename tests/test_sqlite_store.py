@@ -156,11 +156,12 @@ def test_resorting_sorted_reals_changes_rows_only_at_zero():
 # ---------------------------------------------------------------------------
 
 #: Stored values: ints up to the 64-bit edges, floats with signed zeros,
-#: infinities, NaN (stored as NULL) and doubles at 2**53 and 2**63, text,
-#: blobs and None.
+#: infinities, NaN (stored as NULL) and doubles at 2**53 and 2**63, text
+#: (some of it looking like numbers, which sqlite's ``SUM`` reads as
+#: such), blobs and None.
 STORED = (0, 1, 2, -3, 2 ** 53, 2 ** 63 - 1, -2 ** 63, 0.0, -0.0, 1.0, 2.5,
           2.0 ** 53, float(2 ** 63), math.inf, -math.inf, math.nan, "a",
-          "", "\u00e9", b"a", b"", None)
+          "", "\u00e9", "5", "-3", "007", "1e3", b"a", b"", None)
 #: Sought values: the stored ones, and those SQL's ``=`` cannot answer
 #: for as ``==`` does, or that sqlite cannot bind.
 SOUGHT = STORED + (True, False, 2 ** 63, -2 ** 63 - 1, 2 ** 53 + 1,
@@ -220,6 +221,19 @@ def test_a_sum_past_64_bits_runs_the_loop():
     s = SqliteSequence(xs)
     before = s.storage().roundtrips
     assert accumulate(s.begin(), s.end(), 2 ** 70) == 2 ** 70 + sum(xs)
+    assert s.storage().roundtrips - before == 2
+    s.close()
+
+
+@pytest.mark.parametrize("stored", [["5", 1], [1, "-3"], ["007"], ["1e3"]])
+def test_a_sum_over_numeric_text_raises_as_a_vector_does(stored):
+    # sqlite's SUM adds a TEXT '5' in as 5; Python's + refuses a str.
+    s = SqliteSequence(stored)
+    before = s.storage().roundtrips
+    for c in (s, Vector(stored)):
+        with pytest.raises(TypeError):
+            accumulate(c.begin(), c.end(), 0)
+    # One trip finds a row that is not an INTEGER, one more the loop's.
     assert s.storage().roundtrips - before == 2
     s.close()
 
@@ -284,6 +298,28 @@ def test_extend_stores_the_storable_prefix_in_one_round_trip():
     with pytest.raises(StorageError):
         store.extend([5, 6, 2 ** 64, 7])
     assert store.length() == 1002 and store.slice(999, 1002) == [999, 5, 6]
+    store.close()
+
+
+def test_extend_streams_its_input():
+    # Value k is asked for after k rows went in: no list of the input
+    # is built first, and an error from the input keeps what went in.
+    store = SqliteStorage()
+    seen = []
+
+    def values():
+        for k in range(5):
+            seen.append(store.length())
+            yield k
+        raise ValueError("input failed")
+
+    with pytest.raises(ValueError, match="input failed"):
+        store.extend(values())
+    assert seen == [0, 1, 2, 3, 4]
+    assert store.length() == 5 and store.slice(0, 5) == [0, 1, 2, 3, 4]
+    before = store.roundtrips
+    store.extend(iter(()))
+    assert store.roundtrips == before
     store.close()
 
 
