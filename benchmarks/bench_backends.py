@@ -18,6 +18,14 @@ claims that justify it:
   one round trip (a value-index probe, one ``SUM``), timed against the
   range scans they replace: ``find`` over the same range, and the walk
   summed in Python.  The gate is the round-trip count, not the timing.
+- **sqlite writes move the shorter side**: at ``N_ENGINE`` rows and each
+  position of ``WRITE_POSITIONS``, ``erase(i)`` and the ``insert(i)``
+  that undoes it each change at most ``min(i, n-1-i) + 1`` rows, counted
+  by sqlite's ``total_changes``.  An unsorted sort takes two round trips,
+  a sorted one one trip and no row, and a ``push_back`` or ``set`` right
+  after a sort one trip each.  The gate is the counts; the timings of an
+  erase/insert pair at the middle and of a sort after one ``set`` are
+  printed beside them.
 - **contiguity is not a tax**: a sequential sweep over a
   :class:`~repro.sequences.backends.contiguous.ContiguousVector` (one
   ``array`` block) must stay within ``MAX_CONTIG_RATIO``x of the plain
@@ -45,6 +53,9 @@ MAX_CONTIG_RATIO = 2.0
 N_SQLITE = 10_000
 #: The engine-read gate's size: the containers workload's largest.
 N_ENGINE = 1000
+#: Where the write gate erases and re-inserts: both ends, near each end,
+#: and the middle.
+WRITE_POSITIONS = (0, 10, 500, 989, 999)
 OUT_JSON = pathlib.Path(__file__).parent / "out" / "backends.json"
 
 
@@ -147,6 +158,52 @@ def _measure_engine_reads(iters: int) -> dict:
     }
 
 
+def _measure_writes(iters: int) -> dict:
+    """Rows changed by erase and its inverse insert at ``N_ENGINE`` rows
+    against the shorter side's bound, and the round trips of a sort, a
+    sorted sort and the writes right after a sort."""
+    import random
+
+    from repro.sequences.algorithms import sort
+    from repro.sequences.backends import SqliteSequence
+
+    n = N_ENGINE
+    s = SqliteSequence(random.Random(n).sample(range(n), n))
+    store = s.storage()
+
+    def cost(write):
+        trips, changes = store.roundtrips, store._conn.total_changes
+        write()
+        return store.roundtrips - trips, store._conn.total_changes - changes
+
+    rows = {i: {"erase": cost(lambda: store.erase(i))[1],
+                "insert": cost(lambda: store.insert(i, -1))[1],
+                "bound": min(i, n - 1 - i) + 1} for i in WRITE_POSITIONS}
+    trips = {"sort": cost(lambda: sort(s))[0]}
+    trips["sorted_sort"], sorted_rows = cost(store.backend_sort)
+    trips["push_back_after_sort"] = cost(lambda: s.push_back(n))[0]
+    sort(s)
+    trips["set_after_sort"] = cost(lambda: s.set_at(0, n))[0]
+    pair_us = _time_per_call(lambda: (store.erase(n // 2),
+                                      store.insert(n // 2, -1)), iters) * 1e6
+    sort_us = _time_per_call(lambda: (store.set(0, n), store.backend_sort()),
+                             iters) * 1e6
+    s.close()
+    return {
+        "n": n,
+        "rows": rows,
+        "trips": trips,
+        "sorted_sort_rows": sorted_rows,
+        "erase_insert_pair_us": pair_us,
+        "set_and_sort_us": sort_us,
+        "ok": (all(r["erase"] <= r["bound"] and r["insert"] <= r["bound"]
+                   for r in rows.values())
+               and trips == {"sort": 2, "sorted_sort": 1,
+                             "push_back_after_sort": 1, "set_after_sort": 1}
+               and sorted_rows == 0),
+    }
+
+
 def _measure_sweep(n: int, repeat: int = 5) -> dict:
     """One full sequential iterator sweep, list-backed vs contiguous."""
     from repro.sequences import Vector
@@ -184,18 +241,21 @@ def _measure(quick: bool) -> dict:
         indexed_iters=50 if quick else 500,
     )
     engine = _measure_engine_reads(iters=20 if quick else 200)
+    writes = _measure_writes(iters=20 if quick else 200)
     sweep = _measure_sweep(n=10_000 if quick else 50_000)
     return {
         "indexed_vs_scan": indexed,
         "engine_reads": engine,
+        "sqlite_writes": writes,
         "sequential_sweep": sweep,
-        "ok": indexed["ok"] and engine["ok"] and sweep["ok"],
+        "ok": indexed["ok"] and engine["ok"] and writes["ok"] and sweep["ok"],
     }
 
 
 def _render(m: dict) -> str:
     ix = m["indexed_vs_scan"]
     en = m["engine_reads"]
+    wr = m["sqlite_writes"]
     sw = m["sequential_sweep"]
     return "\n".join([
         f"indexed find vs scan on sorted sqlite, n={ix['n']}:",
@@ -214,6 +274,16 @@ def _render(m: dict) -> str:
         f"  {'accumulate (SUM)':<24s} {en['accumulate_us']:>12.1f}us  "
         f"({en['accumulate_roundtrips']} round trip)",
         f"  one round trip each: {'OK' if en['ok'] else 'FAIL'}",
+        f"sqlite writes, n={wr['n']} (rows changed: erase, insert / bound):",
+        *(f"  i={i:<4d} {r['erase']:>4d}, {r['insert']:>4d} / {r['bound']}"
+          for i, r in wr["rows"].items()),
+        "  round trips: " + ", ".join(
+            f"{k} {v}" for k, v in wr["trips"].items())
+        + f"; sorted sort changed {wr['sorted_sort_rows']} rows",
+        f"  {'erase+insert at n/2':<24s} "
+        f"{wr['erase_insert_pair_us']:>12.1f}us",
+        f"  {'set + sort':<24s} {wr['set_and_sort_us']:>12.1f}us",
+        f"  counts within bounds: {'OK' if wr['ok'] else 'FAIL'}",
         f"sequential sweep, n={sw['n']}:",
         f"  {'Vector (list store)':<24s} {sw['vector_ms']:>12.2f}ms",
         f"  {'ContiguousVector':<24s} {sw['contig_ms']:>12.2f}ms",
@@ -232,6 +302,7 @@ def test_indexed_find_beats_scan(benchmark, record):
     record("backends_indexed", _render({
         "indexed_vs_scan": m,
         "engine_reads": _measure_engine_reads(iters=20),
+        "sqlite_writes": _measure_writes(iters=20),
         "sequential_sweep": _measure_sweep(n=10_000),
     }))
     assert m["indexed_roundtrips"] == 1, m
@@ -257,6 +328,15 @@ def test_engine_reads_take_one_round_trip(benchmark):
 
     s = SqliteSequence(range(N_ENGINE))
     benchmark(lambda: accumulate(s.begin(), s.end(), 0))
+
+
+def test_sqlite_writes_change_only_the_shorter_side(benchmark):
+    m = _measure_writes(iters=20)
+    assert m["ok"], m
+    from repro.sequences.backends import SqliteStorage
+
+    store = SqliteStorage(range(N_ENGINE))
+    benchmark(lambda: (store.erase(10), store.insert(10, -1)))
 
 
 def test_contiguous_sweep_within_ratio(benchmark):
@@ -305,6 +385,11 @@ def main(argv=None) -> int:
             f"and accumulate {m['engine_reads']['accumulate_roundtrips']} "
             f"round trips on unsorted sqlite, not one each"
         )
+        return 1
+    if not m["sqlite_writes"]["ok"]:
+        wr = m["sqlite_writes"]
+        print(f"FAIL: sqlite write counts off: rows {wr['rows']}, trips "
+              f"{wr['trips']}, sorted sort rows {wr['sorted_sort_rows']}")
         return 1
     if not m["sequential_sweep"]["ok"]:
         print(

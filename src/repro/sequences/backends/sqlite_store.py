@@ -1,17 +1,18 @@
 """A sqlite-backed persistent sequence backend.
 
 The representation behind the Persistent Container concept: elements live
-in a sqlite table keyed by dense position, with a value index that gives
+in a sqlite table keyed by position, with a value index that gives
 the backend an O(log n), single-round-trip lookup path — the concrete
 payoff the io/cpu cost split in the taxonomy routes ``find`` to when the
 sequence is sorted, and that ``find_in`` takes in any order.  A sum of
 integers is one round trip too (:meth:`SqliteStorage.sum_integers`).
 
-Durability covers *facts* as well as elements: the façade's runtime fact
-set (``sorted`` et al.) is stored in a side table by ``sync_facts`` and
-reloaded on reopen, where cheaply checkable facts are **revalidated**
-against the data before being believed — a stale ``sorted`` fact on a
-file someone else mutated is dropped, not trusted.
+One commit rule covers elements and *facts*: they commit together, at
+``flush()`` or ``close()`` only, so a crash keeps the last flush.  The
+commit writes the façade's fact set (``sorted`` et al.) to a side table
+and renumbers the keys to ``0..n-1``, the layout every earlier version
+read.  On reopen, cheaply checkable facts are **revalidated** first — a
+stale ``sorted`` fact on a file someone else mutated is dropped.
 
 A corrupt or unreadable file degrades to :class:`~repro.sequences.
 storage.StorageError`, and the module's tiny CLI turns that into the
@@ -49,8 +50,14 @@ _STORABLE = (type(None), int, float, str, bytes)
 #: it equals, NaN binds as NULL (which ``=`` never matches, as NaN equals
 #: nothing), and a number, a TEXT and a BLOB never equal one another.
 _PROBED = (int, float, bool, str, bytes)
-#: ``UPDATE ... FROM`` needs SQLite 3.33 and ``AS MATERIALIZED`` 3.35.
+#: Upserts need SQLite 3.24 and ``AS MATERIALIZED`` 3.35.
 SQLITE_FLOOR = (3, 35)
+#: A sort appends n keys past the last; renumber before they pass this.
+#: Past the largest rowid, sqlite picks new ones at random.
+KEY_CEILING = 2 ** 62
+#: A row sorts before its predecessor (``ORDER BY`` puts NULL first).
+_DESCENT = ("EXISTS (SELECT 1 FROM seq a JOIN seq b ON b.pos = a.pos + 1 WHERE"
+            " b.value < a.value OR b.value IS NULL AND a.value IS NOT NULL)")
 
 
 def _binds(value: Any) -> bool:
@@ -67,12 +74,14 @@ def _binds(value: Any) -> bool:
 
 
 class SqliteStorage(Storage):
-    """Elements in a sqlite table ``seq(pos INTEGER PRIMARY KEY, value)``
-    with dense keys ``0..n-1``, plus a ``facts(name TEXT PRIMARY KEY)``
-    side table.  Insert, erase and sort move values between fixed keys.
-    Every operation is one or a few SQL round trips, counted in
-    :attr:`roundtrips` so the backend tests and bench can verify that the
-    indexed path really does O(1) trips where a scan does n."""
+    """Elements in a sqlite table ``seq(pos INTEGER PRIMARY KEY, value)``,
+    plus a ``facts(name TEXT PRIMARY KEY)`` side table.  Position ``i`` is
+    key ``base + i``: insert and erase shift the values on the shorter
+    side of ``i``, a sort appends the sorted rows under fresh keys, and a
+    commit renumbers the keys to ``0..n-1``.  Every operation is one or a
+    few SQL round trips, counted in :attr:`roundtrips` so the backend
+    tests and bench can verify that the indexed path really does O(1)
+    trips where a scan does n."""
 
     capabilities = StorageCapabilities(
         name="sqlite", contiguous=False, persistent=True,
@@ -86,9 +95,12 @@ class SqliteStorage(Storage):
         #: SQL round trips performed, for io-cost assertions.
         self.roundtrips = 0
         if sqlite3.sqlite_version_info < SQLITE_FLOOR:
-            raise StorageError("sqlite store needs SQLite >= %d.%d (UPDATE "
-                               "... FROM, MATERIALIZED), found %s" % (
+            raise StorageError("sqlite store needs SQLite >= %d.%d (upsert, "
+                               "MATERIALIZED), found %s" % (
                                    *SQLITE_FLOOR, sqlite3.sqlite_version))
+        #: The key of position 0; the façade's facts; the facts table's.
+        self._base, self._facts = 0, frozenset()
+        self._stored_facts = self._facts
         try:
             self._conn = sqlite3.connect(path)
             # quick_check walks the file's btrees, so a truncated or
@@ -100,16 +112,12 @@ class SqliteStorage(Storage):
                     f"sqlite store {path!r} failed integrity check: "
                     f"{status[0] if status else 'no result'}"
                 )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS seq "
-                "(pos INTEGER PRIMARY KEY, value)"
-            )
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS seq_value ON seq(value)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS facts (name TEXT PRIMARY KEY)"
-            )
+            self._conn.execute("CREATE TABLE IF NOT EXISTS seq "
+                               "(pos INTEGER PRIMARY KEY, value)")
+            self._conn.execute("CREATE INDEX IF NOT EXISTS seq_value "
+                               "ON seq(value)")
+            self._conn.execute("CREATE TABLE IF NOT EXISTS facts "
+                               "(name TEXT PRIMARY KEY)")
             self._len = self._conn.execute(
                 "SELECT COUNT(*) FROM seq").fetchone()[0]
         except sqlite3.Error as exc:
@@ -154,47 +162,61 @@ class SqliteStorage(Storage):
     def length(self) -> int:
         return self._len
 
-    def get(self, index: int) -> Any:
-        row = self._execute("SELECT value FROM seq WHERE pos = ?",
-                            (index,)).fetchone()
-        if row is None:
+    def _key(self, index: int) -> int:
+        """The key of position ``index``, or IndexError before any write."""
+        if not 0 <= index < self._len:
             raise IndexError(f"sqlite store position {index} out of range")
-        return row[0]
+        return self._base + index
+
+    def get(self, index: int) -> Any:
+        return self._execute("SELECT value FROM seq WHERE pos = ?",
+                             (self._key(index),)).fetchone()[0]
 
     def set(self, index: int, value: Any) -> None:
         self._execute("UPDATE seq SET value = ? WHERE pos = ?",
-                      (self._check_storable(value), index))
+                      (self._check_storable(value), self._key(index)))
 
-    def _move(self, rows: str, params: tuple = (), skip: str = "") -> None:
-        """Give position ``p`` the value ``v`` of each ``(p, v)`` row that
-        ``rows`` selects, all read before the first write: keys stay put,
-        rows change in place.  Under ``skip`` a row keeps its value."""
+    def _shift(self, first: int, last: int, step: int, *put: Any) -> None:
+        """Move the values of keys ``[first, last)`` by ``step`` keys, and
+        give key ``put[0]`` the value ``put[1]`` if given, in one upsert
+        that reads every value before its first write."""
+        if first >= last and not put:
+            return
         if not self._closed and not self._conn.in_transaction:
-            # sqlite3 opens its implicit transaction before INSERT, UPDATE,
-            # DELETE and REPLACE, not WITH: join it, never commit alone.
-            self._conn.execute("BEGIN")
-        self._execute(f"WITH t (p, v) AS MATERIALIZED ({rows}) UPDATE seq "
-                      f"SET value = t.v FROM t WHERE seq.pos = t.p{skip}",
-                      params)
+            self._conn.execute("BEGIN")     # sqlite3 begins none for WITH
+        self._execute("WITH t (p, v) AS MATERIALIZED (SELECT pos + ?, value "
+                      "FROM seq WHERE pos >= ? AND pos < ?"
+                      + " UNION ALL VALUES (?, ?)" * bool(put)
+                      + ") INSERT INTO seq (pos, value) SELECT p, v FROM t "
+                      "WHERE true ON CONFLICT (pos) DO UPDATE SET value = "
+                      "excluded.value", (step, first, last, *put))
 
     def insert(self, index: int, value: Any) -> None:
-        # Append, then rotate [index, n] right by one.
-        self.append(value)
-        if index < self._len - 1:
-            self._move("SELECT IIF(pos < ?, pos + 1, ?), value FROM seq "
-                       "WHERE pos >= ?", (self._len - 1, index, index))
+        # The shorter side moves out by one key: min(i, n - i) + 1 rows.
+        key = self._base + min(index, self._len)
+        value = self._check_storable(value)
+        if index < self._len - index:
+            self._shift(self._base, key, -1, key - 1, value)
+            self._base -= 1
+        else:
+            self._shift(key, self._base + self._len, 1, key, value)
+        self._len += 1
 
     def erase(self, index: int) -> None:
-        # Shift (index, n) down by one, then drop the last row.
-        if index < self._len - 1:
-            self._move("SELECT pos - 1, value FROM seq WHERE pos > ?",
-                       (index,))
-        self._execute("DELETE FROM seq WHERE pos = ?", (self._len - 1,))
+        # The shorter side moves in over i, its end goes: min(i, n-1-i) + 1.
+        key, last = self._key(index), self._base + self._len - 1
+        if index < self._len - 1 - index:
+            self._shift(self._base, key, 1)
+            key, self._base = self._base, self._base + 1
+        else:
+            self._shift(key + 1, last + 1, -1)
+            key = last
+        self._execute("DELETE FROM seq WHERE pos = ?", (key,))
         self._len -= 1
 
     def append(self, value: Any) -> None:
         self._execute("INSERT INTO seq (pos, value) VALUES (?, ?)",
-                      (self._len, self._check_storable(value)))
+                      (self._base + self._len, self._check_storable(value)))
         self._len += 1
 
     def extend(self, values: Iterable[Any]) -> None:
@@ -208,20 +230,20 @@ class SqliteStorage(Storage):
                           itertools.chain((first,), rows), many=True)
 
     def _rows(self, values: Iterable[Any]) -> Iterator[tuple[int, Any]]:
-        """``(pos, value)`` rows for ``extend``, streamed: ``_len`` counts
+        """``(key, value)`` rows for ``extend``, streamed: ``_len`` counts
         a row when the next is asked for, after the previous went in."""
         for value in values:
-            yield self._len, self._check_storable(value)
+            yield self._base + self._len, self._check_storable(value)
             self._len += 1
 
     def slice(self, start: int, stop: int) -> list[Any]:
         return [v for (v,) in self._execute(
             "SELECT value FROM seq WHERE pos >= ? AND pos < ? ORDER BY pos",
-            (start, stop))]
+            (self._base + start, self._base + stop))]
 
     def clear(self) -> None:
         self._execute("DELETE FROM seq")
-        self._len = 0
+        self._len = self._base = 0
 
     # -- reads answered in the engine: the value index and SUM --------------------
 
@@ -236,14 +258,15 @@ class SqliteStorage(Storage):
         if lo >= hi:
             return hi
         if value is None:
-            test, params = "value IS NULL", (lo, hi)
+            test, params = "value IS NULL", ()
         elif type(value) in _PROBED and _binds(value):
-            test, params = "value = ?", (value, lo, hi)
+            test, params = "value = ?", (value,)
         else:
             return None
-        (pos,) = self._execute(f"SELECT MIN(pos) FROM seq WHERE {test} "
-                               f"AND pos >= ? AND pos < ?", params).fetchone()
-        return hi if pos is None else pos
+        (pos,) = self._execute(
+            f"SELECT MIN(pos) FROM seq WHERE {test} AND pos >= ? AND pos < ?",
+            (*params, self._base + lo, self._base + hi)).fetchone()
+        return hi if pos is None else pos - self._base
 
     def sum_integers(self, lo: int, hi: int) -> Optional[int]:
         """The sum of ``[lo, hi)`` in one round trip if every row there
@@ -256,7 +279,7 @@ class SqliteStorage(Storage):
             total, others = self._execute(
                 "SELECT SUM(value), COUNT(*) FILTER (WHERE typeof(value) "
                 "<> 'integer') FROM seq WHERE pos >= ? AND pos < ?",
-                (lo, hi)).fetchone()
+                (self._base + lo, self._base + hi)).fetchone()
         except StorageError as exc:
             # An integer SUM past 64 bits; a fault of the store itself
             # comes up again from the loop's own read.
@@ -266,53 +289,68 @@ class SqliteStorage(Storage):
         return None if others else total
 
     def backend_sort(self) -> bool:
-        """Sort in one statement: position k takes the k-th value in
-        ``ORDER BY value, pos`` (ties keep their order).  A row is skipped
-        only if it holds the identical value: same storage class, equal,
-        and not a real zero (``0.0 = -0.0``; equal nonzero doubles are
-        identical, and NaN is stored as NULL).  True if a row changed."""
-        before = self._conn.total_changes
-        self._move("SELECT ROW_NUMBER() OVER (ORDER BY value, pos) - 1, "
-                   "value FROM seq", skip=" AND NOT (typeof(seq.value) = "
-                   "typeof(t.v) AND seq.value IS t.v AND (typeof(t.v) <> "
-                   "'real' OR t.v <> 0))")
-        return self._conn.total_changes != before
+        """Append the rows in ``ORDER BY value, pos`` (ties keep their order)
+        under fresh keys, then delete the old ones; with no descent, write
+        nothing, in one round trip.  True if rows moved."""
+        if self._base + 2 * self._len > KEY_CEILING:
+            self._renumber()
+        if not self._execute(f"INSERT INTO seq (value) SELECT value FROM seq "
+                             f"WHERE {_DESCENT} ORDER BY value, pos").rowcount:
+            return False
+        self._execute("DELETE FROM seq WHERE pos < ?",
+                      (self._base + self._len,))
+        self._base += self._len
+        return True
 
     def is_sorted(self) -> bool:
         """Backend-side sortedness check: one adjacent-pair SQL query."""
-        row = self._execute(
-            "SELECT EXISTS(SELECT 1 FROM seq a JOIN seq b "
-            "ON b.pos = a.pos + 1 WHERE b.value < a.value)"
-        ).fetchone()
-        return not row[0]
+        return not self._execute(f"SELECT {_DESCENT}").fetchone()[0]
+
+    def _renumber(self) -> None:
+        """Keys back to ``0..n-1``.  sqlite checks the key row by row, so
+        rows whose old and new ranges overlap first go below both."""
+        base, n = self._base, self._len
+        if base and n:
+            if -n < base < n:
+                low = min(base, 0) - n
+                self._execute("UPDATE seq SET pos = pos + ?", (low - base,))
+                base = low
+            self._execute("UPDATE seq SET pos = pos - ?", (base,))
+        self._base = 0
 
     # -- fact persistence ---------------------------------------------------------
 
     def sync_facts(self, facts: frozenset[str]) -> None:
-        self._execute("DELETE FROM facts")
-        for name in sorted(facts):
-            self._execute("INSERT INTO facts (name) VALUES (?)", (name,))
-        self._conn.commit()
+        self._facts = facts
 
     def load_facts(self) -> frozenset[str]:
-        names = {n for (n,) in self._execute("SELECT name FROM facts")}
+        self._facts = self._stored_facts = frozenset(
+            n for (n,) in self._execute("SELECT name FROM facts"))
         # Revalidate what we can check cheaply before believing a
         # persisted fact; a stale one is dropped, not trusted.
-        if "sorted" in names and not self.is_sorted():
-            names = {n for n in names if n not in ("sorted", "strictly-sorted")}
-            self.sync_facts(frozenset(names))
-        return frozenset(names)
+        if "sorted" in self._facts and not self.is_sorted():
+            self._facts -= {"sorted", "strictly-sorted"}
+        return self._facts
 
     # -- lifecycle ----------------------------------------------------------------
 
     def flush(self) -> None:
-        if not self._closed:
-            try:
-                self._conn.commit()
-            except sqlite3.Error as exc:
-                raise StorageError(
-                    f"cannot flush sqlite store {self._path!r}: {exc}"
-                ) from exc
+        """The one commit point: renumber the keys to ``0..n-1``, rewrite
+        the facts if they changed, and commit both with the elements."""
+        if self._closed:
+            return
+        self._renumber()
+        if self._facts != self._stored_facts:
+            self._execute("DELETE FROM facts")
+            self._execute("INSERT INTO facts (name) VALUES (?)",
+                          [(n,) for n in sorted(self._facts)], many=True)
+        try:
+            self._conn.commit()
+        except sqlite3.Error as exc:
+            raise StorageError(
+                f"cannot flush sqlite store {self._path!r}: {exc}"
+            ) from exc
+        self._stored_facts = self._facts
 
     def close(self) -> None:
         if not self._closed:

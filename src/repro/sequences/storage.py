@@ -292,7 +292,9 @@ class LinkedStorage(Storage):
         node.next.prev = node.prev
         self._size -= 1
 
-    def node_at(self, index: int) -> _LinkNode:
+    def node_at(self, index: int, end: bool = False) -> _LinkNode:
+        if not 0 <= index < self._size + end:
+            raise IndexError(f"list store position {index} out of range")
         node = self.sentinel.next
         for _ in range(index):
             node = node.next
@@ -320,7 +322,7 @@ class LinkedStorage(Storage):
         self.node_at(index).value = value
 
     def insert(self, index: int, value: Any) -> None:
-        self.link_before(self.node_at(index), _LinkNode(value))
+        self.link_before(self.node_at(index, True), _LinkNode(value))
 
     def erase(self, index: int) -> None:
         self.unlink(self.node_at(index))
@@ -329,7 +331,7 @@ class LinkedStorage(Storage):
         self.link_before(self.sentinel, _LinkNode(value))
 
     def slice(self, start: int, stop: int) -> list[Any]:
-        out, node = [], self.node_at(start)
+        out, node = [], self.node_at(start, True)
         for _ in range(stop - start):
             out.append(node.value)
             node = node.next

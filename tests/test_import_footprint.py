@@ -48,6 +48,9 @@ SEQUENCES = (
              "function_objects", "heap", "iterators", "storage", "tree",
              "vector")
 )
+#: What ``concepts.algebra`` loads of athena.
+ALGEBRA = {"repro.concepts.algebra"} | _named("repro.athena", "props",
+                                              "terms", "theories")
 
 EXPECTED = {
     "import repro": CORE,
@@ -60,6 +63,18 @@ EXPECTED = {
         | _named("repro.stllint", "abstract_values", "archetype_check",
                  "cfg", "dataflow", "diagnostics", "facts_collection",
                  "interpreter", "ir", "specs", "summaries")
+    ),
+    "import repro.sequences.backends": (
+        SEQUENCES | _named("repro.sequences.backends", "contiguous",
+                           "sqlite_store")
+    ),
+    "import repro.linalg": (
+        CORE | ALGEBRA
+        | _named("repro.linalg", "matrices", "mixed", "mtl", "vectors")
+    ),
+    "import repro.parallel": (
+        CORE | ALGEBRA
+        | _named("repro.parallel", "algorithms", "machine", "mpi", "parray")
     ),
     "import repro.simplicissimus": (
         CORE | FACTS | {"repro.concepts.algebra"}

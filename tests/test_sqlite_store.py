@@ -1,4 +1,4 @@
-"""``SqliteStorage`` keeps every row at its position and moves values.
+"""``SqliteStorage`` keeps its keys consecutive and moves values.
 
 A differential oracle drives seeded streams of insert, erase, set,
 push_back and sort through a :class:`SqliteSequence` and a plain list and
@@ -7,15 +7,23 @@ sqlite's ``=`` makes ``1`` and ``1.0``, and ``0.0`` and ``-0.0``, one
 value.  A second oracle checks the reads sqlite answers in its engine
 (``find_in`` and ``indexed_find`` through the value index, ``accumulate``
 as one ``SUM``) against the same calls on a :class:`Vector` of the same
-values.  Around them: the number of statements per write, and per engine
-read, does not grow with n; a value sqlite cannot bind is refused before
-any write; the file layout is the one every earlier version wrote and
-read; and an SQLite older than the statements need is refused by name.
+values.  A third kills a writer process at a seeded statement and checks
+that the reopened file holds the last flush, facts included.  Around
+them: the number of statements per write, and per engine read, does not
+grow with n; insert and erase change only the rows on the shorter side;
+a value sqlite cannot bind is refused before any write; the file layout
+is the one every earlier version wrote and read; and an SQLite older
+than the statements need is refused by name.
 """
 
+import itertools
+import json
 import math
+import os
 import random
+import signal
 import sqlite3
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -24,8 +32,9 @@ from repro.sequences import Vector
 from repro.sequences.algorithms import (accumulate, find, find_in,
                                         indexed_find, sort)
 from repro.sequences.backends import SqliteSequence, SqliteStorage
+from repro.sequences.backends import sqlite_store
 from repro.sequences.iterators import IndexIterator
-from repro.sequences.storage import StorageError
+from repro.sequences.storage import FACT_VALIDATORS, StorageError
 
 #: Values sqlite tells apart only by storage class or by sign: 1 / 1.0,
 #: 0.0 / -0.0, 'a' / b'a', and None.  True is refused: sqlite has no
@@ -52,6 +61,18 @@ def sql_sorted(xs):
 def positions(s):
     conn = s.storage()._conn
     return [p for (p,) in conn.execute("SELECT pos FROM seq ORDER BY pos")]
+
+
+def consecutive(keys):
+    return keys == list(range(keys[0], keys[0] + len(keys))) if keys else True
+
+
+def committed_rows(path):
+    """The rows another connection reads: what a crash would leave."""
+    conn = sqlite3.connect(path)
+    rows = conn.execute("SELECT pos, value FROM seq ORDER BY pos").fetchall()
+    conn.close()
+    return rows
 
 
 def run_stream(seed, path, steps=150, reopen_every=7):
@@ -97,11 +118,15 @@ def run_stream(seed, path, steps=150, reopen_every=7):
             assert s.has_fact("sorted")
         where = f"seed {seed} step {step} {op}"
         assert exact(s.to_list()) == exact(model), where
-        assert positions(s) == list(range(len(model))), where
+        assert consecutive(positions(s)), where
         if path != ":memory:" and step % reopen_every == reopen_every - 1:
             facts = s.facts
             s.close()
+            rows = committed_rows(path)
+            assert [p for p, _ in rows] == list(range(len(model))), where
+            assert exact([v for _, v in rows]) == exact(model), where
             s = SqliteSequence(path=path)
+            assert positions(s) == list(range(len(model))), where
             assert s.facts == facts, where
             assert exact(s.to_list()) == exact(model), where
     s.close()
@@ -139,15 +164,15 @@ def test_sort_keeps_signed_zeros_and_storage_classes():
 
 
 def test_resorting_sorted_reals_changes_rows_only_at_zero():
-    # Equal nonzero doubles are identical, so their rows are skipped; a
-    # real zero is rewritten (SQL cannot tell 0.0 from -0.0) unchanged.
+    # A sequence with no descent is not written, so zeros of either sign
+    # (SQL cannot tell 0.0 from -0.0) keep their rows too.
     store = SqliteStorage([-2.5, -2.5, 1.0, 1.0, 3.25, 3.25])
     assert not store.backend_sort()
     zeros = [-1.0, -0.0, 0.0, -0.0, 2.0]
     store = SqliteStorage(zeros)
     before = store._conn.total_changes
-    assert store.backend_sort()
-    assert store._conn.total_changes - before == 3
+    assert not store.backend_sort()
+    assert store._conn.total_changes - before == 0
     assert exact(store.slice(0, 5)) == exact(zeros)
 
 
@@ -335,14 +360,6 @@ WRITES = {
 }
 
 
-def committed_rows(path):
-    """The rows another connection reads: what a crash would leave."""
-    conn = sqlite3.connect(path)
-    rows = conn.execute("SELECT pos, value FROM seq ORDER BY pos").fetchall()
-    conn.close()
-    return rows
-
-
 @pytest.mark.parametrize("write", sorted(WRITES))
 def test_a_move_after_a_commit_stays_uncommitted(write, tmp_path):
     path = str(tmp_path / "seq.db")
@@ -361,12 +378,13 @@ def test_a_move_after_a_commit_stays_uncommitted(write, tmp_path):
 
 
 def test_an_erase_after_sort_is_all_or_nothing_on_file(tmp_path):
-    # sort commits its fact; a following erase's shift and its delete
-    # must still land together, or a crash between them would leave n
-    # rows with one value lost and the last one doubled.
+    # After a flush, an erase's shift and its delete must land together,
+    # or a crash between them would leave n rows with one value lost and
+    # the last one doubled.
     path = str(tmp_path / "seq.db")
     s = SqliteSequence([5, 3, 8, 1, 9, 2], path=path)
     sort(s)
+    s.flush()
     before = committed_rows(path)
     assert [v for _, v in before] == [1, 2, 3, 5, 8, 9]
     s.erase(s.iterator(s, 1))
@@ -390,6 +408,181 @@ def test_statements_per_write_do_not_grow_with_n(write):
         trips.append(store.roundtrips - before)
         store.close()
     assert trips[0] == trips[1] <= 2, trips
+
+
+def _cost(store, write):
+    """Round trips and rows changed by ``write()``."""
+    trips, changes = store.roundtrips, store._conn.total_changes
+    write()
+    return store.roundtrips - trips, store._conn.total_changes - changes
+
+
+@pytest.mark.parametrize("i", [0, 10, 500, 989, 999])
+def test_erase_and_insert_change_only_the_shorter_side(i):
+    # erase(i) from n rows, then its inverse insert(i) back to n rows:
+    # each moves the values on the shorter side of i, and writes one
+    # more row (the key it drops, or the value it puts).
+    n = 1000
+    store = SqliteStorage(range(n))
+    bound = min(i, n - 1 - i) + 1
+    assert _cost(store, lambda: store.erase(i))[1] <= bound
+    assert _cost(store, lambda: store.insert(i, -1))[1] <= bound
+    assert store.slice(0, n) == list(range(i)) + [-1] + list(range(i + 1, n))
+    store.close()
+
+
+def test_a_sort_takes_two_trips_and_a_sorted_one_writes_nothing():
+    s = SqliteSequence(random.Random(3).choices(range(50), k=1000))
+    store = s.storage()
+    assert _cost(store, lambda: sort(s))[0] == 2
+    assert _cost(store, store.backend_sort) == (1, 0)
+    # The fact sort recorded costs the next write no trip of its own.
+    assert _cost(store, lambda: s.push_back(7))[0] == 1
+    sort(s)
+    assert _cost(store, lambda: s.set_at(0, 99))[0] == 1
+    assert not s.has_fact("sorted")
+    s.close()
+
+
+def test_keys_near_the_ceiling_are_renumbered_before_a_sort(monkeypatch):
+    # Each sort moves the keys up by n; past the largest rowid sqlite
+    # would pick them at random, so they start again from 0 first.
+    monkeypatch.setattr(sqlite_store, "KEY_CEILING", 100)
+    rng = random.Random(5)
+    xs = rng.choices(range(30), k=30)
+    s = SqliteSequence(xs)
+    for _ in range(8):
+        s.set_at(rng.randrange(30), rng.randrange(30))
+        sort(s)
+        keys = positions(s)
+        assert keys[-1] < 100 and consecutive(keys), keys
+        assert s.to_list() == sorted(s.to_list())
+    s.close()
+
+
+# ---------------------------------------------------------------------------
+# A crash keeps the last flush: kill a writer, reopen its file
+# ---------------------------------------------------------------------------
+
+#: Writer processes killed, one at a time, each at its own statement.
+KILLS = 30
+#: The exit status of a writer killed at its statement.
+KILLED = 86
+
+
+def _write_script(seed, path, flushed):
+    """A seeded stream of writes on the file store at ``path``.  After
+    each flush it calls ``flushed(model, facts)`` with a plain-list model
+    of the contents and the façade's facts."""
+    rng = random.Random(seed)
+    s = SqliteSequence(path=path)
+    model = s.to_list()
+    for _ in range(40):
+        op = rng.choice(("insert", "insert", "erase", "erase", "set",
+                         "push_back", "sort", "flush"))
+        if op in ("erase", "set") and not model:
+            op = "push_back"
+        i, v = rng.randrange(len(model) + 1), rng.randrange(20)
+        if op == "insert":
+            s.insert(s.iterator(s, i), v)
+            model.insert(i, v)
+        elif op in ("erase", "set"):
+            i = min(i, len(model) - 1)
+            if op == "erase":
+                s.erase(s.iterator(s, i))
+                del model[i]
+            else:
+                s.set_at(i, v)
+                model[i] = v
+        elif op == "push_back":
+            s.push_back(v)
+            model.append(v)
+        elif op == "sort":
+            sort(s)
+            model.sort()
+        else:
+            s.flush()
+            flushed(model, s.facts)
+    s.close()
+    flushed(model, s.facts)
+
+
+def _killed_writer(seed, path, kill_at):
+    """Run the script in a forked child that calls ``os._exit`` just before
+    its ``kill_at``-th statement.  The exit status and the states the child
+    reported flushed, in order."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            # A child stuck on a lock some thread held at the fork dies
+            # here, and the parent sees its status instead of waiting.
+            signal.alarm(30)
+            os.close(read_end)
+            report = os.fdopen(write_end, "w")
+            statements, execute = itertools.count(1), SqliteStorage._execute
+
+            def dying(self, *args, **kwargs):
+                if next(statements) == kill_at:
+                    os._exit(KILLED)
+                return execute(self, *args, **kwargs)
+
+            SqliteStorage._execute = dying
+            _write_script(seed, path, lambda model, facts: (
+                report.write(json.dumps([model, sorted(facts)]) + "\n"),
+                report.flush()))
+            status = 0
+        except BaseException:    # noqa: BLE001 - reported by exit status
+            traceback.print_exc()
+        os._exit(status)
+    os.close(write_end)
+    with os.fdopen(read_end) as report:
+        states = [json.loads(line) for line in report]
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), states
+
+
+def _statements(seed, path):
+    """How many statements the script makes, run here to the end."""
+    store_execute, count = SqliteStorage._execute, itertools.count()
+
+    def counting(self, *args, **kwargs):
+        next(count)
+        return store_execute(self, *args, **kwargs)
+
+    SqliteStorage._execute = counting
+    try:
+        _write_script(seed, path, lambda model, facts: None)
+    finally:
+        SqliteStorage._execute = store_execute
+    return next(count)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_killed_writer_leaves_its_last_flush(tmp_path):
+    for seed in range(KILLS):
+        rng = random.Random(seed)
+        initial = rng.choices(range(20), k=rng.randrange(25))
+        paths = [str(tmp_path / f"{seed}-{k}.db") for k in (0, 1)]
+        for path in paths:
+            SqliteSequence(initial, path=path).close()
+        kill_at = rng.randrange(1, _statements(seed, paths[1]) + 1)
+        status, states = _killed_writer(seed, paths[0], kill_at)
+        case = (seed, kill_at, states[-1:])
+        assert status == KILLED, case
+        model, facts = states[-1] if states else (initial, [])
+        conn = sqlite3.connect(paths[0])
+        assert conn.execute("PRAGMA quick_check").fetchone() == ("ok",), case
+        rows = conn.execute("SELECT pos, value FROM seq ORDER BY pos").fetchall()
+        stored = sorted(n for (n,) in conn.execute("SELECT name FROM facts"))
+        conn.close()
+        assert rows == list(enumerate(model)), case
+        assert stored == facts, case
+        s = SqliteSequence(path=paths[0])
+        assert sorted(s.facts) == stored, case
+        for name in stored:
+            assert FACT_VALIDATORS.get(name, lambda c: True)(s), case
+        s.close()
 
 
 # ---------------------------------------------------------------------------

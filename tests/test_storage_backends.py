@@ -71,6 +71,15 @@ class TestStorageProtocol:
         s.clear()
         assert s.length() == 0
 
+    @pytest.mark.parametrize("op", ["get", "set", "erase"])
+    @pytest.mark.parametrize("index", [3, 7])
+    def test_a_position_past_the_end_raises_before_any_write(self, cls, op,
+                                                              index):
+        s = cls([1, 2, 3])
+        with pytest.raises(IndexError):
+            getattr(s, op)(*((index, 9) if op == "set" else (index,)))
+        assert s.length() == 3 and s.slice(0, 3) == [1, 2, 3]
+
     def test_capability_record_shape(self, cls):
         caps = cls.capabilities
         assert caps.name
